@@ -1308,7 +1308,6 @@ let scale () =
       [
         ("max_n", Json.Int max_n);
         ("sizes", Json.Arr (List.map (fun n -> Json.Int n) ns));
-        ("engine", Json.String (Engine.impl_name (Engine.default_impl ())));
         ("wave_supersteps", Json.Int k_long);
         ("wave", Json.Arr (List.map wave_json wave_rows));
         ("pipeline", Json.Arr (List.map row_json pipe_rows));

@@ -47,41 +47,16 @@ let domains_arg =
            $(b,LBCC_DOMAINS) or the runtime's recommendation).  Results are \
            identical at every value; only wall-clock changes.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "engine" ] ~docv:"IMPL"
-        ~doc:
-          "Broadcast engine core: $(b,flat) (struct-of-arrays, the default) \
-           or $(b,boxed) (the legacy implementation, kept as the \
-           differential baseline).  Default: $(b,LBCC_ENGINE) or flat.  \
-           Results are bit-identical either way; only wall-clock changes.")
-
 (* Evaluated before the command body (Cmdliner applies terms left to
-   right), so the pool is resized and the engine selected before any work
-   runs. *)
+   right), so the pool is resized before any work runs. *)
 let with_domains term =
-  let apply domains engine =
-    match
-      ( domains,
-        match engine with
-        | None -> Ok None
-        | Some s -> (
-            match Engine.impl_of_string s with
-            | Some i -> Ok (Some i)
-            | None -> Error (`Msg "--engine must be flat or boxed")) )
-    with
-    | Some d, _ when d < 1 -> Error (`Msg "--domains must be >= 1")
-    | _, Error e -> Error e
-    | d, Ok i ->
-        (match d with Some d -> Pool.set_default_domains d | None -> ());
-        (match i with Some i -> Engine.set_default_impl i | None -> ());
+  let apply = function
+    | Some d when d < 1 -> Error (`Msg "--domains must be >= 1")
+    | d ->
+        Option.iter Pool.set_default_domains d;
         Ok ()
   in
-  let setup_term =
-    Term.term_result Term.(const apply $ domains_arg $ engine_arg)
-  in
+  let setup_term = Term.term_result Term.(const apply $ domains_arg) in
   Term.(const (fun () r -> r) $ setup_term $ term)
 
 let n_arg =

@@ -27,8 +27,7 @@ val run :
   result
 (** Raw engine run: injected faults (if any) hit the protocol directly —
     dropped announcements simply never arrive and tampered distances are
-    believed.
-    @raise Invalid_argument on a unicast model. *)
+    believed. *)
 
 val run_byzantine :
   ?accountant:Lbcc_net.Rounds.t ->

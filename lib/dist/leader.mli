@@ -24,8 +24,8 @@ val run :
 (** On a clean converged run all vertices agree on the returned leader
     (asserted internally); under faults the crashed vertices may retain
     stale views and the assertion is skipped.
-    @raise Invalid_argument on a unicast model or a disconnected graph
-    under the [Input_graph] topology. *)
+    @raise Invalid_argument on a disconnected graph under the
+    [Input_graph] topology. *)
 
 val run_byzantine :
   ?accountant:Lbcc_net.Rounds.t ->

@@ -25,10 +25,9 @@ val run :
   source:int ->
   unit ->
   result
-(** @raise Invalid_argument on a unicast model.  Distances agree with
-    {!Lbcc_graph.Paths.dijkstra} (tested).  Tampered deliveries (see
-    {!Lbcc_net.Fault}) shrink announced distances — the worst case for
-    min-based relaxation — and are believed. *)
+(** Distances agree with {!Lbcc_graph.Paths.dijkstra} (tested).  Tampered
+    deliveries (see {!Lbcc_net.Fault}) shrink announced distances — the
+    worst case for min-based relaxation — and are believed. *)
 
 val run_byzantine :
   ?accountant:Lbcc_net.Rounds.t ->

@@ -60,7 +60,7 @@ let everywhere _ = true
    list.  Leaf charge labels are free-form kebab-case. *)
 let phase_vocabulary =
   [ "prepare"; "query"; "solve"; "preprocess"; "sparsify"; "spanner"; "mcmf";
-    "ipm"; "retransmit"; "byz-echo"; "gossip"; "engine"; "scale"; "serve";
+    "ipm"; "retransmit"; "byz-echo"; "engine"; "scale"; "serve";
     "admit"; "coalesce"; "update"; "delta" ]
 
 let rules =
@@ -120,11 +120,11 @@ let rules =
       name = "acct-unscoped-broadcast";
       severity = Lint_diag.Error;
       doc =
-        "A broadcast/send primitive (Engine.run, Engine.run_unicast, \
-         Reliable.run, Rounds.charge*) reached without an accountant \
-         lexically in scope: no with_phase above it, no accountant \
-         parameter or argument. Unaccounted broadcasts make the measured \
-         bounds (Thm 1.1-1.4, Lem 3.2) unsound.";
+        "A broadcast primitive (Engine.run, Reliable.run, Rounds.charge*) \
+         reached without an accountant lexically in scope: no with_phase \
+         above it, no accountant parameter or argument. Unaccounted \
+         broadcasts make the measured bounds (Thm 1.1-1.4, Lem 3.2) \
+         unsound.";
       applies = accounting_path;
     };
     {
@@ -203,8 +203,8 @@ let rules =
       severity = Lint_diag.Error;
       doc =
         "[typed] A broadcast primitive (Engine.run*, Reliable.run, \
-         Byzantine.run, Gossip.spread, Rounds.charge*) is reachable from \
-         a public entry point along a call path with no with_phase scope \
+         Byzantine.run, Rounds.charge*) is reachable from a public entry \
+         point along a call path with no with_phase scope \
          on it, or a resolved with_phase call carries a label outside the \
          documented taxonomy. Interprocedural replacement for the \
          lexical acct-* scope check.";
@@ -266,7 +266,7 @@ let is_phase_name l =
    did): every call must be reachable only through an accounted scope. *)
 let is_broadcast_primitive l =
   match last2 (unqualify l) with
-  | Some ("Engine", ("run" | "run_unicast")) -> true
+  | Some ("Engine", "run") -> true
   | Some ("Reliable", "run") -> true
   | Some ("Rounds", ("charge" | "charge_broadcast" | "charge_vector")) -> true
   | _ -> (

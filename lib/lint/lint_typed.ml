@@ -51,9 +51,8 @@ let default_config =
     phase_entries = [ "Lbcc_core"; "Lbcc_service"; "Lbcc_dist"; "Lbcc_serve" ];
     primitives =
       [
-        "Engine.run"; "Engine.run_unicast"; "Engine.run_soa"; "Reliable.run";
-        "Byzantine.run"; "Gossip.spread"; "Rounds.charge";
-        "Rounds.charge_broadcast"; "Rounds.charge_vector";
+        "Engine.run"; "Engine.run_soa"; "Reliable.run"; "Byzantine.run";
+        "Rounds.charge"; "Rounds.charge_broadcast"; "Rounds.charge_vector";
       ];
   }
 

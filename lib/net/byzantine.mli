@@ -103,5 +103,5 @@ val run :
     payload transform handed to the engine for corruption/equivocation
     verdicts; without it payloads are immune and only echo forgery and
     silent drops remain adversarial.
-    @raise Invalid_argument on a unicast or [Input_graph] model (echo
-    quorums need the clique), or [retries < 0]. *)
+    @raise Invalid_argument on an [Input_graph] model (echo quorums need
+    the clique), or [retries < 0]. *)

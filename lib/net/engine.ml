@@ -20,39 +20,6 @@ exception
 type on_timeout = [ `Truncate | `Raise ]
 
 (* ------------------------------------------------------------------ *)
-(* Implementation selection                                            *)
-
-type impl = Boxed | Flat
-
-let impl_name = function Boxed -> "boxed" | Flat -> "flat"
-
-let impl_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "boxed" | "legacy" -> Some Boxed
-  | "flat" | "soa" -> Some Flat
-  | _ -> None
-
-(* The flat core is the default; LBCC_ENGINE=boxed is the one-release
-   escape hatch back to the legacy implementation (the differential
-   harness runs both and asserts bit-identity, so switching is a
-   wall-clock knob only). *)
-let initial_impl () =
-  match Sys.getenv_opt "LBCC_ENGINE" with
-  | None | Some "" -> Flat
-  | Some s -> (
-      match impl_of_string s with
-      | Some i -> i
-      | None ->
-          Printf.eprintf
-            "lbcc: ignoring unknown LBCC_ENGINE=%S (expected boxed or flat)\n%!"
-            s;
-          Flat)
-
-let default_impl_ref = ref (initial_impl ())
-let default_impl () = !default_impl_ref
-let set_default_impl i = default_impl_ref := i
-
-(* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
 (* The accountant's open-phase path at the moment the cap fired; an engine
@@ -74,11 +41,6 @@ let apply_crashes faults live ~round =
         (fun v alive ->
           if alive && Fault.crashed f ~vertex:v ~round then live.(v) <- false)
         live
-
-let deliveries faults ~round ~src ~dst =
-  match faults with
-  | None -> 1
-  | Some f -> Fault.copies f ~round ~src ~dst
 
 let finish ~label ~on_timeout ~accountant ~live ~supersteps ~rounds
     ~messages_sent ~total_bits states =
@@ -120,6 +82,26 @@ let record_overrides faults overrides ~round ~is_present ~replay_adj ~n =
           | Some adj -> Array.iter (fun u -> record ~src:v ~dst:u) adj.(v)
       done
 
+(* The recorded verdict for one delivery of the previous superstep:
+   [(1, None)] (one untampered copy) unless [record_overrides] stored an
+   exception. *)
+let copies_of faults overrides ~src ~dst =
+  if Option.is_none faults then (1, None)
+  else
+    match Hashtbl.find_opt overrides (src, dst) with
+    | Some verdict -> verdict
+    | None -> (1, None)
+
+(* A superstep costs its largest message, [ceil(max_bits / B)] rounds and
+   at least one; charges the accountant and returns the cost. *)
+let charge_superstep accountant ~label ~bandwidth ~max_bits =
+  let bits = Stdlib.max 1 max_bits in
+  let cost = Stdlib.max 1 (Lbcc_util.Bits.ceil_div bits bandwidth) in
+  (match accountant with
+  | Some acc -> Rounds.charge acc ~label ~bits ~rounds:cost
+  | None -> ());
+  cost
+
 (* The graph's own adjacency order, materialized only under an active fault
    plan (replay must consult deliveries in the historical order, which is
    not the sorted gather order). *)
@@ -132,136 +114,7 @@ let replay_adj_of ~model ~graph ~faults =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Legacy boxed implementation                                         *)
-
-let run_boxed ?pool ?accountant ?tracer ?(label = "engine")
-    ?(max_supersteps = 1_000_000) ?(on_timeout = `Truncate) ?faults
-    ?(tamper = fun ~salt:_ msg -> msg) ~model ~graph ~size_bits ~init ~step () =
-  (match model.Model.discipline with
-  | Model.Broadcast -> ()
-  | Model.Unicast -> invalid_arg "Engine.run: only broadcast disciplines are simulated");
-  Lbcc_obs.Trace.span tracer label @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let faults = active_faults faults in
-  let n = Graph.n graph in
-  (* Clique receivers are implicit (no O(n^2) adjacency materialization);
-     Input_graph keeps two int-array views: ascending sender order for the
-     inbox gather, and the graph's own adjacency order for replaying the
-     fault plan exactly as the historical delivery loop consulted it. *)
-  let gather_adj =
-    match model.Model.topology with
-    | Model.Clique -> None
-    | Model.Input_graph ->
-        Some
-          (Array.init n (fun v ->
-               let a =
-                 Array.of_list (List.map fst (Graph.neighbors graph v))
-               in
-               Array.sort Int.compare a;
-               a))
-  in
-  let replay_adj = replay_adj_of ~model ~graph ~faults in
-  let states = Array.init n init in
-  let live = Array.make n true in
-  (* Messages broadcast in superstep [s], consumed by the gather in [s+1].
-     [overrides] holds the fault plan's verdicts for those messages. *)
-  let prev_outgoing = ref (Array.make n None) in
-  let overrides : (int * int, int * int option) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let supersteps = ref 0 and rounds = ref 0 in
-  let messages_sent = ref 0 and total_bits = ref 0 in
-  let bandwidth = Model.bandwidth ~n in
-  let chunk = step_chunk n in
-  let any_live () = Array.exists Fun.id live in
-  let copies_of ~src ~dst =
-    if Option.is_none faults then (1, None)
-    else
-      match Hashtbl.find_opt overrides (src, dst) with
-      | Some verdict -> verdict
-      | None -> (1, None)
-  in
-  (* Consing while walking senders in descending order yields the inbox in
-     ascending sender order with duplicated deliveries adjacent — exactly
-     the [List.rev] of the historical push-delivery loop, which appended
-     sender-by-sender with the outer loop ascending.  A tampered delivery
-     is rewritten per receiver ([tamper] is pure, so applying it inside the
-     parallel step phase is schedule-independent). *)
-  let gather prev v =
-    let inbox = ref [] in
-    let take u =
-      match prev.(u) with
-      | None -> ()
-      | Some msg ->
-          let c, salt = copies_of ~src:u ~dst:v in
-          if c > 0 then begin
-            let msg =
-              match salt with None -> msg | Some salt -> tamper ~salt msg
-            in
-            for _ = 1 to c do
-              inbox := (u, msg) :: !inbox
-            done
-          end
-    in
-    (match gather_adj with
-    | None ->
-        for u = n - 1 downto 0 do
-          if u <> v then take u
-        done
-    | Some adj ->
-        let a = adj.(v) in
-        for i = Array.length a - 1 downto 0 do
-          take a.(i)
-        done);
-    !inbox
-  in
-  while any_live () && !supersteps < max_supersteps do
-    incr supersteps;
-    let round = !supersteps in
-    apply_crashes faults live ~round;
-    let outgoing = Array.make n None in
-    let prev = !prev_outgoing in
-    Pool.parallel_for pool ~chunk ~n (fun lo hi ->
-        for v = lo to hi - 1 do
-          if live.(v) then begin
-            let inbox = gather prev v in
-            let state', msg, continue = step ~round ~vertex:v states.(v) inbox in
-            states.(v) <- state';
-            outgoing.(v) <- msg;
-            if not continue then live.(v) <- false
-          end
-        done);
-    (* Charge: the superstep costs the largest message.  The broadcast is
-       charged once per sender — a dropped delivery still occupied the
-       sender's slot on the shared channel. *)
-    let max_bits = ref 0 in
-    for v = 0 to n - 1 do
-      match outgoing.(v) with
-      | None -> ()
-      | Some msg ->
-          let bits = size_bits msg in
-          incr messages_sent;
-          total_bits := !total_bits + bits;
-          max_bits := Stdlib.max !max_bits bits
-    done;
-    record_overrides faults overrides ~round
-      ~is_present:(fun v -> Option.is_some outgoing.(v))
-      ~replay_adj ~n;
-    prev_outgoing := outgoing;
-    let cost = Stdlib.max 1 (Lbcc_util.Bits.ceil_div (Stdlib.max 1 !max_bits) bandwidth) in
-    rounds := !rounds + cost;
-    (match accountant with
-    | Some acc -> Rounds.charge acc ~label ~bits:(Stdlib.max 1 !max_bits) ~rounds:cost
-    | None -> ())
-  done;
-  Lbcc_obs.Trace.add tracer ~rounds:!rounds ~bits:!total_bits
-    ~supersteps:!supersteps ~messages:!messages_sent ();
-  finish ~label ~on_timeout ~accountant ~live ~supersteps:!supersteps
-    ~rounds:!rounds ~messages_sent:!messages_sent ~total_bits:!total_bits
-    states
-
-(* ------------------------------------------------------------------ *)
-(* Flat implementation                                                 *)
+(* Generic engine                                                      *)
 
 (* Double-buffered message slots, reused every superstep.  With a codec the
    payloads live packed in shared [Bytes] buffers (no per-message boxing in
@@ -278,7 +131,7 @@ type 'msg store = {
   s_get_prev : int -> 'msg;
 }
 
-let boxed_store n =
+let option_store n =
   let cur = ref (Array.make n None) and prev = ref (Array.make n None) in
   {
     s_mem = (fun v -> Option.is_some !cur.(v));
@@ -318,19 +171,16 @@ let packed_store codec n =
     s_get_prev = (fun v -> Packed.get !prev v);
   }
 
-let run_flat ?pool ?accountant ?tracer ?(label = "engine")
+let run ?pool ?accountant ?tracer ?(label = "engine")
     ?(max_supersteps = 1_000_000) ?(on_timeout = `Truncate) ?faults
     ?(tamper = fun ~salt:_ msg -> msg) ?codec ~model ~graph ~size_bits ~init
     ~step () =
-  (match model.Model.discipline with
-  | Model.Broadcast -> ()
-  | Model.Unicast -> invalid_arg "Engine.run: only broadcast disciplines are simulated");
   Lbcc_obs.Trace.span tracer label @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let faults = active_faults faults in
   let n = Graph.n graph in
-  (* In-neighbor CSR by counting sort keyed (src, dst): segment order equals
-     the boxed engine's sorted-adjacency gather, built without intermediate
+  (* In-neighbor CSR by counting sort keyed (src, dst): each segment lists a
+     receiver's in-neighbors in ascending order, built without intermediate
      per-vertex lists.  Clique receivers stay implicit. *)
   let plan =
     match model.Model.topology with
@@ -340,7 +190,7 @@ let run_flat ?pool ?accountant ?tracer ?(label = "engine")
   let replay_adj = replay_adj_of ~model ~graph ~faults in
   let states = Array.init n init in
   let live = Array.make n true in
-  let store = match codec with Some c -> packed_store c n | None -> boxed_store n in
+  let store = match codec with Some c -> packed_store c n | None -> option_store n in
   let overrides : (int * int, int * int option) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -349,20 +199,15 @@ let run_flat ?pool ?accountant ?tracer ?(label = "engine")
   let bandwidth = Model.bandwidth ~n in
   let chunk = step_chunk n in
   let any_live () = Array.exists Fun.id live in
-  let copies_of ~src ~dst =
-    if Option.is_none faults then (1, None)
-    else
-      match Hashtbl.find_opt overrides (src, dst) with
-      | Some verdict -> verdict
-      | None -> (1, None)
-  in
-  (* Same descending cons as the boxed gather: ascending inbox, duplicated
-     deliveries adjacent. *)
+  (* Consing while walking senders in descending order yields the inbox in
+     ascending sender order with duplicated deliveries adjacent.  A tampered
+     delivery is rewritten per receiver ([tamper] is pure, so applying it
+     inside the parallel step phase is schedule-independent). *)
   let gather v =
     let inbox = ref [] in
     let take u =
       if store.s_mem_prev u then begin
-        let c, salt = copies_of ~src:u ~dst:v in
+        let c, salt = copies_of faults overrides ~src:u ~dst:v in
         if c > 0 then begin
           let msg = store.s_get_prev u in
           let msg =
@@ -418,27 +263,15 @@ let run_flat ?pool ?accountant ?tracer ?(label = "engine")
     record_overrides faults overrides ~round ~is_present:store.s_mem ~replay_adj
       ~n;
     store.s_swap ();
-    let cost = Stdlib.max 1 (Lbcc_util.Bits.ceil_div (Stdlib.max 1 !max_bits) bandwidth) in
-    rounds := !rounds + cost;
-    (match accountant with
-    | Some acc -> Rounds.charge acc ~label ~bits:(Stdlib.max 1 !max_bits) ~rounds:cost
-    | None -> ())
+    rounds :=
+      !rounds
+      + charge_superstep accountant ~label ~bandwidth ~max_bits:!max_bits
   done;
   Lbcc_obs.Trace.add tracer ~rounds:!rounds ~bits:!total_bits
     ~supersteps:!supersteps ~messages:!messages_sent ();
   finish ~label ~on_timeout ~accountant ~live ~supersteps:!supersteps
     ~rounds:!rounds ~messages_sent:!messages_sent ~total_bits:!total_bits
     states
-
-let run ?impl ?pool ?accountant ?tracer ?label ?max_supersteps ?on_timeout
-    ?faults ?tamper ?codec ~model ~graph ~size_bits ~init ~step () =
-  match (match impl with Some i -> i | None -> !default_impl_ref) with
-  | Boxed ->
-      run_boxed ?pool ?accountant ?tracer ?label ?max_supersteps ?on_timeout
-        ?faults ?tamper ~model ~graph ~size_bits ~init ~step ()
-  | Flat ->
-      run_flat ?pool ?accountant ?tracer ?label ?max_supersteps ?on_timeout
-        ?faults ?tamper ?codec ~model ~graph ~size_bits ~init ~step ()
 
 (* ------------------------------------------------------------------ *)
 (* Struct-of-arrays entry point                                        *)
@@ -456,10 +289,6 @@ type soa_step = round:int -> vertex:int -> soa_inbox -> soa_out -> bool
 let run_soa ?pool ?accountant ?tracer ?(label = "engine")
     ?(max_supersteps = 1_000_000) ?(on_timeout = `Truncate) ?faults
     ?(tamper = fun ~salt:_ msg -> msg) ~model ~graph ~size_bits ~step () =
-  (match model.Model.discipline with
-  | Model.Broadcast -> ()
-  | Model.Unicast ->
-      invalid_arg "Engine.run_soa: only broadcast disciplines are simulated");
   Lbcc_obs.Trace.span tracer label @@ fun () ->
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let faults = active_faults faults in
@@ -501,20 +330,13 @@ let run_soa ?pool ?accountant ?tracer ?(label = "engine")
     Array.init (Stdlib.max 1 nchunks) (fun _ -> { send = false; value = 0 })
   in
   let any_live () = Array.exists Fun.id live in
-  let copies_of ~src ~dst =
-    if Option.is_none faults then (1, None)
-    else
-      match Hashtbl.find_opt overrides (src, dst) with
-      | Some verdict -> verdict
-      | None -> (1, None)
-  in
   (* Ascending fill, duplicated deliveries adjacent: the same inbox order
-     the list-based engines produce.  [take] is bound once here — defining
+     the generic engine produces.  [take] is bound once here — defining
      it inside [gather_into] would allocate a closure per vertex per
      superstep, which is exactly what this path exists to avoid. *)
   let take ib v u =
     if Bytes.unsafe_get !prev_pres u <> '\000' then begin
-      let c, salt = copies_of ~src:u ~dst:v in
+      let c, salt = copies_of faults overrides ~src:u ~dst:v in
       if c > 0 then begin
         let m = Array.unsafe_get !prev_pay u in
         let m = match salt with None -> m | Some salt -> tamper ~salt m in
@@ -583,139 +405,13 @@ let run_soa ?pool ?accountant ?tracer ?(label = "engine")
     prev_pres := !cur_pres;
     cur_pay := tp;
     cur_pres := ts;
-    let cost = Stdlib.max 1 (Lbcc_util.Bits.ceil_div (Stdlib.max 1 !max_bits) bandwidth) in
-    rounds := !rounds + cost;
-    (match accountant with
-    | Some acc -> Rounds.charge acc ~label ~bits:(Stdlib.max 1 !max_bits) ~rounds:cost
-    | None -> ())
+    rounds :=
+      !rounds
+      + charge_superstep accountant ~label ~bandwidth ~max_bits:!max_bits
   done;
   Lbcc_obs.Trace.add tracer ~rounds:!rounds ~bits:!total_bits
     ~supersteps:!supersteps ~messages:!messages_sent ();
-  let converged = not (Array.exists Fun.id live) in
-  if (not converged) && on_timeout = `Raise then
-    raise
-      (Timeout
-         {
-           label;
-           supersteps = !supersteps;
-           rounds = !rounds;
-           phase = phase_of accountant;
-         });
-  {
-    supersteps = !supersteps;
-    rounds = !rounds;
-    messages_sent = !messages_sent;
-    total_bits = !total_bits;
-    converged;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Unicast engine                                                      *)
-
-type ('state, 'msg) unicast_step =
-  round:int ->
-  vertex:int ->
-  'state ->
-  'msg inbox ->
-  'state * (int * 'msg) list * bool
-
-let run_unicast ?pool ?accountant ?tracer ?(label = "engine-unicast")
-    ?(max_supersteps = 1_000_000) ?(on_timeout = `Truncate) ?faults
-    ?(tamper = fun ~salt:_ msg -> msg) ~model ~graph ~size_bits ~init ~step () =
-  (match model.Model.discipline with
-  | Model.Unicast -> ()
-  | Model.Broadcast ->
-      invalid_arg "Engine.run_unicast: use run for broadcast disciplines");
-  Lbcc_obs.Trace.span tracer label @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let faults = active_faults faults in
-  let n = Graph.n graph in
-  (* Clique membership is an index check; only Input_graph needs tables. *)
-  let allowed_tbl =
-    match model.Model.topology with
-    | Model.Clique -> None
-    | Model.Input_graph ->
-        Some
-          (Array.init n (fun v ->
-               let tbl = Hashtbl.create 8 in
-               List.iter
-                 (fun (u, _) -> Hashtbl.replace tbl u ())
-                 (Graph.neighbors graph v);
-               tbl))
-  in
-  let allowed v u =
-    match allowed_tbl with
-    | None -> u <> v && u >= 0 && u < n
-    | Some tbls -> Hashtbl.mem tbls.(v) u
-  in
-  let states = Array.init n init in
-  let live = Array.make n true in
-  let inboxes = Array.make n [] in
-  let supersteps = ref 0 and rounds = ref 0 in
-  let messages_sent = ref 0 and total_bits = ref 0 in
-  let bandwidth = Model.bandwidth ~n in
-  let chunk = step_chunk n in
-  let any_live () = Array.exists Fun.id live in
-  while any_live () && !supersteps < max_supersteps do
-    incr supersteps;
-    let round = !supersteps in
-    apply_crashes faults live ~round;
-    let outgoing = Array.make n [] in
-    Pool.parallel_for pool ~chunk ~n (fun lo hi ->
-        for v = lo to hi - 1 do
-          if live.(v) then begin
-            let inbox = List.rev inboxes.(v) in
-            inboxes.(v) <- [];
-            let state', msgs, continue = step ~round ~vertex:v states.(v) inbox in
-            states.(v) <- state';
-            let seen = Hashtbl.create 8 in
-            List.iter
-              (fun (u, _) ->
-                if not (allowed v u) then
-                  invalid_arg "Engine.run_unicast: message to a non-neighbor";
-                if Hashtbl.mem seen u then
-                  invalid_arg "Engine.run_unicast: two messages to one neighbor";
-                Hashtbl.replace seen u ())
-              msgs;
-            outgoing.(v) <- msgs;
-            if not continue then live.(v) <- false
-          end
-        done);
-    (* Delivery stays sequential: per-edge messages land in receiver inboxes
-       in ascending sender order, and the fault plan is consulted in the
-       same sender-major sequence as ever. *)
-    let max_bits = ref 0 in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (u, msg) ->
-          let bits = size_bits msg in
-          incr messages_sent;
-          total_bits := !total_bits + bits;
-          max_bits := Stdlib.max !max_bits bits;
-          let c = deliveries faults ~round ~src:v ~dst:u in
-          if c > 0 then begin
-            let msg =
-              match faults with
-              | None -> msg
-              | Some f -> (
-                  match Fault.tamper f ~round ~src:v ~dst:u with
-                  | None -> msg
-                  | Some salt -> tamper ~salt msg)
-            in
-            for _ = 1 to c do
-              inboxes.(u) <- (v, msg) :: inboxes.(u)
-            done
-          end)
-        outgoing.(v)
-    done;
-    let cost = Stdlib.max 1 (Lbcc_util.Bits.ceil_div (Stdlib.max 1 !max_bits) bandwidth) in
-    rounds := !rounds + cost;
-    (match accountant with
-    | Some acc -> Rounds.charge acc ~label ~bits:(Stdlib.max 1 !max_bits) ~rounds:cost
-    | None -> ())
-  done;
-  Lbcc_obs.Trace.add tracer ~rounds:!rounds ~bits:!total_bits
-    ~supersteps:!supersteps ~messages:!messages_sent ();
-  finish ~label ~on_timeout ~accountant ~live ~supersteps:!supersteps
-    ~rounds:!rounds ~messages_sent:!messages_sent ~total_bits:!total_bits
-    states
+  snd
+    (finish ~label ~on_timeout ~accountant ~live ~supersteps:!supersteps
+       ~rounds:!rounds ~messages_sent:!messages_sent ~total_bits:!total_bits
+       ())

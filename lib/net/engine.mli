@@ -23,23 +23,14 @@
     vertex programs (BFS baseline, leader election, aggregation) and the unit
     tests of the charging rules.
 
-    {2 Implementations}
+    {2 Message path}
 
-    Two interchangeable cores back {!run} (DESIGN.md §10):
-
-    - {!Flat} (the default): reusable double-buffered message slots — packed
-      [Bytes] buffers when a {!Packed.codec} is supplied, ['msg option]
-      arrays otherwise — and a counting-sort CSR delivery plan instead of
-      per-vertex adjacency lists.  The steady-state message path allocates
-      only the inbox lists handed to the step function.
-    - {!Boxed}: the legacy implementation, kept verbatim as the differential
-      baseline.
-
-    Both produce bit-identical states, stats and accountant fingerprints for
-    every protocol and fault tier ([test/test_engine_diff.ml] pins this);
-    the choice is a wall-clock knob.  The initial default comes from the
-    [LBCC_ENGINE] environment variable ([boxed] / [flat], default [flat]);
-    {!set_default_impl} overrides it at runtime (the CLI's [--engine] flag).
+    {!run} keeps in-flight messages in reusable double-buffered slots —
+    packed [Bytes] buffers when a {!Packed.codec} is supplied, ['msg option]
+    arrays otherwise — and delivers them through a counting-sort CSR
+    delivery plan instead of per-vertex adjacency lists (DESIGN.md §10).
+    The steady-state message path allocates only the inbox lists handed to
+    the step function.
 
     Protocols with [int] payloads that want a fully allocation-free hot
     path use {!run_soa}, which trades the polymorphic state/inbox types for
@@ -90,25 +81,7 @@ exception
 
 type on_timeout = [ `Truncate | `Raise ]
 
-(** {2 Implementation selection} *)
-
-type impl = Boxed | Flat
-
-val impl_name : impl -> string
-(** ["boxed"] / ["flat"]. *)
-
-val impl_of_string : string -> impl option
-(** Case-insensitive; accepts ["boxed"] / ["legacy"] and ["flat"] / ["soa"]. *)
-
-val default_impl : unit -> impl
-(** The implementation {!run} uses when [?impl] is omitted.  Initially from
-    [LBCC_ENGINE] (an unknown value warns on stderr and falls back to
-    {!Flat}). *)
-
-val set_default_impl : impl -> unit
-
 val run :
-  ?impl:impl ->
   ?pool:Lbcc_util.Pool.t ->
   ?accountant:Rounds.t ->
   ?tracer:Lbcc_obs.Trace.t ->
@@ -126,14 +99,13 @@ val run :
   unit ->
   'state array * stats
 (** Runs the protocol over the communication topology selected by [model]
-    ([Input_graph]: neighbors of [graph]; [Clique]: everyone).  Only
-    broadcast disciplines are supported.  A crashed vertex stops stepping
-    and sending from its crash superstep on; its last state is kept.
+    ([Input_graph]: neighbors of [graph]; [Clique]: everyone).  A crashed
+    vertex stops stepping and sending from its crash superstep on; its last
+    state is kept.
 
-    [?impl] selects the engine core (default {!default_impl}).  [?codec]
-    lets the {!Flat} core keep in-flight payloads packed in shared [Bytes]
-    buffers instead of boxed per sender; it must be lossless on every
-    payload the protocol broadcasts, and is ignored by {!Boxed}.
+    [?codec] keeps in-flight payloads packed in shared [Bytes] buffers
+    instead of boxed per sender; it must be lossless on every payload the
+    protocol broadcasts.
 
     [?tamper] gives the fault plan's corruption/equivocation verdicts
     (see {!Fault.tamper}) a concrete payload transform: when a delivery is
@@ -142,7 +114,6 @@ val run :
     [salt].  The default is the identity — a protocol that opts out of
     supplying a transform is immune to payload tampering, not silently
     corrupted.
-    @raise Invalid_argument on a unicast model.
     @raise Timeout when the cap is hit under [?on_timeout:`Raise]. *)
 
 (** {2 Struct-of-arrays entry point} *)
@@ -189,37 +160,5 @@ val run_soa :
     the superstep loop — at pool size 1 a superstep allocates nothing
     (the SCALE bench pins [Gc.minor_words] on this path).  Semantics
     (delivery order, fault replay, charging, timeout) are identical to
-    {!run}; the differential harness compares it against the boxed engine
-    on the BFS protocol across fault tiers. *)
-
-type ('state, 'msg) unicast_step =
-  round:int ->
-  vertex:int ->
-  'state ->
-  'msg inbox ->
-  'state * (int * 'msg) list * bool
-(** Unicast variant: the vertex addresses each outgoing message to a
-    specific neighbor (CONGEST / Congested Clique).  At most one message
-    per neighbor per superstep. *)
-
-val run_unicast :
-  ?pool:Lbcc_util.Pool.t ->
-  ?accountant:Rounds.t ->
-  ?tracer:Lbcc_obs.Trace.t ->
-  ?label:string ->
-  ?max_supersteps:int ->
-  ?on_timeout:on_timeout ->
-  ?faults:Fault.t ->
-  ?tamper:(salt:int -> 'msg -> 'msg) ->
-  model:Model.t ->
-  graph:Lbcc_graph.Graph.t ->
-  size_bits:('msg -> int) ->
-  init:(int -> 'state) ->
-  step:('state, 'msg) unicast_step ->
-  unit ->
-  'state array * stats
-(** Per-edge messages; a superstep costs [ceil(max_bits/B)] rounds (every
-    edge carries its message in parallel).
-    @raise Invalid_argument on a broadcast model, a message addressed to a
-    non-neighbor, or two messages to the same neighbor in one superstep.
-    @raise Timeout when the cap is hit under [?on_timeout:`Raise]. *)
+    {!run}; the differential harness compares the two on a BFS protocol
+    across fault tiers. *)

@@ -1,21 +1,16 @@
 type topology = Input_graph | Clique
-type discipline = Unicast | Broadcast
 
-type t = { topology : topology; discipline : discipline }
+type t = { topology : topology }
 
-let congest = { topology = Input_graph; discipline = Unicast }
-let broadcast_congest = { topology = Input_graph; discipline = Broadcast }
-let congested_clique = { topology = Clique; discipline = Unicast }
-let broadcast_congested_clique = { topology = Clique; discipline = Broadcast }
+let broadcast_congest = { topology = Input_graph }
+let broadcast_congested_clique = { topology = Clique }
 
 let bandwidth ~n = 2 * Lbcc_util.Bits.id_bits ~n
 
 let name t =
-  match (t.topology, t.discipline) with
-  | Input_graph, Unicast -> "CONGEST"
-  | Input_graph, Broadcast -> "Broadcast CONGEST"
-  | Clique, Unicast -> "Congested Clique"
-  | Clique, Broadcast -> "Broadcast Congested Clique"
+  match t.topology with
+  | Input_graph -> "Broadcast CONGEST"
+  | Clique -> "Broadcast Congested Clique"
 
 let pp ppf t = Format.pp_print_string ppf (name t)
 

@@ -1,19 +1,18 @@
-(** The message-passing models of the paper (Section 2.1).
+(** The broadcast message-passing models of the paper (Section 2.1).
 
-    All four models proceed in synchronous rounds with bandwidth
-    [B = Theta(log n)] bits per message.  They differ in topology
-    (communication along input-graph edges vs. all-to-all) and in whether a
-    vertex may send distinct messages to distinct neighbors (unicast) or must
-    send the same message to all (broadcast). *)
+    Both models proceed in synchronous rounds with bandwidth
+    [B = Theta(log n)] bits per message, and in both a vertex sends the same
+    message to all of its neighbors.  They differ in topology: Broadcast
+    CONGEST communicates along input-graph edges, the Broadcast Congested
+    Clique all-to-all.  (The unicast CONGEST and Congested Clique models,
+    where a vertex may address distinct neighbors distinctly, are not
+    simulated.) *)
 
 type topology = Input_graph | Clique
-type discipline = Unicast | Broadcast
 
-type t = { topology : topology; discipline : discipline }
+type t = { topology : topology }
 
-val congest : t
 val broadcast_congest : t
-val congested_clique : t
 val broadcast_congested_clique : t
 
 val bandwidth : n:int -> int

@@ -53,9 +53,9 @@ type plan = { off : int array; srcs : int array }
 
 val plan : Lbcc_graph.Graph.t -> plan
 (** Two counting passes over the edge array — O(n + m), no intermediate
-    per-vertex lists, no comparison sort.  The segment order reproduces the
-    boxed engine's sorted-adjacency gather exactly, which is what lets the
-    flat engine fingerprint identically on [Input_graph] topologies. *)
+    per-vertex lists, no comparison sort.  Each segment lists a receiver's
+    in-neighbors in ascending order, the inbox order {!Engine.run}
+    guarantees on [Input_graph] topologies. *)
 
 val in_degree : plan -> int -> int
 val max_in_degree : plan -> int

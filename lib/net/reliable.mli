@@ -70,5 +70,4 @@ val run :
   'state result
 (** [patience] defaults to 30 real supersteps; [max_supersteps] (the cap on
     {b real} supersteps) defaults to 100_000.
-    @raise Invalid_argument on a unicast model.
     @raise Engine.Timeout under [?on_timeout:`Raise] when the cap is hit. *)

@@ -21,14 +21,6 @@ let make ?(seed = default.seed) ?tracer ?metrics
     ?(reliability = default.reliability) () =
   { seed; tracer; metrics; reliability }
 
-let resolve ?ctx ?seed ?tracer ?metrics ?reliability () =
+let resolve ?ctx ?seed () =
   let base = match ctx with Some c -> c | None -> default in
-  {
-    seed = (match seed with Some s -> s | None -> base.seed);
-    tracer = (match tracer with Some _ -> tracer | None -> base.tracer);
-    metrics = (match metrics with Some _ -> metrics | None -> base.metrics);
-    reliability =
-      (match reliability with Some r -> r | None -> base.reliability);
-  }
-
-let with_seed t seed = { t with seed }
+  match seed with Some seed -> { base with seed } | None -> base

@@ -31,19 +31,8 @@ val make :
   t
 (** Explicit constructor; omitted fields take {!default}'s values. *)
 
-val resolve :
-  ?ctx:t ->
-  ?seed:int ->
-  ?tracer:Lbcc_obs.Trace.t ->
-  ?metrics:Lbcc_obs.Metrics.t ->
-  ?reliability:Lbcc_net.Model.reliability ->
-  unit ->
-  t
-(** Merge a context with the legacy per-call optional labels: start from
-    [ctx] (or {!default}) and let any explicitly passed legacy label
-    override the corresponding field.  This is what lets the deprecated
-    [?seed/?tracer/?metrics] arguments keep working during migration. *)
-
-val with_seed : t -> int -> t
-(** [with_seed ctx s] is [ctx] with the seed replaced — handy for retry
-    loops that reseed each attempt. *)
+val resolve : ?ctx:t -> ?seed:int -> unit -> t
+(** The context an entry point runs under: [ctx] (or {!default}), with its
+    seed replaced by [seed] when one is given.  [Prepared.create] and
+    [Prepared.create_cached] take a [?seed] beside [?ctx] for seeding one
+    handle without building a context. *)

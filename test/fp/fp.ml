@@ -2,14 +2,16 @@
 
    One place defines "a run's exact identity": final states (floats by bit
    pattern), engine stats, fault outcomes and the accountant's hierarchical
-   breakdowns, rendered as a string.  Three consumers compare these
+   breakdowns, rendered as a string.  Two consumers compare the protocol
    fingerprints:
 
    - test_determinism.ml: sequential vs. parallel (1 = 2 = 4 domains);
-   - test_engine_diff.ml: boxed vs. flat engine core, per fault tier;
    - test_fingerprints.ml + `make fingerprints`: the checked-in golden file
      test/fingerprints.expected, pinning today's values against future
      regressions (and documenting exactly what "bit-identical" means).
+
+   test_engine_diff.ml reuses the seeds, graphs, fault plans and renderers
+   to diff run_soa against Engine.run, per fault tier.
 
    Every fingerprint function takes a fresh accountant and fault plan per
    run — fault plans are stateful (adversarial drop budgets burn as

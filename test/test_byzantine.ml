@@ -203,63 +203,6 @@ let qcheck_copies_duplicate_drop_disjoint =
           c >= 0 && c <= 2)
         (List.init 120 Fun.id))
 
-(* ------------------------------------------------------------------ *)
-(* Gossip transport                                                    *)
-
-module Gossip = Lbcc_net.Gossip
-
-let ucc = Model.congested_clique
-
-let spread ?faults ?seed ~n () =
-  let g = Gen.ring (Prng.create 1) ~n in
-  Gossip.spread ?faults ?seed ~model:ucc ~graph:g
-    ~size_bits:(fun d -> Bits.int_bits d)
-    ~rumors:(fun v -> if v mod 3 = 0 then Some (100 + v) else Option.None)
-    ()
-
-let test_gossip_full_coverage () =
-  let r = spread ~n:24 () in
-  Alcotest.(check bool) "converged" true r.Gossip.stats.Lbcc_net.Engine.converged;
-  Alcotest.(check int) "rumor count" 8 r.Gossip.rumors;
-  Alcotest.(check (float 0.0)) "full coverage" 1.0 r.Gossip.coverage;
-  Array.iter
-    (fun known ->
-      Alcotest.(check int) "every vertex knows every rumor" 8 (List.length known);
-      List.iter
-        (fun (o, m) -> Alcotest.(check int) "payload intact" (100 + o) m)
-        known)
-    r.Gossip.known
-
-let test_gossip_pull_recovers_from_drops () =
-  let faults = Fault.create ~seed:5 (Fault.spec ~drop_prob:0.25 ()) in
-  let r = spread ~faults ~n:24 () in
-  Alcotest.(check (float 0.0)) "full coverage despite drops" 1.0
-    r.Gossip.coverage;
-  Alcotest.(check bool) "pulls happened" true (r.Gossip.pulls > 0)
-
-let test_gossip_deterministic () =
-  let a = spread ~seed:9 ~n:24 () and b = spread ~seed:9 ~n:24 () in
-  Alcotest.(check int) "same pushes" a.Gossip.pushes b.Gossip.pushes;
-  Alcotest.(check int) "same pulls" a.Gossip.pulls b.Gossip.pulls;
-  Alcotest.(check int) "same rounds" a.Gossip.stats.Lbcc_net.Engine.rounds
-    b.Gossip.stats.Lbcc_net.Engine.rounds;
-  let c = spread ~seed:10 ~n:24 () in
-  Alcotest.(check bool) "seed changes the epidemic" true
-    (a.Gossip.pushes <> c.Gossip.pushes
-    || a.Gossip.stats.Lbcc_net.Engine.rounds
-       <> c.Gossip.stats.Lbcc_net.Engine.rounds)
-
-let test_gossip_rejects_broadcast_model () =
-  let g = Gen.ring (Prng.create 1) ~n:8 in
-  Alcotest.check_raises "needs unicast clique"
-    (Invalid_argument "Gossip.spread: needs the unicast congested clique model")
-    (fun () ->
-      ignore
-        (Gossip.spread ~model:clique ~graph:g
-           ~size_bits:(fun (d : int) -> Bits.int_bits d)
-           ~rumors:(fun _ -> Option.None)
-           ()))
-
 let suites =
   [
     ( "byzantine",
@@ -290,15 +233,5 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_budget_never_exceeded;
         QCheck_alcotest.to_alcotest qcheck_tamper_is_pure;
         QCheck_alcotest.to_alcotest qcheck_copies_duplicate_drop_disjoint;
-      ] );
-    ( "gossip",
-      [
-        Alcotest.test_case "full coverage" `Quick test_gossip_full_coverage;
-        Alcotest.test_case "pull recovers from drops" `Quick
-          test_gossip_pull_recovers_from_drops;
-        Alcotest.test_case "deterministic, seed-sensitive" `Quick
-          test_gossip_deterministic;
-        Alcotest.test_case "rejects broadcast models" `Quick
-          test_gossip_rejects_broadcast_model;
       ] );
   ]

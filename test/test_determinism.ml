@@ -5,8 +5,7 @@
    4-lane pools, with and without fault injection, across >= 10 seeds.
    The fingerprints — final states, engine stats, and the accountant's
    hierarchical breakdowns — must match bit-for-bit: the multicore layer
-   is a wall-clock knob only.  (The boxed-vs-flat engine axis of the same
-   table lives in test_engine_diff.ml.) *)
+   is a wall-clock knob only. *)
 
 open Lbcc_util
 module Fp = Lbcc_testfp.Fp

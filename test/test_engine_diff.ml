@@ -1,19 +1,15 @@
-(* Differential harness: boxed vs. flat engine core (DESIGN.md §10).
+(* Differential harness: run_soa vs. the generic engine (DESIGN.md §10).
 
-   The flat struct-of-arrays core replaced the boxed engine as the default;
-   the boxed implementation is kept verbatim as the baseline.  This suite
-   pins the equivalence the swap rests on: for every protocol in the shared
-   fingerprint table — BFS / SSSP / leader on clique and input-graph
-   topologies, their crash-safe (Reliable) and Byzantine-safe wrappers, and
-   the sparsifier — a boxed run at one domain and flat runs at 1, 2 and 4
-   domains produce bit-identical fingerprints (final states with floats by
-   bit pattern, rounds, supersteps, total bits, fault outcomes, accountant
-   breakdowns) across 10 seeds and the {None, Crash_safe, Byzantine_safe}
-   reliability tiers the table spans.
-
-   The struct-of-arrays entry point run_soa has no boxed twin, so it is
-   diffed against the boxed *generic* engine running the same int-payload
-   program, across the same fault tiers. *)
+   The struct-of-arrays entry point Engine.run_soa reimplements the
+   generic Engine.run's delivery order, fault replay, charging and timeout
+   on flat int columns.  This suite pins that equivalence: one BFS program,
+   written once against each interface, produces bit-identical
+   fingerprints (distances, parents, rounds, supersteps, messages, bits,
+   convergence and the accountant's breakdown) under plain Engine.run at
+   one domain and under run_soa at 1, 2 and 4 domains, across 10 seeds,
+   clique and input-graph topologies, and three fault tiers (lossless,
+   seeded drops/duplicates/tampering, and crashes with adversarial
+   drops). *)
 
 open Lbcc_util
 module Fp = Lbcc_testfp.Fp
@@ -23,36 +19,10 @@ module Fault = Lbcc_net.Fault
 module Engine = Lbcc_net.Engine
 module Rounds = Lbcc_net.Rounds
 
-let with_impl impl f =
-  let saved = Engine.default_impl () in
-  Engine.set_default_impl impl;
-  Fun.protect ~finally:(fun () -> Engine.set_default_impl saved) f
-
-let test_protocol (name, f) () =
-  with_impl Engine.Boxed @@ fun () ->
-  Pool.set_default_domains 1;
-  let baselines = List.map (fun s -> (s, f s)) Fp.seeds in
-  with_impl Engine.Flat @@ fun () ->
-  List.iter
-    (fun d ->
-      Pool.set_default_domains d;
-      List.iter
-        (fun (s, expected) ->
-          let got = f s in
-          Alcotest.(check string)
-            (Printf.sprintf "%s seed=%d boxed=flat@%dd" name s d)
-            expected got)
-        baselines)
-    [ 1; 2; 4 ];
-  Pool.set_default_domains 1
-
-(* ------------------------------------------------------------------ *)
-(* run_soa vs. the boxed generic engine on a BFS program               *)
-
 (* The same BFS both ways: the exact step semantics of Lbcc_dist.Bfs
    (adopt the FIRST — lowest-id — announcer, announce the new distance in
    the same superstep, halt one superstep after announcing; an unreached
-   vertex stays live until the cap), written once against the boxed
+   vertex stays live until the cap), written once against the generic
    ('state, int) interface and once as a run_soa step over flat Vstate
    columns.  The tamper transform matches Lbcc_dist.Bfs too, so the fault
    tiers corrupt payloads identically. *)
@@ -101,7 +71,7 @@ let soa_fingerprint ~model ~graph ~faults ~source =
   in
   fingerprint_of ~dist ~parent stats acc
 
-let boxed_fingerprint ~model ~graph ~faults ~source =
+let run_fingerprint ~model ~graph ~faults ~source =
   let n = Graph.n graph in
   let init v = if v = source then (0, -1, false) else (max_int, -1, false) in
   let step ~round:_ ~vertex:_ (d, p, announced) inbox =
@@ -115,8 +85,7 @@ let boxed_fingerprint ~model ~graph ~faults ~source =
   in
   let acc = Rounds.create ~bandwidth:16 in
   let states, stats =
-    Engine.run ~impl:Engine.Boxed ~accountant:acc ?faults ~tamper
-      ~label:"soa-bfs" ~model ~graph
+    Engine.run ~accountant:acc ?faults ~tamper ~label:"soa-bfs" ~model ~graph
       ~size_bits:(fun d -> Bits.int_bits d)
       ~init ~step ~max_supersteps:(cap n) ()
   in
@@ -144,7 +113,7 @@ let test_soa (tier, faults_of) () =
         (fun seed ->
           let graph = Fp.graph_of seed in
           let expected =
-            boxed_fingerprint ~model ~graph ~faults:(faults_of seed) ~source:0
+            run_fingerprint ~model ~graph ~faults:(faults_of seed) ~source:0
           in
           List.iter
             (fun d ->
@@ -169,15 +138,10 @@ let suites =
   [
     ( "engine-diff",
       List.map
-        (fun (name, f) ->
-          Alcotest.test_case (name ^ " boxed=flat") `Quick
-            (test_protocol (name, f)))
-        Fp.protocols
-      @ List.map
-          (fun (tier, faults_of) ->
-            Alcotest.test_case
-              (Printf.sprintf "soa bfs %s boxed=soa" tier)
-              `Quick
-              (test_soa (tier, faults_of)))
-          fault_tiers );
+        (fun (tier, faults_of) ->
+          Alcotest.test_case
+            (Printf.sprintf "soa bfs %s run=soa" tier)
+            `Quick
+            (test_soa (tier, faults_of)))
+        fault_tiers );
   ]

@@ -174,18 +174,6 @@ let test_engine_bfs_rounds_ring_vs_clique () =
      ring structure. *)
   Alcotest.(check bool) "clique much faster" true (bcc.Engine.supersteps < bc.Engine.supersteps)
 
-let test_engine_rejects_unicast () =
-  let prng = Prng.create 23 in
-  let g = Gen.ring prng ~n:4 in
-  Alcotest.check_raises "unicast rejected"
-    (Invalid_argument "Engine.run: only broadcast disciplines are simulated")
-    (fun () ->
-      ignore
-        (Engine.run ~model:Model.congest ~graph:g ~size_bits:(fun _ -> 1)
-           ~init:(fun _ -> ())
-           ~step:(fun ~round:_ ~vertex:_ s _ -> (s, None, false))
-           ()))
-
 let test_engine_charges_accountant () =
   let prng = Prng.create 24 in
   let g = Gen.ring prng ~n:8 in
@@ -219,42 +207,6 @@ let test_engine_big_messages_cost_more () =
   in
   Alcotest.(check bool) "100-bit message costs more rounds" true (run 100 > run 3)
 
-(* Unicast: a token-passing ring program — each vertex forwards a counter
-   to its clockwise neighbor; after n hops the token returns home. *)
-let test_engine_unicast_ring_token () =
-  let prng = Prng.create 26 in
-  let n = 8 in
-  let g = Gen.ring prng ~n in
-  let next v = (v + 1) mod n in
-  let init v = if v = 0 then Some 0 else None in
-  let step ~round:_ ~vertex st (inbox : int Engine.inbox) =
-    match (st, inbox) with
-    | Some 0, [] when vertex = 0 -> (Some 0, [ (next 0, 1) ], true)
-    | _, (_, hops) :: _ ->
-        if vertex = 0 then (Some hops, [], false)
-        else (Some hops, [ (next vertex, hops + 1) ], false)
-    | st, [] -> (st, [], true)
-  in
-  let states, stats =
-    Engine.run_unicast ~model:Model.congest ~graph:g
-      ~size_bits:(fun h -> Bits.int_bits h)
-      ~init ~step ~max_supersteps:(4 * n) ()
-  in
-  Alcotest.(check (option int)) "token returned with n hops" (Some n) states.(0);
-  Alcotest.(check bool) "took ~n supersteps" true (stats.Engine.supersteps >= n)
-
-let test_engine_unicast_rejects_nonneighbor () =
-  let prng = Prng.create 27 in
-  let g = Gen.ring prng ~n:6 in
-  Alcotest.check_raises "non-neighbor"
-    (Invalid_argument "Engine.run_unicast: message to a non-neighbor") (fun () ->
-      ignore
-        (Engine.run_unicast ~model:Model.congest ~graph:g
-           ~size_bits:(fun () -> 1)
-           ~init:(fun _ -> ())
-           ~step:(fun ~round:_ ~vertex:_ s _ -> (s, [ (3, ()) ], false))
-           ()))
-
 let test_engine_converged_flag () =
   let prng = Prng.create 29 in
   let g = Gen.ring prng ~n:8 in
@@ -268,50 +220,6 @@ let test_engine_converged_flag () =
       ~max_supersteps:3 ()
   in
   Alcotest.(check bool) "truncated run reported" false stats.Engine.converged
-
-let test_engine_unicast_crash_is_honest () =
-  (* Crash the token holder mid-ring: the token vanishes and the other
-     vertices wait until the cap — the unicast engine must say so. *)
-  let prng = Prng.create 30 in
-  let n = 6 in
-  let g = Gen.ring prng ~n in
-  let next v = (v + 1) mod n in
-  let init v = if v = 0 then Some 0 else None in
-  let step ~round:_ ~vertex st (inbox : int Engine.inbox) =
-    match (st, inbox) with
-    | Some 0, [] when vertex = 0 -> (Some 0, [ (next 0, 1) ], true)
-    | _, (_, hops) :: _ ->
-        if vertex = 0 then (Some hops, [], false)
-        else (Some hops, [ (next vertex, hops + 1) ], false)
-    | st, [] -> (st, [], true)
-  in
-  let faults =
-    Lbcc_net.Fault.create ~seed:1 (Lbcc_net.Fault.spec ~crashes:[ (3, 3) ] ())
-  in
-  let states, stats =
-    Engine.run_unicast ~faults ~model:Model.congest ~graph:g
-      ~size_bits:(fun h -> Bits.int_bits h)
-      ~init ~step ~max_supersteps:(4 * n) ()
-  in
-  Alcotest.(check bool) "truncated" false stats.Engine.converged;
-  Alcotest.(check (option int)) "token never returned" (Some 0) states.(0)
-
-let test_engine_unicast_clique_allows_all () =
-  let prng = Prng.create 28 in
-  let g = Gen.ring prng ~n:6 in
-  (* In the (unicast) Congested Clique, vertex 0 may message vertex 3
-     directly even though the ring has no such edge. *)
-  let states, _ =
-    Engine.run_unicast ~model:Model.congested_clique ~graph:g
-      ~size_bits:(fun () -> 1)
-      ~init:(fun v -> v = 3 && false)
-      ~step:(fun ~round ~vertex st inbox ->
-        if round = 1 && vertex = 0 then (st, [ (3, ()) ], false)
-        else if inbox <> [] then (true, [], false)
-        else (st, [], round < 3))
-      ()
-  in
-  Alcotest.(check bool) "vertex 3 received" true states.(3)
 
 let suites =
   [
@@ -339,16 +247,8 @@ let suites =
       [
         Alcotest.test_case "bfs distances" `Quick test_engine_bfs_distances;
         Alcotest.test_case "ring vs clique" `Quick test_engine_bfs_rounds_ring_vs_clique;
-        Alcotest.test_case "rejects unicast" `Quick test_engine_rejects_unicast;
         Alcotest.test_case "charges accountant" `Quick test_engine_charges_accountant;
         Alcotest.test_case "message size matters" `Quick test_engine_big_messages_cost_more;
         Alcotest.test_case "converged flag" `Quick test_engine_converged_flag;
-        Alcotest.test_case "unicast crash is honest" `Quick
-          test_engine_unicast_crash_is_honest;
-        Alcotest.test_case "unicast ring token" `Quick test_engine_unicast_ring_token;
-        Alcotest.test_case "unicast rejects non-neighbor" `Quick
-          test_engine_unicast_rejects_nonneighbor;
-        Alcotest.test_case "unicast clique topology" `Quick
-          test_engine_unicast_clique_allows_all;
       ] );
   ]
