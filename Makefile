@@ -48,7 +48,6 @@ smoke: build
 	$(CLI) dist --algo bfs --raw --drop-prob 0.3 --fault-seed 2 \
 	  | grep -q 'converged='
 	$(CLI) sparsify --vertices 48 --max-retries 2 | grep -q 'verdict=ok'
-	dune exec test/test_main.exe -- test engine-diff -q
 	$(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 2 \
 	  --byz-prob 0.2 --reliability byzantine \
 	  | grep -q 'matches lossless run: true'
@@ -83,9 +82,9 @@ fingerprints: build
 	@echo "fingerprints: regenerated test/fingerprints.expected"
 
 # Scaling smoke: the SCALE experiment capped at a CI-friendly size.  The
-# claims (allocation-free run_soa superstep loop, broadcast-capacity
-# invariant, sweep completion) are asserted by the harness exit code, and
-# the report must validate against the lbcc-bench/1 schema.
+# claims (broadcast-capacity invariant, sweep completion) are asserted by
+# the harness exit code, and the report must validate against the
+# lbcc-bench/1 schema.
 scale-smoke: build
 	rm -rf _bench_reports && mkdir -p _bench_reports
 	LBCC_SCALE_MAX_N=1024 dune exec bench/main.exe -- SCALE --json \

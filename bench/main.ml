@@ -26,7 +26,6 @@ module Spanner = Lbcc_spanner.Spanner
 module Sparsify = Lbcc_sparsifier.Sparsify
 module Apriori = Lbcc_sparsifier.Apriori
 module Certify = Lbcc_sparsifier.Certify
-module Exact = Lbcc_laplacian.Exact
 module Solver = Lbcc_laplacian.Solver
 module Leverage = Lbcc_lp.Leverage
 module Lewis = Lbcc_lp.Lewis
@@ -38,7 +37,6 @@ module Mcmf = Lbcc_flow.Mcmf
 module Mcmf_lp = Lbcc_flow.Mcmf_lp
 module Model = Lbcc_net.Model
 module Engine = Lbcc_net.Engine
-module Vstate = Lbcc_net.Vstate
 module Rounds = Lbcc_net.Rounds
 module Fault = Lbcc_net.Fault
 module Byzantine = Lbcc_net.Byzantine
@@ -264,14 +262,14 @@ let e5 () =
             1.0 +. ((kappa -. 1.0) *. float_of_int i /. float_of_int (n - 1)))
       in
       let a = Dense.of_diag d in
-      let solve_b r = Vec.scale (1.0 /. kappa) r in
+      let solve_b r z = Vec.scale_into (1.0 /. kappa) r z in
       List.iter
         (fun eps ->
           let x = Vec.init n (fun _ -> Prng.gaussian prng) in
           let b = Dense.matvec a x in
           let r =
-            Chebyshev.solve_adaptive ~matvec:(Dense.matvec a) ~solve_b ~kappa
-              ~rtol:eps ~b ()
+            Chebyshev.solve_adaptive ~matvec:(Dense.matvec_into a) ~solve_b
+              ~kappa ~rtol:eps ~b ()
           in
           let bound = Chebyshev.iterations_bound ~kappa ~eps in
           let ratio = float_of_int r.Chebyshev.iterations /. float_of_int bound in
@@ -790,17 +788,17 @@ let e16 () =
             1.0 +. ((kappa -. 1.0) *. float_of_int i /. float_of_int (n - 1)))
       in
       let a = Dense.of_diag d in
-      let solve_b r = Vec.scale (1.0 /. kappa) r in
+      let solve_b r z = Vec.scale_into (1.0 /. kappa) r z in
       List.iter
         (fun eps ->
           let x = Vec.init n (fun _ -> Prng.gaussian prng) in
           let b = Dense.matvec a x in
           let cheb =
-            Chebyshev.solve_adaptive ~matvec:(Dense.matvec a) ~solve_b ~kappa
-              ~rtol:eps ~b ()
+            Chebyshev.solve_adaptive ~matvec:(Dense.matvec_into a) ~solve_b
+              ~kappa ~rtol:eps ~b ()
           in
           let pcg =
-            Lbcc_linalg.Cg.solve_preconditioned ~matvec:(Dense.matvec a)
+            Lbcc_linalg.Cg.solve_preconditioned ~matvec:(Dense.matvec_into a)
               ~precond:solve_b ~b ~tol:eps ()
           in
           max_cheb_ratio :=
@@ -836,31 +834,6 @@ let minor_words f =
   let before = Gc.minor_words () in
   let r = f () in
   (r, Gc.minor_words () -. before)
-
-(* The pre-multicore data flow of [Solver.solve], kept as the allocation
-   baseline: every Chebyshev step allocates fresh vectors for the matvec,
-   the residual, the preconditioner solve and the direction update.  The
-   in-place production path must beat this by >= 30% minor-heap words. *)
-let legacy_chebyshev_run ~matvec ~solve_b ~kappa ~b ~iters =
-  let n = Vec.dim b in
-  let lmin = 1.0 /. kappa and lmax = 1.0 in
-  let theta = (lmax +. lmin) /. 2.0 in
-  let delta = (lmax -. lmin) /. 2.0 in
-  let x = Vec.zeros n in
-  let r = ref (Vec.sub b (matvec x)) in
-  let z = solve_b !r in
-  let d = ref (Vec.scale (1.0 /. theta) z) in
-  let sigma1 = theta /. delta in
-  let rho_prev = ref (1.0 /. sigma1) in
-  for _ = 1 to iters do
-    Vec.axpy 1.0 !d x;
-    r := Vec.sub b (matvec x);
-    let z = solve_b !r in
-    let rho = 1.0 /. ((2.0 *. sigma1) -. !rho_prev) in
-    d := Vec.add (Vec.scale (rho *. !rho_prev) !d) (Vec.scale (2.0 *. rho /. delta) z);
-    rho_prev := rho
-  done;
-  x
 
 let perf () =
   section "PERF" "multicore wall-clock and allocation profile";
@@ -908,9 +881,8 @@ let perf () =
     n t1 t4 speedup cores
     (if cores = 1 then "" else "s");
   Printf.printf "outputs bit-identical across pool sizes: %b\n" identical;
-  (* Allocation profile of one high-precision Laplacian solve: the in-place
-     production loop vs the legacy allocating loop, same operators, same
-     iteration count. *)
+  (* Allocation profile of one high-precision Laplacian solve, reported as
+     an absolute minor-heap figure. *)
   let n2 = 256 in
   let g2 = Gen.erdos_renyi_connected (Prng.create 13) ~n:n2 ~p:0.3 ~w_max:8 in
   let s2 = Solver.preprocess ~prng:(Prng.create 17) ~graph:g2 ~t:4 ~k:3 () in
@@ -918,24 +890,12 @@ let perf () =
   let b2 = Vec.mean_center (Vec.init n2 (fun _ -> Prng.gaussian prng)) in
   let eps = 1e-8 in
   let (_, t_solve) = time (fun () -> Solver.solve s2 ~b:b2 ~eps) in
-  let (_, mw_new) = minor_words (fun () -> Solver.solve s2 ~b:b2 ~eps) in
-  let hf = Exact.factor (Solver.sparsifier s2) in
-  let kappa = Solver.kappa s2 in
-  let matvec x = Graph.apply_laplacian g2 x in
-  let solve_b r =
-    Vec.scale (1.0 /. kappa) (Exact.solve hf (Vec.mean_center r))
-  in
-  let iters = Chebyshev.iterations_bound ~kappa ~eps in
-  let (_, mw_legacy) =
-    minor_words (fun () -> legacy_chebyshev_run ~matvec ~solve_b ~kappa ~b:b2 ~iters)
-  in
-  let reduction = 1.0 -. (mw_new /. mw_legacy) in
-  Printf.printf
-    "laplacian solve n=%d (%d iterations): %.0f minor words in place, %.0f legacy (%.1f%% reduction)\n"
-    n2 iters mw_new mw_legacy (100.0 *. reduction);
-  note "claims: identical outputs at every pool size; >= 30%% fewer minor-heap\n";
-  note "words than the allocating loop; >= 2x pipeline speedup when >= 4 cores\n";
-  note "are available (recorded but not asserted on smaller machines).\n";
+  let (r2, mw_new) = minor_words (fun () -> Solver.solve s2 ~b:b2 ~eps) in
+  Printf.printf "laplacian solve n=%d (%d iterations): %.0f minor words\n" n2
+    r2.Solver.iterations mw_new;
+  note "claims: identical outputs at every pool size; >= 2x pipeline speedup\n";
+  note "when >= 4 cores are available (recorded but not asserted on smaller\n";
+  note "machines).\n";
   let speedup_claim =
     if cores >= 4 then
       cl ~direction:Report.Ge "pipeline n=512 speedup at 4 domains" speedup 2.0
@@ -962,19 +922,12 @@ let perf () =
             ] );
         ("speedup_pipeline_4_domains", Json.Float speedup);
         ( "minor_words",
-          Json.Obj
-            [
-              ("laplacian_solve_in_place", Json.Float mw_new);
-              ("laplacian_solve_legacy", Json.Float mw_legacy);
-              ("reduction", Json.Float reduction);
-            ] );
+          Json.Obj [ ("laplacian_solve_in_place", Json.Float mw_new) ] );
       ]
     [
       cl ~direction:Report.Ge "pipeline outputs identical at 1 vs 4 domains"
         (if identical then 1.0 else 0.0)
         1.0;
-      cl ~direction:Report.Ge
-        "laplacian solve minor-words reduction vs legacy loop" reduction 0.30;
       speedup_claim;
     ]
 
@@ -1125,32 +1078,23 @@ let batch () =
 (* ------------------------------------------------------------------ *)
 (* SCALE: flat-core throughput and allocation at large n               *)
 
-(* A deterministic mixing protocol on the struct-of-arrays engine: every
-   vertex broadcasts a running accumulator every superstep for exactly [k]
-   supersteps, folding its inbox in with masked addition.  Every vertex
-   sends every superstep, so rounds, messages and bits are exact functions
-   of the topology — the run is pure engine throughput. *)
+(* A deterministic mixing protocol on the engine: every vertex broadcasts
+   a running accumulator every superstep for exactly [k] supersteps,
+   folding its inbox in with masked addition.  Every vertex sends every
+   superstep, so rounds, messages and bits are exact functions of the
+   topology — the run is pure engine throughput. *)
 let scale_wave ~graph ~acc ~k =
-  let n = Graph.n graph in
-  let vs = Vstate.create ~n in
-  let wave = Vstate.ints vs "wave" in
-  for v = 0 to n - 1 do
-    wave.(v) <- v land 0x3FFF_FFFF
-  done;
-  let step ~round ~vertex (ib : Engine.soa_inbox) (out : Engine.soa_out) =
-    for i = 0 to ib.Engine.count - 1 do
-      wave.(vertex) <-
-        (wave.(vertex) + ib.Engine.payloads.(i) + ib.Engine.senders.(i))
-        land 0x3FFF_FFFF
-    done;
-    out.Engine.send <- true;
-    out.Engine.value <- wave.(vertex);
-    round < k
+  let mix w (u, m) = (w + m + u) land 0x3FFF_FFFF in
+  let step ~round ~vertex:_ w inbox =
+    let w = List.fold_left mix w inbox in
+    (w, Some w, round < k)
   in
-  Engine.run_soa ~accountant:acc ~label:"scale-wave"
-    ~model:Model.broadcast_congest ~graph
-    ~size_bits:(fun w -> Bits.int_bits w)
-    ~step ~max_supersteps:(k + 1) ()
+  snd
+    (Engine.run ~accountant:acc ~label:"scale-wave"
+       ~model:Model.broadcast_congest ~graph
+       ~size_bits:(fun w -> Bits.int_bits w)
+       ~init:(fun v -> v land 0x3FFF_FFFF)
+       ~step ~max_supersteps:(k + 1) ())
 
 let scale () =
   section "SCALE" "flat-core scaling: rounds/sec, bytes/round, allocation vs n";
@@ -1162,11 +1106,11 @@ let scale () =
   Pool.set_default_domains 1;
   let ns = List.filter (fun n -> n <= max_n) [ 1024; 2048; 4096; 8192 ] in
   let ns = if ns = [] then [ max_n ] else ns in
-  (* Part 1: raw superstep throughput of run_soa, and the allocation-free
-     hot path.  Setup (state columns, double buffers, per-chunk scratch) is
-     amortized out by differencing a long run against a short one on the
-     same graph: the per-superstep increment is what the step loop itself
-     allocates, and it must be (essentially) zero. *)
+  (* Part 1: raw superstep throughput of Engine.run, and what its
+     superstep loop allocates.  Setup (states, message slots, delivery
+     plan) is amortized out by differencing a long run against a short one
+     on the same graph: the per-superstep increment is what the loop itself
+     allocates (reported, not bounded). *)
   let k_short = 32 and k_long = 256 in
   Printf.printf "%6s %9s %12s %12s %14s\n" "n" "rounds" "rounds/sec"
     "bytes/round" "words/superstep";
@@ -1199,11 +1143,6 @@ let scale () =
         ignore (stats : Engine.stats);
         (n, rounds, rounds_per_sec, bytes_per_round, words_per_superstep, dt))
       ns
-  in
-  let worst_words =
-    List.fold_left
-      (fun m (_, _, _, _, w, _) -> Float.max m w)
-      neg_infinity wave_rows
   in
   (* Part 2: the full sparsify -> Laplacian solve -> min-cost flow pipeline
      at the same sizes.  The CG preconditioner backend and randomized probe
@@ -1272,10 +1211,9 @@ let scale () =
   in
   let n_top = List.fold_left (fun m n -> Stdlib.max m n) 0 ns in
   note
-    "claims: the run_soa superstep loop allocates ~nothing (amortized minor\n\
-     words per superstep within noise of zero); pipeline bits never exceed\n\
-     the model's per-round broadcast capacity; the sweep reaches the\n\
-     requested top size (8192 unless LBCC_SCALE_MAX_N lowers it).\n";
+    "claims: pipeline bits never exceed the model's per-round broadcast\n\
+     capacity; the sweep reaches the requested top size (8192 unless\n\
+     LBCC_SCALE_MAX_N lowers it).\n";
   let row_json (n, rounds, lap_rounds, bits, rps, bpr, dt, iters, v, c) =
     Json.Obj
       [
@@ -1313,9 +1251,6 @@ let scale () =
         ("pipeline", Json.Arr (List.map row_json pipe_rows));
       ]
     [
-      cl ~direction:Report.Le
-        "run_soa amortized minor words per superstep (hot path)" worst_words
-        64.0;
       cl ~direction:Report.Le
         "pipeline bits / model broadcast capacity (worst n)" worst_fill 1.0;
       cl ~direction:Report.Ge "largest pipeline size completed"

@@ -1,6 +1,5 @@
 open Lbcc_util
 module Engine = Lbcc_net.Engine
-module Packed = Lbcc_net.Packed
 module Model = Lbcc_net.Model
 module Reliable = Lbcc_net.Reliable
 module Byzantine = Lbcc_net.Byzantine
@@ -69,8 +68,7 @@ let run ?accountant ?faults ~model ~graph ~source () =
     (* Charges land under ~label at the caller's phase scope: the runner is
        the public API and must not impose one (fingerprint-stable). *)
     (* lbcc-lint: allow typ-phase-flow *)
-    Engine.run ?accountant ?faults ~tamper ~codec:Packed.int_codec ~label:"bfs"
-      ~model ~graph
+    Engine.run ?accountant ?faults ~tamper ~label:"bfs" ~model ~graph
       ~size_bits:(fun d -> Bits.int_bits d)
       ~init ~step
       ~max_supersteps:(max_supersteps n)

@@ -1,5 +1,4 @@
 module Engine = Lbcc_net.Engine
-module Packed = Lbcc_net.Packed
 module Reliable = Lbcc_net.Reliable
 module Byzantine = Lbcc_net.Byzantine
 module Graph = Lbcc_graph.Graph
@@ -81,8 +80,7 @@ let run ?accountant ?faults ~model ~graph () =
     (* Charges land under ~label at the caller's phase scope: the runner is
        the public API and must not impose one (fingerprint-stable). *)
     (* lbcc-lint: allow typ-phase-flow *)
-    Engine.run ?accountant ?faults ~tamper ~codec:Packed.int_codec
-      ~label:"leader" ~model ~graph
+    Engine.run ?accountant ?faults ~tamper ~label:"leader" ~model ~graph
       ~size_bits:(fun _ -> Lbcc_util.Bits.id_bits ~n)
       ~init ~step
       ~max_supersteps:(max_supersteps n)

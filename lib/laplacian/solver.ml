@@ -172,62 +172,43 @@ let solve ?accountant ?(phases = [ "solve" ]) ?workspace t ~b ~eps =
   (* Each Chebyshev iteration: one distributed L_G-matvec (a vector
      exchange: every vertex broadcasts its O(log(nU/eps))-bit coordinate)
      and one vertex-internal L_H solve (free). *)
-  let matvec x =
-    Rounds.charge_vector acc ~label:"laplacian-matvec" ~entry_bits:(Bits.float_bits ());
-    Graph.apply_laplacian t.graph x
-  in
-  let matvec_into x y =
+  let matvec x y =
     Rounds.charge_vector acc ~label:"laplacian-matvec" ~entry_bits:(Bits.float_bits ());
     Graph.apply_laplacian_into t.graph x y
   in
   (* B = lambda_max * L_H; solving B z = r needs zero-sum r: residuals of
      Laplacian systems with zero-sum b stay zero-sum. *)
-  let solve_b, solve_b_into =
+  let solve_b =
     match (t.precond, ws.h_scratch) with
     | P_lu _, S_lu scratch ->
-        ( (fun r ->
-            Vec.scale (1.0 /. t.lambda_max)
-              (Exact.solve scratch (Vec.mean_center r))),
-          fun r z ->
-            Vec.mean_center_into r ws.centered;
-            Exact.solve_into scratch ws.centered z;
-            Vec.scale_into (1.0 /. t.lambda_max) z z )
+        fun r z ->
+          Vec.mean_center_into r ws.centered;
+          Exact.solve_into scratch ws.centered z;
+          Vec.scale_into (1.0 /. t.lambda_max) z z
     | P_cg { h; inv_diag; tol; max_iter }, S_cg ->
         (* The preconditioner output is projected back onto the zero-sum
            space (Jacobi scaling leaves it), so CG never wanders along the
            Laplacian kernel; the inner tolerance is far below the outer
            Chebyshev accuracy, making the operator effectively exact and —
            crucially for determinism — a fixed function of its input. *)
-        let matvec_h x = Graph.apply_laplacian h x in
-        let matvec_h_into x y = Graph.apply_laplacian_into h x y in
-        let precond x = Vec.mean_center (Vec.mul inv_diag x) in
-        let precond_into x y =
+        let matvec_h x y = Graph.apply_laplacian_into h x y in
+        let precond x y =
           Vec.mul_into inv_diag x y;
           Vec.mean_center_into y y
         in
-        let inner b =
-          let r =
-            Cg.solve_preconditioned ~max_iter ~tol ~matvec_into:matvec_h_into
-              ~precond_into ~matvec:matvec_h ~precond ~b ()
+        fun r z ->
+          Vec.mean_center_into r ws.centered;
+          let sol =
+            (Cg.solve_preconditioned ~max_iter ~tol ~matvec:matvec_h ~precond
+               ~b:ws.centered ())
+              .Cg.solution
           in
-          r.Cg.solution
-        in
-        ( (fun r ->
-            let sol = inner (Vec.mean_center r) in
-            Vec.mean_center_into sol sol;
-            Vec.scale (1.0 /. t.lambda_max) sol),
-          fun r z ->
-            Vec.mean_center_into r ws.centered;
-            let sol = inner ws.centered in
-            Vec.mean_center_into sol z;
-            Vec.scale_into (1.0 /. t.lambda_max) z z )
+          Vec.mean_center_into sol z;
+          Vec.scale_into (1.0 /. t.lambda_max) z z
     | P_lu _, S_cg | P_cg _, S_lu _ ->
         invalid_arg "Solver.solve: workspace from a different backend"
   in
-  let result =
-    Chebyshev.solve ~matvec_into ~solve_b_into ~matvec ~solve_b ~kappa:t.kappa
-      ~eps ~b ()
-  in
+  let result = Chebyshev.solve ~matvec ~solve_b ~kappa:t.kappa ~eps ~b () in
   {
     solution = result.Chebyshev.solution;
     iterations = result.Chebyshev.iterations;

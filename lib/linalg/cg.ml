@@ -5,30 +5,16 @@ type result = {
   converged : bool;
 }
 
-(* The loop runs over preallocated workspaces [ap], [r], [z]; per-iteration
-   allocation is zero when the caller provides the [_into] operators and
-   one operator result otherwise.  The arithmetic sequence is exactly the
-   historical allocating loop's, so iteration counts and residuals are
-   unchanged bit for bit. *)
-let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ?matvec_into
-    ?precond_into ~matvec ~precond ~b () =
+(* The loop runs over preallocated workspaces [ap], [r], [z] and in-place
+   operators, so per-iteration allocation is zero. *)
+let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ~matvec ~precond ~b () =
   let n = Vec.dim b in
   let max_iter = match max_iter with Some m -> m | None -> 10 * Stdlib.max n 1 in
   let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-  let apply_a =
-    match matvec_into with
-    | Some f -> f
-    | None -> fun v dst -> Vec.blit (matvec v) dst
-  in
-  let apply_m =
-    match precond_into with
-    | Some f -> f
-    | None -> fun v dst -> Vec.blit (precond v) dst
-  in
   let ap = Vec.zeros n and r = Vec.zeros n and z = Vec.zeros n in
-  apply_a x ap;
+  matvec x ap;
   Vec.sub_into b ap r;
-  apply_m r z;
+  precond r z;
   let p = Vec.copy z in
   let rz = ref (Vec.dot r z) in
   let bnorm = Float.max (Vec.norm2 b) 1e-300 in
@@ -36,7 +22,7 @@ let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ?matvec_into
   let finished () = Vec.norm2 r <= tol *. bnorm in
   while (not (finished ())) && !iterations < max_iter do
     incr iterations;
-    apply_a p ap;
+    matvec p ap;
     let pap = Vec.dot p ap in
     if pap <= 0.0 then
       (* Stall on numerically indefinite directions rather than diverging. *)
@@ -45,7 +31,7 @@ let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ?matvec_into
       let alpha = !rz /. pap in
       Vec.axpy alpha p x;
       Vec.axpy (-.alpha) ap r;
-      apply_m r z;
+      precond r z;
       let rz' = Vec.dot r z in
       let beta = rz' /. !rz in
       rz := rz';
@@ -57,6 +43,5 @@ let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ?matvec_into
   let res = Vec.norm2 r in
   { solution = x; iterations = !iterations; residual_norm = res; converged = res <= tol *. bnorm }
 
-let solve ?x0 ?max_iter ?tol ?matvec_into ~matvec ~b () =
-  solve_preconditioned ?x0 ?max_iter ?tol ?matvec_into
-    ~precond_into:Vec.blit ~matvec ~precond:Vec.copy ~b ()
+let solve ?x0 ?max_iter ?tol ~matvec ~b () =
+  solve_preconditioned ?x0 ?max_iter ?tol ~matvec ~precond:Vec.blit ~b ()

@@ -3,12 +3,10 @@
     Used internally by simulated vertices (which have unlimited local
     computation) and as a reference solver in tests.
 
-    The iteration runs over preallocated workspaces.  Callers on a hot path
-    can supply [?matvec_into] / [?precond_into] (write the operator result
-    into the given destination) to make each iteration allocation-free; the
-    allocating [matvec] / [precond] are used otherwise.  Either way the
-    arithmetic sequence — hence every iterate, iteration count and residual
-    — is identical. *)
+    Operators are in place: [matvec x dst] writes [A x] and
+    [precond r dst] writes the preconditioned residual into [dst].  The
+    iteration runs over preallocated workspaces, so each iteration
+    allocates nothing. *)
 
 type result = {
   solution : Vec.t;
@@ -21,8 +19,7 @@ val solve :
   ?x0:Vec.t ->
   ?max_iter:int ->
   ?tol:float ->
-  ?matvec_into:(Vec.t -> Vec.t -> unit) ->
-  matvec:(Vec.t -> Vec.t) ->
+  matvec:(Vec.t -> Vec.t -> unit) ->
   b:Vec.t ->
   unit ->
   result
@@ -34,10 +31,8 @@ val solve_preconditioned :
   ?x0:Vec.t ->
   ?max_iter:int ->
   ?tol:float ->
-  ?matvec_into:(Vec.t -> Vec.t -> unit) ->
-  ?precond_into:(Vec.t -> Vec.t -> unit) ->
-  matvec:(Vec.t -> Vec.t) ->
-  precond:(Vec.t -> Vec.t) ->
+  matvec:(Vec.t -> Vec.t -> unit) ->
+  precond:(Vec.t -> Vec.t -> unit) ->
   b:Vec.t ->
   unit ->
   result

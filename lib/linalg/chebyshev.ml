@@ -13,32 +13,19 @@ let iterations_bound ~kappa ~eps =
    systems", Algorithm 12.1, preconditioned variant).  The eigenvalues of
    B^{-1}A lie in [1/kappa, 1].
 
-   The recurrence runs over preallocated workspaces [ax], [r], [z], [d];
-   with [_into] operators a whole iteration allocates nothing.  The
-   elementwise arithmetic matches the historical allocating loop exactly
-   (the [d] update rounds as [add (scale cd d) (scale cz z)]), so iterates
-   and residuals are bitwise unchanged. *)
-let run ?x0 ?matvec_into ?solve_b_into ~matvec ~solve_b ~kappa ~b ~iters
-    ~stop () =
+   The recurrence runs over preallocated workspaces [ax], [r], [z], [d]
+   and in-place operators, so a whole iteration allocates nothing.  The [d]
+   update rounds as [add (scale cd d) (scale cz z)] would. *)
+let run ?x0 ~matvec ~solve_b ~kappa ~b ~iters ~stop () =
   let n = Vec.dim b in
   let lmin = 1.0 /. kappa and lmax = 1.0 in
   let theta = (lmax +. lmin) /. 2.0 in
   let delta = (lmax -. lmin) /. 2.0 in
   let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-  let apply_a =
-    match matvec_into with
-    | Some f -> f
-    | None -> fun v dst -> Vec.blit (matvec v) dst
-  in
-  let apply_b =
-    match solve_b_into with
-    | Some f -> f
-    | None -> fun v dst -> Vec.blit (solve_b v) dst
-  in
   let ax = Vec.zeros n and r = Vec.zeros n and z = Vec.zeros n in
-  apply_a x ax;
+  matvec x ax;
   Vec.sub_into b ax r;
-  apply_b r z;
+  solve_b r z;
   let d = Vec.zeros n in
   Vec.scale_into (1.0 /. theta) z d;
   let sigma1 = theta /. delta in
@@ -49,11 +36,11 @@ let run ?x0 ?matvec_into ?solve_b_into ~matvec ~solve_b ~kappa ~b ~iters
   while !continue_ && !k < iters do
     incr k;
     Vec.axpy 1.0 d x;
-    apply_a x ax;
+    matvec x ax;
     Vec.sub_into b ax r;
     if stop (Vec.norm2 r /. bnorm) then continue_ := false
     else begin
-      apply_b r z;
+      solve_b r z;
       let rho = 1.0 /. ((2.0 *. sigma1) -. !rho_prev) in
       let coeff_d = rho *. !rho_prev in
       let coeff_z = 2.0 *. rho /. delta in
@@ -63,20 +50,16 @@ let run ?x0 ?matvec_into ?solve_b_into ~matvec ~solve_b ~kappa ~b ~iters
   done;
   { solution = x; iterations = !k; residual_norm = Vec.norm2 r /. bnorm }
 
-let solve ?x0 ?max_iter ?matvec_into ?solve_b_into ~matvec ~solve_b ~kappa
-    ~eps ~b () =
+let solve ?x0 ?max_iter ~matvec ~solve_b ~kappa ~eps ~b () =
   let iters =
     match max_iter with Some m -> m | None -> iterations_bound ~kappa ~eps
   in
-  run ?x0 ?matvec_into ?solve_b_into ~matvec ~solve_b ~kappa ~b ~iters
-    ~stop:(fun _ -> false) ()
+  run ?x0 ~matvec ~solve_b ~kappa ~b ~iters ~stop:(fun _ -> false) ()
 
-let solve_adaptive ?x0 ?max_iter ?matvec_into ?solve_b_into ~matvec ~solve_b
-    ~kappa ~rtol ~b () =
+let solve_adaptive ?x0 ?max_iter ~matvec ~solve_b ~kappa ~rtol ~b () =
   let iters =
     match max_iter with
     | Some m -> m
     | None -> 4 * iterations_bound ~kappa ~eps:rtol
   in
-  run ?x0 ?matvec_into ?solve_b_into ~matvec ~solve_b ~kappa ~b ~iters
-    ~stop:(fun res -> res <= rtol) ()
+  run ?x0 ~matvec ~solve_b ~kappa ~b ~iters ~stop:(fun res -> res <= rtol) ()

@@ -7,11 +7,9 @@
     with [A x = b].  This is the engine of the Laplacian solver:
     [A = L_G] and [B = (1 + 1/2) L_H] for a sparsifier [H] (Corollary 2.4).
 
-    The recurrence runs over preallocated workspaces; supplying
-    [?matvec_into] / [?solve_b_into] (write the operator result into the
-    given destination) makes each iteration allocation-free.  The
-    arithmetic sequence — hence every iterate and residual — is identical
-    either way. *)
+    Both operators are in place: [matvec x dst] writes [A x] and
+    [solve_b r dst] writes [B^{-1} r] into [dst].  The recurrence runs over
+    preallocated workspaces, so each iteration allocates nothing. *)
 
 type result = {
   solution : Vec.t;
@@ -25,10 +23,8 @@ val iterations_bound : kappa:float -> eps:float -> int
 val solve :
   ?x0:Vec.t ->
   ?max_iter:int ->
-  ?matvec_into:(Vec.t -> Vec.t -> unit) ->
-  ?solve_b_into:(Vec.t -> Vec.t -> unit) ->
-  matvec:(Vec.t -> Vec.t) ->
-  solve_b:(Vec.t -> Vec.t) ->
+  matvec:(Vec.t -> Vec.t -> unit) ->
+  solve_b:(Vec.t -> Vec.t -> unit) ->
   kappa:float ->
   eps:float ->
   b:Vec.t ->
@@ -42,10 +38,8 @@ val solve :
 val solve_adaptive :
   ?x0:Vec.t ->
   ?max_iter:int ->
-  ?matvec_into:(Vec.t -> Vec.t -> unit) ->
-  ?solve_b_into:(Vec.t -> Vec.t -> unit) ->
-  matvec:(Vec.t -> Vec.t) ->
-  solve_b:(Vec.t -> Vec.t) ->
+  matvec:(Vec.t -> Vec.t -> unit) ->
+  solve_b:(Vec.t -> Vec.t -> unit) ->
   kappa:float ->
   rtol:float ->
   b:Vec.t ->

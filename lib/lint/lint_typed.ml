@@ -51,7 +51,7 @@ let default_config =
     phase_entries = [ "Lbcc_core"; "Lbcc_service"; "Lbcc_dist"; "Lbcc_serve" ];
     primitives =
       [
-        "Engine.run"; "Engine.run_soa"; "Reliable.run"; "Byzantine.run";
+        "Engine.run"; "Reliable.run"; "Byzantine.run";
         "Rounds.charge"; "Rounds.charge_broadcast"; "Rounds.charge_vector";
       ];
   }

@@ -25,16 +25,13 @@
 
     {2 Message path}
 
-    {!run} keeps in-flight messages in reusable double-buffered slots —
-    packed [Bytes] buffers when a {!Packed.codec} is supplied, ['msg option]
-    arrays otherwise — and delivers them through a counting-sort CSR
-    delivery plan instead of per-vertex adjacency lists (DESIGN.md §10).
-    The steady-state message path allocates only the inbox lists handed to
-    the step function.
-
-    Protocols with [int] payloads that want a fully allocation-free hot
-    path use {!run_soa}, which trades the polymorphic state/inbox types for
-    flat arrays and preallocated scratch (see {!Vstate} for state columns).
+    {!run} keeps in-flight messages in two reusable ['msg option] arrays —
+    the broadcasts being delivered and the broadcasts being collected —
+    swapped each superstep, and delivers them through a counting-sort CSR
+    delivery plan ({!Plan}) instead of per-vertex adjacency lists
+    (DESIGN.md §10).  The steady-state message path allocates only each
+    broadcast's [Some] cell and the inbox lists handed to the step
+    function.
 
     {2 Parallel execution}
 
@@ -90,7 +87,6 @@ val run :
   ?on_timeout:on_timeout ->
   ?faults:Fault.t ->
   ?tamper:(salt:int -> 'msg -> 'msg) ->
-  ?codec:'msg Packed.codec ->
   model:Model.t ->
   graph:Lbcc_graph.Graph.t ->
   size_bits:('msg -> int) ->
@@ -103,10 +99,6 @@ val run :
     vertex stops stepping and sending from its crash superstep on; its last
     state is kept.
 
-    [?codec] keeps in-flight payloads packed in shared [Bytes] buffers
-    instead of boxed per sender; it must be lossless on every payload the
-    protocol broadcasts.
-
     [?tamper] gives the fault plan's corruption/equivocation verdicts
     (see {!Fault.tamper}) a concrete payload transform: when a delivery is
     tampered the receiver sees [tamper ~salt msg] instead of [msg].  It
@@ -115,50 +107,3 @@ val run :
     supplying a transform is immune to payload tampering, not silently
     corrupted.
     @raise Timeout when the cap is hit under [?on_timeout:`Raise]. *)
-
-(** {2 Struct-of-arrays entry point} *)
-
-type soa_inbox = {
-  mutable count : int;  (** live prefix length of the two arrays below *)
-  senders : int array;
-  payloads : int array;
-}
-(** A reused inbox view: entries [0 .. count-1] are valid, ascending by
-    sender, duplicated deliveries adjacent — the same order as {!inbox}.
-    The arrays belong to the engine's per-chunk scratch: read them inside
-    the step call only, never retain them. *)
-
-type soa_out = { mutable send : bool; mutable value : int }
-(** The vertex's broadcast slot for this superstep.  [send] is reset to
-    [false] before every step call; set it to [true] (with [value] filled)
-    to broadcast. *)
-
-type soa_step = round:int -> vertex:int -> soa_inbox -> soa_out -> bool
-(** Returns whether the vertex is still live.  Per-vertex state lives
-    outside the engine in flat columns (see {!Vstate}); the same sharing
-    discipline as {!step} applies — a vertex writes only its own columns'
-    slots. *)
-
-val run_soa :
-  ?pool:Lbcc_util.Pool.t ->
-  ?accountant:Rounds.t ->
-  ?tracer:Lbcc_obs.Trace.t ->
-  ?label:string ->
-  ?max_supersteps:int ->
-  ?on_timeout:on_timeout ->
-  ?faults:Fault.t ->
-  ?tamper:(salt:int -> int -> int) ->
-  model:Model.t ->
-  graph:Lbcc_graph.Graph.t ->
-  size_bits:(int -> int) ->
-  step:soa_step ->
-  unit ->
-  stats
-(** The allocation-free core for [int]-payload protocols: message slots are
-    double-buffered flat arrays, inboxes are filled into preallocated
-    per-chunk scratch, and the step loop body is one closure hoisted out of
-    the superstep loop — at pool size 1 a superstep allocates nothing
-    (the SCALE bench pins [Gc.minor_words] on this path).  Semantics
-    (delivery order, fault replay, charging, timeout) are identical to
-    {!run}; the differential harness compares the two on a BFS protocol
-    across fault tiers. *)

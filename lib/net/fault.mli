@@ -1,8 +1,7 @@
 (** Deterministic fault injection for the simulated network.
 
     The engine is lossless and crash-free by default; a [t] threaded through
-    {!Engine.run} / {!Engine.run_soa} as [?faults] turns on a repeatable
-    failure model:
+    {!Engine.run} as [?faults] turns on a repeatable failure model:
 
     - {b message drops}: each (sender, receiver) delivery is lost
       independently with probability [drop_prob];

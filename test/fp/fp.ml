@@ -10,9 +10,6 @@
      test/fingerprints.expected, pinning today's values against future
      regressions (and documenting exactly what "bit-identical" means).
 
-   test_engine_diff.ml reuses the seeds, graphs, fault plans and renderers
-   to diff run_soa against Engine.run, per fault tier.
-
    Every fingerprint function takes a fresh accountant and fault plan per
    run — fault plans are stateful (adversarial drop budgets burn as
    queried), so sharing one across runs would corrupt the comparison. *)

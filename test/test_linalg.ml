@@ -283,7 +283,7 @@ let test_cg_solves_spd () =
   let a = random_spd prng 20 in
   let x = random_vec prng 20 in
   let b = Dense.matvec a x in
-  let r = Cg.solve ~matvec:(Dense.matvec a) ~b ~tol:1e-12 () in
+  let r = Cg.solve ~matvec:(Dense.matvec_into a) ~b ~tol:1e-12 () in
   Alcotest.(check bool) "converged" true r.Cg.converged;
   Alcotest.(check bool) "solution" true (Vec.dist2 x r.Cg.solution < 1e-5)
 
@@ -295,10 +295,11 @@ let test_cg_preconditioned_faster () =
   let a = Dense.of_diag d in
   let x = random_vec prng n in
   let b = Dense.matvec a x in
-  let plain = Cg.solve ~matvec:(Dense.matvec a) ~b ~tol:1e-10 () in
-  let precond z = Vec.div z d in
+  let plain = Cg.solve ~matvec:(Dense.matvec_into a) ~b ~tol:1e-10 () in
+  let precond z dst = Vec.blit (Vec.div z d) dst in
   let pcg =
-    Cg.solve_preconditioned ~matvec:(Dense.matvec a) ~precond ~b ~tol:1e-10 ()
+    Cg.solve_preconditioned ~matvec:(Dense.matvec_into a) ~precond ~b
+      ~tol:1e-10 ()
   in
   Alcotest.(check bool) "pcg converged" true pcg.Cg.converged;
   Alcotest.(check bool) "pcg at most as many iterations" true
@@ -312,8 +313,8 @@ let test_chebyshev_identity_preconditioner () =
   let x = random_vec prng 10 in
   let b = Dense.matvec a x in
   let r =
-    Chebyshev.solve ~matvec:(Dense.matvec a)
-      ~solve_b:(Dense.solve_factored f) ~kappa:1.0001 ~eps:1e-10 ~b ()
+    Chebyshev.solve ~matvec:(Dense.matvec_into a)
+      ~solve_b:(Dense.solve_factored_into f) ~kappa:1.0001 ~eps:1e-10 ~b ()
   in
   Alcotest.(check bool) "tiny residual" true (r.Chebyshev.residual_norm < 1e-8)
 
@@ -332,11 +333,15 @@ let test_chebyshev_scaled_preconditioner () =
   let a = random_spd prng 12 in
   let f = Dense.factorize a in
   let kappa = 5.0 in
-  let solve_b r = Vec.scale (1.0 /. kappa) (Dense.solve_factored f r) in
+  let solve_b r z =
+    Dense.solve_factored_into f r z;
+    Vec.scale_into (1.0 /. kappa) z z
+  in
   let x = random_vec prng 12 in
   let b = Dense.matvec a x in
   let r =
-    Chebyshev.solve ~matvec:(Dense.matvec a) ~solve_b ~kappa ~eps:1e-10 ~b ()
+    Chebyshev.solve ~matvec:(Dense.matvec_into a) ~solve_b ~kappa ~eps:1e-10
+      ~b ()
   in
   Alcotest.(check bool) "converges through scaled preconditioner" true
     (r.Chebyshev.residual_norm < 1e-6)
@@ -346,11 +351,14 @@ let test_chebyshev_adaptive_counts () =
   let a = random_spd prng 12 in
   let f = Dense.factorize a in
   let kappa = 3.0 in
-  let solve_b r = Vec.scale (1.0 /. kappa) (Dense.solve_factored f r) in
+  let solve_b r z =
+    Dense.solve_factored_into f r z;
+    Vec.scale_into (1.0 /. kappa) z z
+  in
   let x = random_vec prng 12 in
   let b = Dense.matvec a x in
   let r =
-    Chebyshev.solve_adaptive ~matvec:(Dense.matvec a) ~solve_b ~kappa
+    Chebyshev.solve_adaptive ~matvec:(Dense.matvec_into a) ~solve_b ~kappa
       ~rtol:1e-8 ~b ()
   in
   Alcotest.(check bool) "adaptive converged" true (r.Chebyshev.residual_norm <= 1e-8);

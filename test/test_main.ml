@@ -8,5 +8,5 @@ let () =
    @ Test_obs.suites @ Test_service.suites @ Test_update.suites
    @ Test_serve.suites
    @ Test_lint.suites @ Test_lint_typed.suites
-   @ Test_determinism.suites @ Test_packed.suites @ Test_engine_diff.suites
+   @ Test_determinism.suites @ Test_plan.suites
    @ Test_fingerprints.suites @ Test_conformance.suites)
