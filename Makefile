@@ -45,10 +45,13 @@ smoke: build
 	  | grep -q 'matches lossless run: true'
 	$(CLI) dist --algo leader --model bcc --drop-prob 0.2 \
 	  | grep -q 'matches lossless run: true'
-	$(CLI) dist --algo bfs --raw --drop-prob 0.3 --fault-seed 2 \
+	$(CLI) dist --algo bfs --reliability none --drop-prob 0.3 --fault-seed 2 \
 	  | grep -q 'converged='
 	$(CLI) sparsify --vertices 48 --max-retries 2 | grep -q 'verdict=ok'
 	$(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 2 \
+	  --byz-prob 0.2 --reliability byzantine \
+	  | grep -q 'matches lossless run: true'
+	$(CLI) dist --algo sssp --model bcc --vertices 16 --byz-count 2 \
 	  --byz-prob 0.2 --reliability byzantine \
 	  | grep -q 'matches lossless run: true'
 	! $(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 8 \

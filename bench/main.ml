@@ -33,7 +33,6 @@ module Mixed_ball = Lbcc_lp.Mixed_ball
 module Problem = Lbcc_lp.Problem
 module Ipm = Lbcc_lp.Ipm
 module Network = Lbcc_flow.Network
-module Mcmf = Lbcc_flow.Mcmf
 module Mcmf_lp = Lbcc_flow.Mcmf_lp
 module Model = Lbcc_net.Model
 module Engine = Lbcc_net.Engine
@@ -1262,65 +1261,6 @@ let scale () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-let micro () =
-  section "micro" "wall-clock micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let g = Gen.erdos_renyi_connected (Prng.create 1) ~n:48 ~p:0.4 ~w_max:4 in
-  let solver = Solver.preprocess ~prng:(Prng.create 2) ~graph:g ~t:4 ~k:3 () in
-  let b = Vec.mean_center (Vec.init 48 (fun i -> float_of_int (i mod 7))) in
-  let net =
-    Network.random (Prng.create 3) ~n:7 ~density:0.3 ~max_capacity:4 ~max_cost:4
-  in
-  let prng_ball = Prng.create 4 in
-  let a_ball = Vec.init 1000 (fun _ -> Prng.gaussian prng_ball) in
-  let l_ball = Vec.init 1000 (fun _ -> 0.1 +. Prng.float prng_ball) in
-  let tests =
-    Test.make_grouped ~name:"lbcc"
-      [
-        Test.make ~name:"spanner-n48"
-          (Staged.stage (fun () ->
-               let p = Array.make (Graph.m g) 1.0 in
-               ignore
-                 (Spanner.run ~prng:(Prng.create 7) ~graph:g ~p ~k:3 ()
-                   : Spanner.result)));
-        Test.make ~name:"sparsify-n48-t2"
-          (Staged.stage (fun () ->
-               ignore
-                 (Sparsify.run ~prng:(Prng.create 8) ~graph:g ~epsilon:0.5 ~t:2 ~k:3 ()
-                   : Sparsify.result)));
-        Test.make ~name:"laplacian-solve-1e-8"
-          (Staged.stage (fun () ->
-               ignore (Solver.solve solver ~b ~eps:1e-8 : Solver.solve_result)));
-        Test.make ~name:"mixed-ball-m1000"
-          (Staged.stage (fun () ->
-               ignore (Mixed_ball.maximize ~a:a_ball ~l:l_ball () : Mixed_ball.result)));
-        Test.make ~name:"mcmf-baseline-n7"
-          (Staged.stage (fun () -> ignore (Mcmf.solve net : Mcmf.result)));
-        Test.make ~name:"mcmf-ipm-n7"
-          (Staged.stage (fun () ->
-               ignore (Mcmf_lp.solve ~prng:(Prng.create 9) net : Mcmf_lp.solve_result)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) ~kde:None () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "%-34s %14s\n" "benchmark" "ns/run";
-  let rows = ref [] in
-  Hashtbl.iter (fun name res -> rows := (name, res) :: !rows) results;
-  List.iter
-    (fun (name, res) ->
-      match Analyze.OLS.estimates res with
-      | Some (est :: _) -> Printf.printf "%-34s %14.0f\n" name est
-      | Some [] | None -> Printf.printf "%-34s %14s\n" name "n/a")
-    (List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* BYZ: Byzantine delivery tiers — conformance, detection, overhead    *)
 
 let byz () =
@@ -1337,18 +1277,20 @@ let byz () =
   in
   let seeds = List.init 20 (fun i -> i + 1) in
   let baseline = Bfs.run ~model ~graph:g ~source:0 () in
+  let byz_run ~faults () =
+    Bfs.run ~faults ~reliability:Model.Byzantine_safe ~model ~graph:g
+      ~source:0 ()
+  in
   (* Conformance: at f = f_max (the largest tolerated population) every
      fault-schedule seed must reproduce the lossless BFS distances and the
      quorum layer must report a clean run. *)
   let conform =
     List.filter
       (fun seed ->
-        let r, d =
-          Bfs.run_byzantine
-            ~faults:(byz_faults ~count:f_max ~seed)
-            ~model ~graph:g ~source:0 ()
+        let r =
+          byz_run ~faults:(byz_faults ~count:f_max ~seed) ()
         in
-        r.Bfs.dist = baseline.Bfs.dist && Byzantine.Diag.ok d)
+        r.Bfs.dist = baseline.Bfs.dist && Byzantine.Diag.ok (Option.get r.Bfs.byz))
       seeds
   in
   let conformance =
@@ -1361,12 +1303,8 @@ let byz () =
   let detect =
     List.filter
       (fun seed ->
-        let _, d =
-          Bfs.run_byzantine
-            ~faults:(byz_faults ~count:(f_max + 1) ~seed)
-            ~model ~graph:g ~source:0 ()
-        in
-        not (Byzantine.Diag.ok d))
+        let r = byz_run ~faults:(byz_faults ~count:(f_max + 1) ~seed) () in
+        not (Byzantine.Diag.ok (Option.get r.Bfs.byz)))
       seeds
   in
   let detection =
@@ -1377,18 +1315,9 @@ let byz () =
   (* Round overhead of the three delivery tiers on the same lossless run. *)
   let rounds_at tier =
     let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n) in
-    (match tier with
-    | Model.None ->
-        ignore
-          (Bfs.run ~accountant:acc ~model ~graph:g ~source:0 () : Bfs.result)
-    | Model.Crash_safe ->
-        ignore
-          (Bfs.run_reliable ~accountant:acc ~model ~graph:g ~source:0 ()
-            : Bfs.result)
-    | Model.Byzantine_safe ->
-        ignore
-          (Bfs.run_byzantine ~accountant:acc ~model ~graph:g ~source:0 ()
-            : Bfs.result * Byzantine.Diag.t));
+    ignore
+      (Bfs.run ~accountant:acc ~reliability:tier ~model ~graph:g ~source:0 ()
+        : Bfs.result);
     (Rounds.rounds acc, acc)
   in
   let r_none, _ = rounds_at Model.None in
@@ -1407,11 +1336,8 @@ let byz () =
      bit-identical at every worker-pool size. *)
   let fingerprint_at d =
     Pool.set_default_domains d;
-    let r, diag =
-      Bfs.run_byzantine
-        ~faults:(byz_faults ~count:f_max ~seed:7)
-        ~model ~graph:g ~source:0 ()
-    in
+    let r = byz_run ~faults:(byz_faults ~count:f_max ~seed:7) () in
+    let diag = Option.get r.Bfs.byz in
     Printf.sprintf "%s|%d|%d|%d|%d"
       (String.concat "," (List.map string_of_int (Array.to_list r.Bfs.dist)))
       r.Bfs.supersteps diag.Byzantine.Diag.virtual_supersteps
@@ -1617,36 +1543,35 @@ let update_exp () =
 
 let all_experiments =
   [
-    ("E1", fun () -> Some (e1 ()));
-    ("E2", fun () -> Some (e2 ()));
-    ("E3", fun () -> Some (e3 ()));
-    ("E4", fun () -> Some (e4 ()));
-    ("E5", fun () -> Some (e5 ()));
-    ("E6", fun () -> Some (e6 ()));
-    ("E7", fun () -> Some (e7 ()));
-    ("E8", fun () -> Some (e8 ()));
-    ("E9", fun () -> Some (e9 ()));
-    ("E10", fun () -> Some (e10 ()));
-    ("E11", fun () -> Some (e11 ()));
-    ("E12", fun () -> Some (e12 ()));
-    ("E13", fun () -> Some (e13 ()));
-    ("E14", fun () -> Some (e14 ()));
-    ("E15", fun () -> Some (e15 ()));
-    ("E16", fun () -> Some (e16 ()));
-    ("BYZ", fun () -> Some (byz ()));
-    ("PERF", fun () -> Some (perf ()));
-    ("BATCH", fun () -> Some (batch ()));
-    ("UPDATE", fun () -> Some (update_exp ()));
-    ("SCALE", fun () -> Some (scale ()));
-    ("micro", fun () -> micro (); None);
+    ("E1", e1);
+    ("E2", e2);
+    ("E3", e3);
+    ("E4", e4);
+    ("E5", e5);
+    ("E6", e6);
+    ("E7", e7);
+    ("E8", e8);
+    ("E9", e9);
+    ("E10", e10);
+    ("E11", e11);
+    ("E12", e12);
+    ("E13", e13);
+    ("E14", e14);
+    ("E15", e15);
+    ("E16", e16);
+    ("BYZ", byz);
+    ("PERF", perf);
+    ("BATCH", batch);
+    ("UPDATE", update_exp);
+    ("SCALE", scale);
   ]
 
 let usage () =
   prerr_endline
-    "usage: main.exe [E1..E16|BYZ|PERF|BATCH|UPDATE|SCALE|micro]... [--json] [--out \
+    "usage: main.exe [E1..E16|BYZ|PERF|BATCH|UPDATE|SCALE]... [--json] [--out \
      DIR]\n\
-     --json writes one BENCH_<EXP>.json per selected experiment (micro has\n\
-     no report); --out selects the output directory (default: cwd).\n\
+     --json writes one BENCH_<EXP>.json per selected experiment; --out\n\
+     selects the output directory (default: cwd).\n\
      Exit codes: 0 all claims hold; 1 a claim left its bound; 2 usage;\n\
      3 internal error.";
   exit 2
@@ -1680,14 +1605,12 @@ let () =
         let f = List.assoc id all_experiments in
         let t0 = Unix.gettimeofday () in
         let r = f () in
-        (match r with
-        | Some r ->
-            if not (Report.all_within r) then failures := id :: !failures;
-            if json then
-              let path = Report.write ~dir:out r in
-              Printf.printf "[%s report: %s within_bound=%b]\n" id path
-                (Report.all_within r)
-        | None -> ());
+        if not (Report.all_within r) then failures := id :: !failures;
+        if json then begin
+          let path = Report.write ~dir:out r in
+          Printf.printf "[%s report: %s within_bound=%b]\n" id path
+            (Report.all_within r)
+        end;
         Printf.printf "[%s done in %.1fs]\n" id (Unix.gettimeofday () -. t0))
       requested;
     List.rev !failures

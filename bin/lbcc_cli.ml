@@ -241,18 +241,21 @@ let faults_term =
       const make_faults $ drop_prob_arg $ dup_prob_arg $ crash_arg
       $ fault_seed_arg $ corrupt_prob_arg $ byz_count_arg $ byz_prob_arg)
 
+(* The delivery tiers' command-line spellings, shared by every
+   [--reliability] flag. *)
+let tier_conv =
+  Arg.enum
+    [ ("none", Model.None);
+      ("crash", Model.Crash_safe);
+      ("byzantine", Model.Byzantine_safe) ]
+
 (* Pipeline commands cost (rather than simulate) a delivery tier: the
    context's reliability field makes [Lbcc] surcharge every protocol round
    with the tier's recovery overhead (DESIGN.md §9). *)
 let ctx_reliability_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("none", Model.None);
-             ("crash", Model.Crash_safe);
-             ("byzantine", Model.Byzantine_safe) ])
-        Model.None
+    & opt tier_conv Model.None
     & info [ "reliability" ] ~docv:"TIER"
         ~doc:
           "Delivery tier the run is costed under: none, crash \
@@ -716,44 +719,26 @@ let dist_cmd =
             "Reliable broadcast suspects a neighbor crashed after K silent \
              supersteps.")
   in
-  let raw_arg =
-    Arg.(
-      value & flag
-      & info [ "raw" ]
-          ~doc:
-            "Run the lossy engine directly instead of wrapping the protocol \
-             in the reliable-broadcast layer (same as \
-             $(b,--reliability none)).")
-  in
   let reliability_arg =
     Arg.(
       value
-      & opt
-          (some
-             (enum
-                [ ("none", Model.None);
-                  ("crash", Model.Crash_safe);
-                  ("byzantine", Model.Byzantine_safe) ]))
-          None
+      & opt (some tier_conv) None
       & info [ "reliability" ] ~docv:"TIER"
           ~doc:
             "Delivery tier: none (raw engine), crash (ack/retransmit \
              reliable broadcast) or byzantine (echo-quorum delivery \
              tolerating f < n/3 equivocating vertices; needs \
-             $(b,--model bcc)).  Default: crash when faults are injected \
-             and $(b,--raw) is absent, else none.")
+             $(b,--model bcc)).  Default: crash when faults are injected, \
+             else none.")
   in
-  let run seed n family w_max algo model source patience raw reliability faults
-      =
+  let run seed n family w_max algo model source patience reliability faults =
     let g = make_graph family seed n w_max in
     let nv = Graph.n g in
     let source = if source < 0 || source >= nv then 0 else source in
-    (* Legacy dispatch preserved: without an explicit tier, injected
-       faults select crash-safe recovery unless --raw opts out. *)
     let tier =
       match reliability with
       | Some t -> t
-      | None -> if raw || faults = None then Model.None else Model.Crash_safe
+      | None -> if faults = None then Model.None else Model.Crash_safe
     in
     if tier = Model.Byzantine_safe && model <> Model.broadcast_congested_clique
     then begin
@@ -769,88 +754,65 @@ let dist_cmd =
     | Some f -> Printf.printf "faults: %s\n" (Format.asprintf "%a" Fault.pp f)
     | None -> Printf.printf "faults: none\n");
     let acct = Rounds.create ~bandwidth:(Model.bandwidth ~n:nv) in
-    (* Lossless baseline with the same protocol seed, for the recovery check. *)
-    let diag = ref Option.None in
-    (match algo with
-    | `Bfs ->
-        let baseline = Bfs.run ~model ~graph:g ~source () in
-        let r =
-          match tier with
-          | Model.None ->
-              Bfs.run ~accountant:acct ?faults ~model ~graph:g ~source ()
-          | Model.Crash_safe ->
-              Bfs.run_reliable ~accountant:acct ?faults ?patience ~model
-                ~graph:g ~source ()
-          | Model.Byzantine_safe ->
-              let r, d =
-                Bfs.run_byzantine ~accountant:acct ?faults ~model ~graph:g
-                  ~source ()
-              in
-              diag := Some d;
-              r
-        in
-        let reached =
-          Array.fold_left (fun k d -> if d < max_int then k + 1 else k) 0 r.Bfs.dist
-        in
-        Printf.printf
-          "bfs: reached %d/%d vertices  supersteps=%d  converged=%b\n\
-           matches lossless run: %b\n"
-          reached nv r.Bfs.supersteps r.Bfs.converged
-          (r.Bfs.dist = baseline.Bfs.dist)
-    | `Sssp ->
-        let baseline = Sssp.run ~model ~graph:g ~source () in
-        let r =
-          match tier with
-          | Model.None ->
-              Sssp.run ~accountant:acct ?faults ~model ~graph:g ~source ()
-          | Model.Crash_safe ->
-              Sssp.run_reliable ~accountant:acct ?faults ?patience ~model
-                ~graph:g ~source ()
-          | Model.Byzantine_safe ->
-              let r, d =
-                Sssp.run_byzantine ~accountant:acct ?faults ~model ~graph:g
-                  ~source ()
-              in
-              diag := Some d;
-              r
-        in
-        let reached =
-          Array.fold_left
-            (fun k d -> if Float.is_finite d then k + 1 else k)
-            0 r.Sssp.dist
-        in
-        Printf.printf
-          "sssp: reached %d/%d vertices  supersteps=%d  converged=%b\n\
-           matches lossless run: %b\n"
-          reached nv r.Sssp.supersteps r.Sssp.converged
-          (r.Sssp.dist = baseline.Sssp.dist)
-    | `Leader ->
-        let baseline = Leader.run ~model ~graph:g () in
-        let r =
-          match tier with
-          | Model.None -> Leader.run ~accountant:acct ?faults ~model ~graph:g ()
-          | Model.Crash_safe ->
-              Leader.run_reliable ~accountant:acct ?faults ?patience ~model
-                ~graph:g ()
-          | Model.Byzantine_safe ->
-              let r, d =
-                Leader.run_byzantine ~accountant:acct ?faults ~model ~graph:g ()
-              in
-              diag := Some d;
-              r
-        in
-        Printf.printf
-          "leader: elected %d  supersteps=%d  converged=%b\n\
-           matches lossless run: %b\n"
-          r.Leader.leader r.Leader.supersteps r.Leader.converged
-          (r.Leader.leader = baseline.Leader.leader));
+    (* Each protocol runs twice: once under the selected tier with the
+       injected faults, and once lossless with the same protocol seed, for
+       the recovery check. *)
+    let diag =
+      match algo with
+      | `Bfs ->
+          let baseline = Bfs.run ~model ~graph:g ~source () in
+          let r =
+            Bfs.run ~accountant:acct ?faults ?patience ~reliability:tier ~model
+              ~graph:g ~source ()
+          in
+          let reached =
+            Array.fold_left
+              (fun k d -> if d < max_int then k + 1 else k)
+              0 r.Bfs.dist
+          in
+          Printf.printf
+            "bfs: reached %d/%d vertices  supersteps=%d  converged=%b\n\
+             matches lossless run: %b\n"
+            reached nv r.Bfs.supersteps r.Bfs.converged
+            (r.Bfs.dist = baseline.Bfs.dist);
+          r.Bfs.byz
+      | `Sssp ->
+          let baseline = Sssp.run ~model ~graph:g ~source () in
+          let r =
+            Sssp.run ~accountant:acct ?faults ?patience ~reliability:tier ~model
+              ~graph:g ~source ()
+          in
+          let reached =
+            Array.fold_left
+              (fun k d -> if Float.is_finite d then k + 1 else k)
+              0 r.Sssp.dist
+          in
+          Printf.printf
+            "sssp: reached %d/%d vertices  supersteps=%d  converged=%b\n\
+             matches lossless run: %b\n"
+            reached nv r.Sssp.supersteps r.Sssp.converged
+            (r.Sssp.dist = baseline.Sssp.dist);
+          r.Sssp.byz
+      | `Leader ->
+          let baseline = Leader.run ~model ~graph:g () in
+          let r =
+            Leader.run ~accountant:acct ?faults ?patience ~reliability:tier
+              ~model ~graph:g ()
+          in
+          Printf.printf
+            "leader: elected %d  supersteps=%d  converged=%b\n\
+             matches lossless run: %b\n"
+            r.Leader.leader r.Leader.supersteps r.Leader.converged
+            (r.Leader.leader = baseline.Leader.leader);
+          r.Leader.byz
+    in
     Printf.printf "rounds: %d total (B = %d bits/message)\n" (Rounds.rounds acct)
       (Rounds.bandwidth acct);
     List.iter
       (fun (label, rds) -> Printf.printf "  %-28s %d\n" label rds)
       (Rounds.breakdown acct);
-    match !diag with
-    | Option.None -> ()
+    match diag with
+    | None -> ()
     | Some d ->
         Printf.printf "%s\n" (Format.asprintf "%a" Byzantine.Diag.pp d);
         (* A violated quorum is a failed delivery claim: the adversary beat
@@ -865,7 +827,7 @@ let dist_cmd =
     (with_domains
        Term.(
          const run $ seed_arg $ n_arg $ family_arg $ w_max_arg $ algo_arg
-         $ model_arg $ source_arg $ patience_arg $ raw_arg $ reliability_arg
+         $ model_arg $ source_arg $ patience_arg $ reliability_arg
          $ faults_term))
 
 let gen_cmd =

@@ -66,39 +66,11 @@ let rpc c ~id req =
   in
   loop ()
 
-(* Crude field extraction from the daemon's compact JSON replies — enough
-   for the handful of integer counters the bench needs, without growing a
-   JSON parser. *)
-let substr_index s pat =
-  let n = String.length s and m = String.length pat in
-  let rec at i =
-    if i + m > n then None
-    else if String.sub s i m = pat then Some i
-    else at (i + 1)
-  in
-  if m = 0 then None else at 0
-
-let json_int s key =
-  match substr_index s (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i -> (
-      let j = i + String.length key + 3 in
-      let stop = ref j in
-      let n = String.length s in
-      if !stop < n && s.[!stop] = '-' then incr stop;
-      while
-        !stop < n && (match s.[!stop] with '0' .. '9' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      match int_of_string_opt (String.sub s j (!stop - j)) with
-      | Some v -> Some v
-      | None -> None)
-
-let json_int_exn s key =
-  match json_int s key with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "lbcc-serve: no %S field in reply" key)
+(* An integer field of a parsed daemon reply. *)
+let int_field json key =
+  match Json.member key json with
+  | Some (Json.Int v) -> v
+  | _ -> failwith (Printf.sprintf "lbcc-serve: no %S field in reply" key)
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -291,15 +263,21 @@ let describe_response = function
         message;
       Stdlib.exit (match code with Proto.Bad_request -> 2 | _ -> 3)
 
-let graph_field_from_info info name key =
-  (* the info JSON lists {"name":"g0","n":48,"m":...} per graph *)
-  match substr_index info (Printf.sprintf "\"name\":%S" name) with
-  | None ->
+(* The info reply lists {"name":"g0","n":48,"m":...} per graph; returns
+   the named graph's (n, m). *)
+let graph_size_from_info info name =
+  let named g =
+    match Json.member "name" g with
+    | Some (Json.String s) -> String.equal s name
+    | _ -> false
+  in
+  match Json.member "graphs" (Json.of_string info) with
+  | Some (Json.Arr graphs) when List.exists named graphs ->
+      let g = List.find named graphs in
+      (int_field g "n", int_field g "m")
+  | _ ->
       Printf.eprintf "lbcc-serve: daemon has no graph %S\n" name;
       Stdlib.exit 2
-  | Some i -> json_int_exn (String.sub info i (String.length info - i)) key
-
-let graph_n_from_info info name = graph_field_from_info info name "n"
 
 (* Delta-op parsers for the client's explicit flags. *)
 let parse_insert s =
@@ -357,7 +335,7 @@ let run_client endpoint op graph net rhs_seed eps s t inserts deletes reweights
       | "solve" ->
           let n =
             match rpc c ~id:1 Proto.Info with
-            | _, Proto.Json_r body -> graph_n_from_info body graph
+            | _, Proto.Json_r body -> fst (graph_size_from_info body graph)
             | _ -> failwith "lbcc-serve: unexpected info reply"
           in
           let b = Workload.rhs ~n ~op_seed:rhs_seed in
@@ -383,8 +361,7 @@ let run_client endpoint op graph net rhs_seed eps s t inserts deletes reweights
                 | _, Proto.Json_r body -> body
                 | _ -> failwith "lbcc-serve: unexpected info reply"
               in
-              let n = graph_field_from_info info graph "n" in
-              let m = graph_field_from_info info graph "m" in
+              let n, m = graph_size_from_info info graph in
               random_ops ~seed:rhs_seed ~n ~m random
             end
           in
@@ -507,7 +484,7 @@ type phase_result = {
   responses : Proto.response option array;
   latencies : float array;  (* per request id, seconds *)
   wall_s : float;
-  stats : string;  (* the daemon's final stats JSON *)
+  stats : Json.t;  (* the daemon's final stats reply *)
 }
 
 (* Replay [reqs] (per-client arrays of (global id, request)) against the
@@ -586,7 +563,7 @@ let run_phase ~endpoint ~reqs ~inflight ~deadline_s =
   let ctl = conn_open endpoint in
   let stats =
     match rpc ctl ~id:0 Proto.Stats with
-    | _, Proto.Json_r body -> body
+    | _, Proto.Json_r body -> Json.of_string body
     | _ -> failwith "lbcc-serve: unexpected stats reply"
   in
   (match rpc ctl ~id:0 Proto.Shutdown with
@@ -723,11 +700,16 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
   (* Phase A: the coalescing daemon under the closed-loop zipf load. *)
   let a = run_phase ~endpoint:(ep "a") ~reqs ~inflight ~deadline_s in
   reap pid_a;
-  let rounds_a = json_int_exn a.stats "rounds" in
-  let served_a = json_int_exn a.stats "served" in
-  let batches_a = json_int_exn a.stats "batches" in
-  let hits_a = match json_int a.stats "hits" with Some v -> v | None -> 0 in
-  let misses_a = match json_int a.stats "misses" with Some v -> v | None -> 0 in
+  let rounds_a = int_field a.stats "rounds" in
+  let served_a = int_field a.stats "served" in
+  let batches_a = int_field a.stats "batches" in
+  (* The cache counters are null on a daemon without a cache. *)
+  let cache_counter key =
+    match Option.bind (Json.member "cache" a.stats) (Json.member key) with
+    | Some (Json.Int v) -> v
+    | _ -> 0
+  in
+  let hits_a = cache_counter "hits" and misses_a = cache_counter "misses" in
   Printf.printf
     "  coalesced: %.3fs wall, %d rounds, %d batches (%.1f req/batch), cache \
      %d/%d hits\n%!"
@@ -737,8 +719,8 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
   (* Phase B: serial dispatch, no handle reuse — preprocessing per request. *)
   let b = run_phase ~endpoint:(ep "b") ~reqs ~inflight ~deadline_s in
   reap pid_b;
-  let rounds_b = json_int_exn b.stats "rounds" in
-  let served_b = json_int_exn b.stats "served" in
+  let rounds_b = int_field b.stats "rounds" in
+  let served_b = int_field b.stats "served" in
   Printf.printf "  serial:    %.3fs wall, %d rounds\n%!" b.wall_s rounds_b;
   (* Phase C: 2x overload against a daemon whose queue holds half the
      offered load; every request must still get an explicit answer. *)
@@ -747,8 +729,8 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
       ~deadline_s
   in
   reap pid_c;
-  let rejected_c = json_int_exn c.stats "rejected" in
-  let admitted_c = json_int_exn c.stats "admitted" in
+  let rejected_c = int_field c.stats "rejected" in
+  let admitted_c = int_field c.stats "admitted" in
   let answered_c =
     Array.fold_left
       (fun acc r -> match r with Some _ -> acc + 1 | None -> acc)

@@ -12,37 +12,38 @@ type result = {
   parent : int array;  (** BFS-tree parent, [-1] at the root/unreachable *)
   rounds : int;
   supersteps : int;
-      (** for {!run_reliable}: virtual (inner) supersteps, matching the
-          lossless count *)
+      (** virtual (inner) supersteps: the lossless count on every tier *)
   converged : bool;  (** [false] iff truncated by the superstep cap *)
+  byz : Lbcc_net.Byzantine.Diag.t option;
+      (** quorum diagnostics, [Some] exactly on the [Byzantine_safe] tier *)
 }
 
 val run :
   ?accountant:Lbcc_net.Rounds.t ->
   ?faults:Lbcc_net.Fault.t ->
+  ?patience:int ->
+  ?reliability:Lbcc_net.Model.reliability ->
   model:Lbcc_net.Model.t ->
   graph:Lbcc_graph.Graph.t ->
   source:int ->
   unit ->
   result
-(** Raw engine run: injected faults (if any) hit the protocol directly —
-    dropped announcements simply never arrive and tampered distances are
-    believed. *)
+(** The program under the delivery tier [reliability] selects (default
+    [None]), dispatched by {!Lbcc_net.Tier.run}:
 
-val run_byzantine :
-  ?accountant:Lbcc_net.Rounds.t ->
-  ?faults:Lbcc_net.Fault.t ->
-  ?retries:int ->
-  model:Lbcc_net.Model.t ->
-  graph:Lbcc_graph.Graph.t ->
-  source:int ->
-  unit ->
-  result * Lbcc_net.Byzantine.Diag.t
-(** Same program behind {!Lbcc_net.Byzantine}: echo-quorum delivery
-    tolerating [f < n/3] equivocating vertices, with the quorum overhead
-    under the ["bfs/byz-echo"] accountant label.  The diagnostics say
-    whether the delivery guarantee held.
-    @raise Invalid_argument on a non-clique model. *)
+    - [None]: the raw engine.  Injected faults hit the protocol directly.
+    - [Crash_safe]: behind {!Lbcc_net.Reliable}, exactly-once delivery
+      over a lossy engine; retransmission cost under
+      ["bfs/retransmit"].  [patience] applies to this tier only.
+    - [Byzantine_safe]: behind {!Lbcc_net.Byzantine}, echo-quorum
+      delivery tolerating [f < n/3] equivocating vertices; quorum
+      overhead under ["bfs/byz-echo"] and the diagnostics in
+      [result.byz].  Needs the clique model.
+
+    On the [None] tier dropped announcements never arrive and tampered
+    distances are believed.
+    @raise Invalid_argument on [Byzantine_safe] with an [Input_graph]
+    model. *)
 
 val run_reliable :
   ?accountant:Lbcc_net.Rounds.t ->
@@ -54,9 +55,4 @@ val run_reliable :
   source:int ->
   unit ->
   result
-(** The program behind the delivery tier selected by [reliability]
-    (default [Crash_safe]): [None] is {!run}, [Crash_safe] runs behind
-    {!Lbcc_net.Reliable} (exactly-once delivery over a lossy engine,
-    retransmission cost under ["bfs/retransmit"]), [Byzantine_safe] is
-    {!run_byzantine} with the diagnostics dropped.  [patience] applies to
-    the [Crash_safe] tier only. *)
+(** {!run} with [reliability] defaulting to [Crash_safe]. *)

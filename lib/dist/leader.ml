@@ -1,8 +1,6 @@
-module Engine = Lbcc_net.Engine
-module Reliable = Lbcc_net.Reliable
-module Byzantine = Lbcc_net.Byzantine
 module Graph = Lbcc_graph.Graph
 module Model = Lbcc_net.Model
+module Tier = Lbcc_net.Tier
 
 type state = {
   best : int;
@@ -15,6 +13,7 @@ type result = {
   rounds : int;
   supersteps : int;
   converged : bool;
+  byz : Lbcc_net.Byzantine.Diag.t option;
 }
 
 (* In the clique topology one broadcast round suffices: every vertex
@@ -58,77 +57,36 @@ let check_input ~model ~graph =
   then invalid_arg "Leader.run: graph must be connected";
   n
 
-(* Under faults a crashed vertex keeps a stale [best]; agreement is only
-   asserted on clean converged runs. *)
-let result_of ?faults states ~rounds ~supersteps ~converged =
-  let leader = states.(0).best in
-  (match faults with
-  | None when converged ->
-      Array.iter (fun s -> assert (s.best = leader)) states
-  | _ -> ());
-  { leader; rounds; supersteps; converged }
-
 (* Payload poison for tampered deliveries: a forged id below every honest
    one, which min-id flooding believes unconditionally — the starkest
    possible corruption of the election. *)
 let tamper ~salt b = -(1 + (b lxor (salt land 0x3F)))
 
-let run ?accountant ?faults ~model ~graph () =
+let run ?accountant ?faults ?patience ?(reliability = Model.None) ~model ~graph
+    () =
   let n = check_input ~model ~graph in
   let init, step = program ~n ~topology:model.Model.topology in
-  let states, stats =
-    (* Charges land under ~label at the caller's phase scope: the runner is
-       the public API and must not impose one (fingerprint-stable). *)
-    (* lbcc-lint: allow typ-phase-flow *)
-    Engine.run ?accountant ?faults ~tamper ~label:"leader" ~model ~graph
+  let { Tier.states; stats; supersteps; byz } =
+    Tier.run ?accountant ?faults ?patience ~reliability ~tamper ~label:"leader"
+      ~model ~graph
       ~size_bits:(fun _ -> Lbcc_util.Bits.id_bits ~n)
       ~init ~step
       ~max_supersteps:(max_supersteps n)
       ()
   in
-  result_of ?faults states ~rounds:stats.Engine.rounds
-    ~supersteps:stats.Engine.supersteps ~converged:stats.Engine.converged
-
-let run_byzantine ?accountant ?faults ?retries ~model ~graph () =
-  let n = check_input ~model ~graph in
-  let init, step = program ~n ~topology:model.Model.topology in
-  let r =
-    (* Charges land under ~label at the caller's phase scope: the runner is
-       the public API and must not impose one (fingerprint-stable). *)
-    (* lbcc-lint: allow typ-phase-flow *)
-    Byzantine.run ?accountant ?faults ?retries ~tamper ~label:"leader" ~model
-      ~graph
-      ~size_bits:(fun _ -> Lbcc_util.Bits.id_bits ~n)
-      ~init ~step
-      ~max_supersteps:(100 * max_supersteps n)
-      ()
-  in
-  ( result_of ?faults r.Byzantine.states ~rounds:r.Byzantine.stats.Engine.rounds
-      ~supersteps:r.Byzantine.virtual_supersteps
-      ~converged:r.Byzantine.stats.Engine.converged,
-    Byzantine.diag r )
+  let leader = states.(0).best in
+  (* Under faults a crashed vertex keeps a stale [best]; agreement is only
+     asserted on clean converged runs. *)
+  if Option.is_none faults && stats.Lbcc_net.Engine.converged then
+    Array.iter (fun s -> assert (s.best = leader)) states;
+  {
+    leader;
+    rounds = stats.Lbcc_net.Engine.rounds;
+    supersteps;
+    converged = stats.Lbcc_net.Engine.converged;
+    byz;
+  }
 
 let run_reliable ?accountant ?faults ?patience
-    ?(reliability = Model.Crash_safe) ~model ~graph () =
-  match reliability with
-  | Model.None -> run ?accountant ?faults ~model ~graph ()
-  | Model.Byzantine_safe ->
-      fst (run_byzantine ?accountant ?faults ~model ~graph ())
-  | Model.Crash_safe ->
-      let n = check_input ~model ~graph in
-      let init, step = program ~n ~topology:model.Model.topology in
-      let r =
-        (* Charges land under ~label at the caller's phase scope: the runner is
-       the public API and must not impose one (fingerprint-stable). *)
-        (* lbcc-lint: allow typ-phase-flow *)
-        Reliable.run ?accountant ?faults ?patience ~label:"leader" ~model
-          ~graph
-          ~size_bits:(fun _ -> Lbcc_util.Bits.id_bits ~n)
-          ~init ~step
-          ~max_supersteps:(100 * max_supersteps n)
-          ()
-      in
-      result_of ?faults r.Reliable.states
-        ~rounds:r.Reliable.stats.Engine.rounds
-        ~supersteps:r.Reliable.virtual_supersteps
-        ~converged:r.Reliable.stats.Engine.converged
+    ?(reliability = Model.Crash_safe) =
+  run ?accountant ?faults ?patience ~reliability

@@ -9,38 +9,41 @@ type result = {
   leader : int;
   rounds : int;
   supersteps : int;
-      (** for {!run_reliable}: virtual (inner) supersteps, matching the
-          lossless count *)
+      (** virtual (inner) supersteps: the lossless count on every tier *)
   converged : bool;  (** [false] iff truncated by the superstep cap *)
+  byz : Lbcc_net.Byzantine.Diag.t option;
+      (** quorum diagnostics, [Some] exactly on the [Byzantine_safe] tier *)
 }
 
 val run :
   ?accountant:Lbcc_net.Rounds.t ->
   ?faults:Lbcc_net.Fault.t ->
+  ?patience:int ->
+  ?reliability:Lbcc_net.Model.reliability ->
   model:Lbcc_net.Model.t ->
   graph:Lbcc_graph.Graph.t ->
   unit ->
   result
-(** On a clean converged run all vertices agree on the returned leader
+(** The program under the delivery tier [reliability] selects (default
+    [None]), dispatched by {!Lbcc_net.Tier.run}:
+
+    - [None]: the raw engine.  Injected faults hit the protocol directly.
+    - [Crash_safe]: behind {!Lbcc_net.Reliable}, exactly-once delivery
+      over a lossy engine; retransmission cost under
+      ["leader/retransmit"].  [patience] applies to this tier only.
+    - [Byzantine_safe]: behind {!Lbcc_net.Byzantine}, echo-quorum
+      delivery tolerating [f < n/3] equivocating vertices; quorum
+      overhead under ["leader/byz-echo"] and the diagnostics in
+      [result.byz].  Needs the clique model.
+
+    A tampered delivery forges an id below every honest one, which the
+    [None] tier believes and the quorum tier rejects.
+
+    On a clean converged run all vertices agree on the returned leader
     (asserted internally); under faults the crashed vertices may retain
     stale views and the assertion is skipped.
     @raise Invalid_argument on a disconnected graph under the
-    [Input_graph] topology. *)
-
-val run_byzantine :
-  ?accountant:Lbcc_net.Rounds.t ->
-  ?faults:Lbcc_net.Fault.t ->
-  ?retries:int ->
-  model:Lbcc_net.Model.t ->
-  graph:Lbcc_graph.Graph.t ->
-  unit ->
-  result * Lbcc_net.Byzantine.Diag.t
-(** Same program behind {!Lbcc_net.Byzantine}: echo-quorum delivery
-    tolerating [f < n/3] equivocating vertices — a tampered delivery
-    forges an id below every honest one, which raw min-id flooding
-    believes and the quorum tier rejects.  Overhead is charged under the
-    ["leader/byz-echo"] accountant label.
-    @raise Invalid_argument on a non-clique model. *)
+    [Input_graph] topology, or on [Byzantine_safe] with it. *)
 
 val run_reliable :
   ?accountant:Lbcc_net.Rounds.t ->
@@ -51,9 +54,4 @@ val run_reliable :
   graph:Lbcc_graph.Graph.t ->
   unit ->
   result
-(** The program behind the delivery tier selected by [reliability]
-    (default [Crash_safe]): [None] is {!run}, [Crash_safe] runs behind
-    {!Lbcc_net.Reliable} (retransmission cost under
-    ["leader/retransmit"]), [Byzantine_safe] is {!run_byzantine} with the
-    diagnostics dropped.  [patience] applies to the [Crash_safe] tier
-    only. *)
+(** {!run} with [reliability] defaulting to [Crash_safe]. *)

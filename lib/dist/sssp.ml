@@ -1,7 +1,5 @@
-module Engine = Lbcc_net.Engine
 module Model = Lbcc_net.Model
-module Reliable = Lbcc_net.Reliable
-module Byzantine = Lbcc_net.Byzantine
+module Tier = Lbcc_net.Tier
 module Graph = Lbcc_graph.Graph
 module Payload = Lbcc_net.Payload
 
@@ -18,6 +16,7 @@ type result = {
   rounds : int;
   supersteps : int;
   converged : bool;
+  byz : Lbcc_net.Byzantine.Diag.t option;
 }
 
 let program ~graph ~source =
@@ -66,74 +65,32 @@ let program ~graph ~source =
    out [n] quiet supersteps: 4(n+2) bounds the sum with slack. *)
 let max_supersteps n = 4 * (n + 2)
 
-let result_of states ~rounds ~supersteps ~converged =
-  {
-    dist = Array.map (fun s -> s.sdist) states;
-    parent = Array.map (fun s -> s.sparent) states;
-    rounds;
-    supersteps;
-    converged;
-  }
-
 (* Payload poison for tampered deliveries: shrink the announced distance,
    the worst case for min-based relaxation (an inflated distance would be
    masked by the protocol's own monotonicity). *)
 let tamper ~salt d = (d *. 0.5) -. float_of_int (1 + (salt land 0xF))
 
-let run ?accountant ?faults ~model ~graph ~source () =
+let run ?accountant ?faults ?patience ?(reliability = Model.None) ~model ~graph
+    ~source () =
   let n = Graph.n graph in
   let init, step = program ~graph ~source in
-  let states, stats =
-    (* Charges land under ~label at the caller's phase scope: the runner is
-       the public API and must not impose one (fingerprint-stable). *)
-    (* lbcc-lint: allow typ-phase-flow *)
-    Engine.run ?accountant ?faults ~tamper ~label:"sssp" ~model ~graph
+  let { Tier.states; stats; supersteps; byz } =
+    Tier.run ?accountant ?faults ?patience ~reliability ~tamper ~label:"sssp"
+      ~model ~graph
       ~size_bits:(fun d -> Payload.weight_bits d)
       ~init ~step
       ~max_supersteps:(max_supersteps n)
       ()
   in
-  result_of states ~rounds:stats.Engine.rounds ~supersteps:stats.Engine.supersteps
-    ~converged:stats.Engine.converged
-
-let run_byzantine ?accountant ?faults ?retries ~model ~graph ~source () =
-  let n = Graph.n graph in
-  let init, step = program ~graph ~source in
-  let r =
-    (* Charges land under ~label at the caller's phase scope: the runner is
-       the public API and must not impose one (fingerprint-stable). *)
-    (* lbcc-lint: allow typ-phase-flow *)
-    Byzantine.run ?accountant ?faults ?retries ~tamper ~label:"sssp" ~model
-      ~graph
-      ~size_bits:(fun d -> Payload.weight_bits d)
-      ~init ~step
-      ~max_supersteps:(100 * max_supersteps n)
-      ()
-  in
-  ( result_of r.Byzantine.states ~rounds:r.Byzantine.stats.Engine.rounds
-      ~supersteps:r.Byzantine.virtual_supersteps
-      ~converged:r.Byzantine.stats.Engine.converged,
-    Byzantine.diag r )
+  {
+    dist = Array.map (fun s -> s.sdist) states;
+    parent = Array.map (fun s -> s.sparent) states;
+    rounds = stats.Lbcc_net.Engine.rounds;
+    supersteps;
+    converged = stats.Lbcc_net.Engine.converged;
+    byz;
+  }
 
 let run_reliable ?accountant ?faults ?patience
-    ?(reliability = Model.Crash_safe) ~model ~graph ~source () =
-  match reliability with
-  | Model.None -> run ?accountant ?faults ~model ~graph ~source ()
-  | Model.Byzantine_safe ->
-      fst (run_byzantine ?accountant ?faults ~model ~graph ~source ())
-  | Model.Crash_safe ->
-      let n = Graph.n graph in
-      let init, step = program ~graph ~source in
-      let r =
-        (* Charges land under ~label at the caller's phase scope: the runner is
-       the public API and must not impose one (fingerprint-stable). *)
-        (* lbcc-lint: allow typ-phase-flow *)
-        Reliable.run ?accountant ?faults ?patience ~label:"sssp" ~model ~graph
-          ~size_bits:(fun d -> Payload.weight_bits d)
-          ~init ~step
-          ~max_supersteps:(100 * max_supersteps n)
-          ()
-      in
-      result_of r.Reliable.states ~rounds:r.Reliable.stats.Engine.rounds
-        ~supersteps:r.Reliable.virtual_supersteps
-        ~converged:r.Reliable.stats.Engine.converged
+    ?(reliability = Model.Crash_safe) =
+  run ?accountant ?faults ?patience ~reliability

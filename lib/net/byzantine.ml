@@ -48,22 +48,8 @@ type ('state, 'msg) vertex = {
   mutable served : int; (* repair entries this vertex broadcast *)
 }
 
-type 'state result = {
-  states : 'state array;
-  stats : Engine.stats;
-  virtual_supersteps : int;
-  protocol_rounds : int;
-  echo_rounds : int;
-  suspected : int list;
-  quorum_failures : int;
-  repairs_served : int;
-  tolerance_exceeded : bool;
-}
-
 let echo_label label = label ^ "/byz-echo"
 
-(* The state-independent slice of a [result]: what a wrapping protocol can
-   report without exposing its private vertex state. *)
 module Diag = struct
   type t = {
     virtual_supersteps : int;
@@ -86,15 +72,7 @@ module Diag = struct
       (if d.tolerance_exceeded then " TOLERANCE-EXCEEDED" else "")
 end
 
-let diag (r : _ result) =
-  {
-    Diag.virtual_supersteps = r.virtual_supersteps;
-    echo_rounds = r.echo_rounds;
-    quorum_failures = r.quorum_failures;
-    suspected = r.suspected;
-    repairs_served = r.repairs_served;
-    tolerance_exceeded = r.tolerance_exceeded;
-  }
+type 'state result = { states : 'state array; stats : Engine.stats; diag : Diag.t }
 
 let packet_bits ~n inner_bits (pkt : _ packet) =
   let open Payload in
@@ -384,50 +362,35 @@ let run ?accountant ?tracer ?(label = "byzantine") ?(max_supersteps = 100_000)
   let virtual_supersteps =
     Array.fold_left (fun m v -> Stdlib.max m v.inner_steps) 0 vertices
   in
-  let globally_suspected = Hashtbl.create 8 in
-  Array.iter
-    (fun (v : _ vertex) ->
-      (* Set union: insertion order cannot affect the resulting key set. *)
-      (* lbcc-lint: allow det-unordered-hashtbl *)
-      Hashtbl.iter (fun u () -> Hashtbl.replace globally_suspected u ()) v.suspected)
-    vertices;
   let quorum_failures =
     Array.fold_left (fun acc v -> acc + v.failures) 0 vertices
   in
   let repairs_served = Array.fold_left (fun acc v -> acc + v.served) 0 vertices in
-  let protocol_rounds = Stdlib.min virtual_supersteps stats.Engine.rounds in
-  let echo_rounds = stats.Engine.rounds - protocol_rounds in
+  let echo_rounds, suspected =
+    Reliable.settle ?accountant ?tracer ~label ~overhead_label:(echo_label label)
+      ~overhead_attr:"echo_rounds" ~virtual_supersteps
+      ~suspected:(Array.map (fun (v : _ vertex) -> v.suspected) vertices)
+      stats
+  in
+  Lbcc_obs.Trace.set_attr tracer "quorum_failures"
+    (Lbcc_obs.Json.Int quorum_failures);
+  Lbcc_obs.Trace.set_attr tracer "repairs_served"
+    (Lbcc_obs.Json.Int repairs_served);
   let tolerance_exceeded =
     match faults with
     | Some f -> Fault.byzantine_count f > f_max
     | None -> false
   in
-  (* As in [Reliable]: aggregate bits ride the protocol label, the quorum
-     machinery's round overhead is charged under its own phase. *)
-  (match accountant with
-  | Some acc ->
-      Rounds.charge acc ~label ~bits:stats.Engine.total_bits
-        ~rounds:protocol_rounds;
-      Rounds.charge acc ~label:(echo_label label) ~rounds:echo_rounds
-  | None -> ());
-  Lbcc_obs.Trace.add tracer ~rounds:stats.Engine.rounds
-    ~bits:stats.Engine.total_bits ~supersteps:stats.Engine.supersteps
-    ~messages:stats.Engine.messages_sent ();
-  Lbcc_obs.Trace.set_attr tracer "virtual_supersteps"
-    (Lbcc_obs.Json.Int virtual_supersteps);
-  Lbcc_obs.Trace.set_attr tracer "echo_rounds" (Lbcc_obs.Json.Int echo_rounds);
-  Lbcc_obs.Trace.set_attr tracer "quorum_failures"
-    (Lbcc_obs.Json.Int quorum_failures);
-  Lbcc_obs.Trace.set_attr tracer "repairs_served"
-    (Lbcc_obs.Json.Int repairs_served);
   {
     states = Array.map (fun v -> v.inner) vertices;
     stats;
-    virtual_supersteps;
-    protocol_rounds;
-    echo_rounds;
-    suspected = Tbl.sorted_keys ~compare:Int.compare globally_suspected;
-    quorum_failures;
-    repairs_served;
-    tolerance_exceeded;
+    diag =
+      {
+        Diag.virtual_supersteps;
+        echo_rounds;
+        quorum_failures;
+        suspected;
+        repairs_served;
+        tolerance_exceeded;
+      };
   }

@@ -37,38 +37,25 @@
     the caller's [label]; all remaining rounds — echo, repair and retry
     traffic — are charged under ["<label>/byz-echo"]. *)
 
-type 'state result = {
-  states : 'state array;
-  stats : Engine.stats;  (** raw engine statistics of the expanded run *)
-  virtual_supersteps : int;  (** inner-protocol supersteps completed *)
-  protocol_rounds : int;  (** rounds attributed to the inner protocol *)
-  echo_rounds : int;  (** rounds attributed to the quorum machinery *)
-  suspected : int list;
-      (** vertices some honest vertex gave up on (ascending) *)
-  quorum_failures : int;
-      (** (virtual round, subject) slots that exhausted every cycle without
-          a strong quorum — nonzero means delivery degraded detectably *)
-  repairs_served : int;  (** repair entries broadcast across the run *)
-  tolerance_exceeded : bool;
-      (** the fault plan fields more Byzantine vertices than
-          [floor((n-1)/3)] — its conformance guarantee is void *)
-}
-
 val echo_label : string -> string
 (** [echo_label l] is [l ^ "/byz-echo"], the accounting label of the
     quorum machinery. *)
 
-(** The state-independent slice of a {!result}, for protocols that wrap
-    {!run} and want to surface the quorum diagnostics without exposing
-    their vertex state. *)
+(** The run's delivery diagnostics. *)
 module Diag : sig
   type t = {
-    virtual_supersteps : int;
-    echo_rounds : int;
+    virtual_supersteps : int;  (** inner-protocol supersteps completed *)
+    echo_rounds : int;  (** rounds attributed to the quorum machinery *)
     quorum_failures : int;
+        (** (virtual round, subject) slots that exhausted every cycle
+            without a strong quorum — nonzero means delivery degraded
+            detectably *)
     suspected : int list;
-    repairs_served : int;
+        (** vertices some honest vertex gave up on (ascending) *)
+    repairs_served : int;  (** repair entries broadcast across the run *)
     tolerance_exceeded : bool;
+        (** the fault plan fields more Byzantine vertices than
+            [floor((n-1)/3)] — its conformance guarantee is void *)
   }
 
   val ok : t -> bool
@@ -78,7 +65,11 @@ module Diag : sig
   val pp : Format.formatter -> t -> unit
 end
 
-val diag : 'state result -> Diag.t
+type 'state result = {
+  states : 'state array;
+  stats : Engine.stats;  (** raw engine statistics of the expanded run *)
+  diag : Diag.t;
+}
 
 val run :
   ?accountant:Rounds.t ->

@@ -20,12 +20,3 @@ let reliability_name = function
   | None -> "none"
   | Crash_safe -> "crash-safe"
   | Byzantine_safe -> "byzantine-safe"
-
-let reliability_of_string s =
-  match String.lowercase_ascii s with
-  | "none" | "raw" -> Option.Some None
-  | "crash" | "crash-safe" | "reliable" -> Option.Some Crash_safe
-  | "byzantine" | "byzantine-safe" | "byz" -> Option.Some Byzantine_safe
-  | _ -> Option.None
-
-let pp_reliability ppf r = Format.pp_print_string ppf (reliability_name r)

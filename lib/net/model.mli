@@ -39,9 +39,3 @@ type reliability =
 
 val reliability_name : reliability -> string
 (** ["none" | "crash-safe" | "byzantine-safe"]. *)
-
-val reliability_of_string : string -> reliability option
-(** Inverse of {!reliability_name}, accepting the CLI spellings
-    ("raw", "crash", "reliable", "byz", ...).  [None] on unknown input. *)
-
-val pp_reliability : Format.formatter -> reliability -> unit

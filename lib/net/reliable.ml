@@ -34,12 +34,45 @@ type 'state result = {
   states : 'state array;
   stats : Engine.stats;
   virtual_supersteps : int;
-  protocol_rounds : int;
-  retransmit_rounds : int;
-  suspected : int list;
 }
 
 let retransmit_label label = label ^ "/retransmit"
+
+let settle ?accountant ?tracer ~label ~overhead_label ~overhead_attr
+    ~virtual_supersteps ~suspected (stats : Engine.stats) =
+  (* [suspected] sets are never cleared, so their union is everyone anyone
+     suspected.  Recovering it after the run keeps the step closure free of
+     cross-vertex mutation (it runs in parallel). *)
+  let union = Hashtbl.create 8 in
+  Array.iter
+    (fun s ->
+      (* Set union: insertion order cannot affect the resulting key set. *)
+      (* lbcc-lint: allow det-unordered-hashtbl *)
+      Hashtbl.iter (fun u () -> Hashtbl.replace union u ()) s)
+    suspected;
+  let protocol_rounds = Stdlib.min virtual_supersteps stats.Engine.rounds in
+  let overhead_rounds = stats.Engine.rounds - protocol_rounds in
+  (* The per-superstep bit maxima are not recoverable after the fact, so the
+     aggregate bits the real execution broadcast are attributed to the
+     protocol label; the overhead label carries rounds only. *)
+  (match accountant with
+  | Some acc ->
+      Rounds.charge acc ~label ~bits:stats.Engine.total_bits
+        ~rounds:protocol_rounds;
+      Rounds.charge acc ~label:overhead_label ~rounds:overhead_rounds
+  | None -> ());
+  Lbcc_obs.Trace.add tracer ~rounds:stats.Engine.rounds
+    ~bits:stats.Engine.total_bits ~supersteps:stats.Engine.supersteps
+    ~messages:stats.Engine.messages_sent ();
+  List.iter
+    (fun (k, v) -> Lbcc_obs.Trace.set_attr tracer k (Lbcc_obs.Json.Int v))
+    [
+      ("virtual_supersteps", virtual_supersteps);
+      ("protocol_rounds", protocol_rounds);
+      (overhead_attr, overhead_rounds);
+      ("suspected", Hashtbl.length union);
+    ];
+  (overhead_rounds, Lbcc_util.Tbl.sorted_keys ~compare:Int.compare union)
 
 let packet_bits ~n inner_bits (pkt : _ packet) =
   let open Payload in
@@ -177,46 +210,14 @@ let run ?accountant ?tracer ?(label = "reliable") ?(max_supersteps = 100_000)
       ~init:init_vertex ~step:wrapper_step ()
   in
   (* [vround] is monotone, so the max over final values equals the max ever
-     reached; [v.suspected] is never cleared, so the union over vertices is
-     the set of everyone anyone suspected.  Recovering both here keeps the
-     step closure free of cross-vertex mutation (it runs in parallel). *)
+     reached. *)
   let virtual_supersteps =
     Array.fold_left (fun m v -> Stdlib.max m v.vround) 0 vertices
   in
-  let globally_suspected = Hashtbl.create 8 in
-  Array.iter
-    (fun (v : _ vertex) ->
-      (* Set union: insertion order cannot affect the resulting key set. *)
-      (* lbcc-lint: allow det-unordered-hashtbl *)
-      Hashtbl.iter (fun u () -> Hashtbl.replace globally_suspected u ()) v.suspected)
-    vertices;
-  let protocol_rounds = Stdlib.min virtual_supersteps stats.Engine.rounds in
-  let retransmit_rounds = stats.Engine.rounds - protocol_rounds in
-  let suspected_count = Hashtbl.length globally_suspected in
-  (* The per-superstep bit maxima are not recoverable after the fact, so the
-     aggregate bits the real execution broadcast are attributed to the
-     protocol label; the retransmit label carries rounds only. *)
-  (match accountant with
-  | Some acc ->
-      Rounds.charge acc ~label ~bits:stats.Engine.total_bits
-        ~rounds:protocol_rounds;
-      Rounds.charge acc ~label:(retransmit_label label) ~rounds:retransmit_rounds
-  | None -> ());
-  Lbcc_obs.Trace.add tracer ~rounds:stats.Engine.rounds
-    ~bits:stats.Engine.total_bits ~supersteps:stats.Engine.supersteps
-    ~messages:stats.Engine.messages_sent ();
-  Lbcc_obs.Trace.set_attr tracer "virtual_supersteps"
-    (Lbcc_obs.Json.Int virtual_supersteps);
-  Lbcc_obs.Trace.set_attr tracer "protocol_rounds"
-    (Lbcc_obs.Json.Int protocol_rounds);
-  Lbcc_obs.Trace.set_attr tracer "retransmit_rounds"
-    (Lbcc_obs.Json.Int retransmit_rounds);
-  Lbcc_obs.Trace.set_attr tracer "suspected" (Lbcc_obs.Json.Int suspected_count);
-  {
-    states = Array.map (fun v -> v.inner) vertices;
-    stats;
-    virtual_supersteps;
-    protocol_rounds;
-    retransmit_rounds;
-    suspected = Lbcc_util.Tbl.sorted_keys ~compare:Int.compare globally_suspected;
-  }
+  ignore
+    (settle ?accountant ?tracer ~label ~overhead_label:(retransmit_label label)
+       ~overhead_attr:"retransmit_rounds" ~virtual_supersteps
+       ~suspected:(Array.map (fun (v : _ vertex) -> v.suspected) vertices)
+       stats
+      : int * int list);
+  { states = Array.map (fun v -> v.inner) vertices; stats; virtual_supersteps }

@@ -33,8 +33,7 @@
     are recorded under the protocol label (the per-superstep maxima are not
     recoverable after the fact).  With a [?tracer] the run executes inside
     a span named [label] carrying the real execution's counters plus
-    [virtual_supersteps], [protocol_rounds], [retransmit_rounds] and
-    [suspected] attributes; the tracer is {e not} passed to the inner
+    the attributes {!settle} sets; the tracer is {e not} passed to the inner
     engine, so the span's counters are not double-counted. *)
 
 module Graph = Lbcc_graph.Graph
@@ -44,14 +43,29 @@ type 'state result = {
   stats : Engine.stats;  (** real execution statistics *)
   virtual_supersteps : int;
       (** inner supersteps completed (what the lossless run counts) *)
-  protocol_rounds : int;  (** rounds charged under [label] *)
-  retransmit_rounds : int;
-      (** rounds charged under [label ^ "/retransmit"] *)
-  suspected : int list;  (** vertices suspected crashed by some neighbor *)
 }
 
 val retransmit_label : string -> string
 (** The accountant label overhead is charged under. *)
+
+val settle :
+  ?accountant:Rounds.t ->
+  ?tracer:Lbcc_obs.Trace.t ->
+  label:string ->
+  overhead_label:string ->
+  overhead_attr:string ->
+  virtual_supersteps:int ->
+  suspected:(int, unit) Hashtbl.t array ->
+  Engine.stats ->
+  int * int list
+(** The epilogue every wrapped delivery tier ({!run}, {!Byzantine.run})
+    shares once its inner engine run is over.  It charges
+    [min virtual_supersteps stats.rounds] rounds and all of
+    [stats.total_bits] under [label], and the remaining rounds under
+    [overhead_label].  It adds the real execution's counters to the open
+    span of [tracer], with [virtual_supersteps], [protocol_rounds],
+    [overhead_attr] and [suspected] attributes.  Returns the overhead
+    rounds and the ascending union of the per-vertex [suspected] sets. *)
 
 val run :
   ?accountant:Rounds.t ->

@@ -159,10 +159,11 @@ let protocols =
                      (List.init (Fault.max_tolerated ~n:(Graph.n g)) Fun.id)
                    ~byz_prob:0.15 ())
             in
-            let r, d =
-              Bfs.run_byzantine ~accountant:acc ~faults
+            let r =
+              Bfs.run ~accountant:acc ~faults ~reliability:Model.Byzantine_safe
                 ~model:Model.broadcast_congested_clique ~graph:g ~source:0 ()
             in
+            let d = Option.get r.Bfs.byz in
             Printf.sprintf "%s|%s|%d|%d|%b|%d|%d|%d" (ints r.Bfs.dist)
               (ints r.Bfs.parent) r.Bfs.rounds r.Bfs.supersteps r.Bfs.converged
               d.Lbcc_net.Byzantine.Diag.echo_rounds

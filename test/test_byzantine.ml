@@ -9,6 +9,7 @@ module Sssp = Lbcc_dist.Sssp
 module Leader = Lbcc_dist.Leader
 
 let clique = Model.broadcast_congested_clique
+let byz = Model.Byzantine_safe
 
 (* A worst-tolerable adversary on [n] vertices: the first [f_max] vertices
    equivocate on [byz_prob] of their deliveries and forge their echoes. *)
@@ -22,7 +23,8 @@ let byz_faults ?(extra = 0) ?(byz_prob = 0.15) ~seed ~n () =
 let test_byz_lossless_matches_raw () =
   let g = Gen.erdos_renyi_connected (Prng.create 3) ~n:8 ~p:0.4 ~w_max:4 in
   let base = Bfs.run ~model:clique ~graph:g ~source:0 () in
-  let r, diag = Bfs.run_byzantine ~model:clique ~graph:g ~source:0 () in
+  let r = Bfs.run ~reliability:byz ~model:clique ~graph:g ~source:0 () in
+  let diag = Option.get r.Bfs.byz in
   Alcotest.(check bool) "converged" true r.Bfs.converged;
   Alcotest.(check (array int)) "dist" base.Bfs.dist r.Bfs.dist;
   Alcotest.(check (array int)) "parent" base.Bfs.parent r.Bfs.parent;
@@ -37,7 +39,8 @@ let test_byz_bfs_survives_equivocation () =
   List.iter
     (fun seed ->
       let faults = byz_faults ~seed ~n:10 () in
-      let r, diag = Bfs.run_byzantine ~faults ~model:clique ~graph:g ~source:4 () in
+      let r = Bfs.run ~reliability:byz ~faults ~model:clique ~graph:g ~source:4 () in
+      let diag = Option.get r.Bfs.byz in
       Alcotest.(check (array int)) "dist matches lossless" base.Bfs.dist r.Bfs.dist;
       Alcotest.(check bool) "diag ok" true (Byzantine.Diag.ok diag))
     [ 1; 2; 3 ]
@@ -48,7 +51,8 @@ let test_byz_sssp_survives_equivocation () =
   List.iter
     (fun seed ->
       let faults = byz_faults ~seed ~n:10 () in
-      let r, diag = Sssp.run_byzantine ~faults ~model:clique ~graph:g ~source:0 () in
+      let r = Sssp.run ~reliability:byz ~faults ~model:clique ~graph:g ~source:0 () in
+      let diag = Option.get r.Sssp.byz in
       Alcotest.(check bool) "dist matches lossless" true
         (Array.for_all2 Float.equal base.Sssp.dist r.Sssp.dist);
       Alcotest.(check bool) "diag ok" true (Byzantine.Diag.ok diag))
@@ -60,7 +64,8 @@ let test_byz_leader_survives_equivocation () =
   List.iter
     (fun seed ->
       let faults = byz_faults ~seed ~n:13 () in
-      let r, diag = Leader.run_byzantine ~faults ~model:clique ~graph:g () in
+      let r = Leader.run ~reliability:byz ~faults ~model:clique ~graph:g () in
+      let diag = Option.get r.Leader.byz in
       Alcotest.(check int) "leader matches lossless" base.Leader.leader
         r.Leader.leader;
       Alcotest.(check bool) "diag ok" true (Byzantine.Diag.ok diag))
@@ -87,7 +92,8 @@ let test_byz_raw_run_is_corrupted () =
 let test_byz_over_tolerance_detected () =
   let g = Gen.erdos_renyi_connected (Prng.create 5) ~n:10 ~p:0.4 ~w_max:4 in
   let faults = byz_faults ~extra:1 ~seed:1 ~n:10 () in
-  let _, diag = Bfs.run_byzantine ~faults ~model:clique ~graph:g ~source:4 () in
+  let r = Bfs.run ~reliability:byz ~faults ~model:clique ~graph:g ~source:4 () in
+  let diag = Option.get r.Bfs.byz in
   Alcotest.(check bool) "tolerance exceeded reported" true
     diag.Byzantine.Diag.tolerance_exceeded;
   Alcotest.(check bool) "detected, not silent" false (Byzantine.Diag.ok diag)
@@ -99,7 +105,10 @@ let test_byz_echo_label_charged () =
   let g = Gen.erdos_renyi_connected (Prng.create 3) ~n:8 ~p:0.4 ~w_max:4 in
   let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n:8) in
   let faults = byz_faults ~seed:2 ~n:8 () in
-  let _ = Bfs.run_byzantine ~accountant:acc ~faults ~model:clique ~graph:g ~source:0 () in
+  let _ =
+    Bfs.run ~accountant:acc ~faults ~reliability:byz ~model:clique ~graph:g
+      ~source:0 ()
+  in
   let breakdown = Rounds.breakdown acc in
   Alcotest.(check bool) "bfs label" true (List.mem_assoc "bfs" breakdown);
   Alcotest.(check bool) "byz-echo label" true
@@ -111,7 +120,8 @@ let test_byz_runs_are_deterministic () =
   let g = Gen.erdos_renyi_connected (Prng.create 7) ~n:10 ~p:0.4 ~w_max:8 in
   let run () =
     let faults = byz_faults ~seed:3 ~n:10 () in
-    Sssp.run_byzantine ~faults ~model:clique ~graph:g ~source:0 ()
+    let r = Sssp.run ~reliability:byz ~faults ~model:clique ~graph:g ~source:0 () in
+    (r, Option.get r.Sssp.byz)
   in
   let a, da = run () and b, db = run () in
   Alcotest.(check bool) "identical states" true
@@ -125,21 +135,59 @@ let test_byz_rejects_non_clique () =
   Alcotest.check_raises "needs the clique"
     (Invalid_argument "Byzantine.run: echo quorums need the clique topology")
     (fun () ->
-      ignore (Bfs.run_byzantine ~model:Model.broadcast_congest ~graph:g ~source:0 ()))
+      ignore
+        (Bfs.run ~reliability:byz ~model:Model.broadcast_congest ~graph:g
+           ~source:0 ()))
 
 (* ------------------------------------------------------------------ *)
-(* run_reliable tier dispatch                                          *)
+(* Tier dispatch                                                       *)
 
+(* On lossless runs every tier must hand the program the same virtual
+   supersteps, so outputs and superstep counts equal the raw tier's: all
+   three protocols, both models, the Byzantine tier on the clique only. *)
 let test_reliability_tier_dispatch () =
-  let g = Gen.erdos_renyi_connected (Prng.create 3) ~n:8 ~p:0.4 ~w_max:4 in
-  let base = Bfs.run ~model:clique ~graph:g ~source:0 () in
   List.iter
-    (fun tier ->
-      let r = Bfs.run_reliable ~reliability:tier ~model:clique ~graph:g ~source:0 () in
-      Alcotest.(check (array int))
-        (Model.reliability_name tier ^ " tier matches")
-        base.Bfs.dist r.Bfs.dist)
-    [ Model.None; Model.Crash_safe; Model.Byzantine_safe ]
+    (fun seed ->
+      let g = Gen.erdos_renyi_connected (Prng.create seed) ~n:12 ~p:0.3 ~w_max:6 in
+      List.iter
+        (fun model ->
+          let tiers =
+            if model = clique then [ Model.None; Model.Crash_safe; byz ]
+            else [ Model.None; Model.Crash_safe ]
+          in
+          let base_b = Bfs.run ~model ~graph:g ~source:0 () in
+          let base_s = Sssp.run ~model ~graph:g ~source:0 () in
+          let base_l = Leader.run ~model ~graph:g () in
+          List.iter
+            (fun reliability ->
+              let what p =
+                Printf.sprintf "seed %d %s %s %s" seed (Model.name model)
+                  (Model.reliability_name reliability) p
+              in
+              let b = Bfs.run ~reliability ~model ~graph:g ~source:0 () in
+              Alcotest.(check (array int)) (what "bfs dist") base_b.Bfs.dist b.Bfs.dist;
+              Alcotest.(check (array int)) (what "bfs parent") base_b.Bfs.parent
+                b.Bfs.parent;
+              Alcotest.(check int) (what "bfs supersteps") base_b.Bfs.supersteps
+                b.Bfs.supersteps;
+              let s = Sssp.run ~reliability ~model ~graph:g ~source:0 () in
+              Alcotest.(check bool) (what "sssp dist") true
+                (Array.for_all2 Float.equal base_s.Sssp.dist s.Sssp.dist);
+              Alcotest.(check (array int)) (what "sssp parent") base_s.Sssp.parent
+                s.Sssp.parent;
+              Alcotest.(check int) (what "sssp supersteps") base_s.Sssp.supersteps
+                s.Sssp.supersteps;
+              let l = Leader.run ~reliability ~model ~graph:g () in
+              Alcotest.(check int) (what "leader") base_l.Leader.leader
+                l.Leader.leader;
+              Alcotest.(check int) (what "leader supersteps")
+                base_l.Leader.supersteps l.Leader.supersteps;
+              Alcotest.(check bool) (what "diagnostics only on the byzantine tier")
+                (reliability = byz)
+                (Option.is_some b.Bfs.byz))
+            tiers)
+        [ Model.broadcast_congest; clique ])
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault-model properties (qcheck)                                     *)
