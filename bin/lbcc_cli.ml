@@ -711,9 +711,17 @@ let dist_cmd =
       & info [ "source" ] ~docv:"V" ~doc:"Source vertex for bfs/sssp.")
   in
   let patience_arg =
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some k when k >= 1 -> Ok k
+        | _ -> Error (`Msg "expected an integer >= 1")
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "patience" ] ~docv:"K"
           ~doc:
             "Reliable broadcast suspects a neighbor crashed after K silent \

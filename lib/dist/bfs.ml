@@ -70,7 +70,3 @@ let run ?accountant ?faults ?patience ?(reliability = Model.None) ~model ~graph
     converged = stats.Lbcc_net.Engine.converged;
     byz;
   }
-
-let run_reliable ?accountant ?faults ?patience
-    ?(reliability = Model.Crash_safe) =
-  run ?accountant ?faults ?patience ~reliability

@@ -34,7 +34,8 @@ val run :
     - [None]: the raw engine.  Injected faults hit the protocol directly.
     - [Crash_safe]: behind {!Lbcc_net.Reliable}, exactly-once delivery
       over a lossy engine; retransmission cost under
-      ["bfs/retransmit"].  [patience] applies to this tier only.
+      ["bfs/retransmit"].  Only this tier reads [patience]; every
+      tier rejects [patience < 1].
     - [Byzantine_safe]: behind {!Lbcc_net.Byzantine}, echo-quorum
       delivery tolerating [f < n/3] equivocating vertices; quorum
       overhead under ["bfs/byz-echo"] and the diagnostics in
@@ -43,16 +44,4 @@ val run :
     On the [None] tier dropped announcements never arrive and tampered
     distances are believed.
     @raise Invalid_argument on [Byzantine_safe] with an [Input_graph]
-    model. *)
-
-val run_reliable :
-  ?accountant:Lbcc_net.Rounds.t ->
-  ?faults:Lbcc_net.Fault.t ->
-  ?patience:int ->
-  ?reliability:Lbcc_net.Model.reliability ->
-  model:Lbcc_net.Model.t ->
-  graph:Lbcc_graph.Graph.t ->
-  source:int ->
-  unit ->
-  result
-(** {!run} with [reliability] defaulting to [Crash_safe]. *)
+    model, or on [patience < 1]. *)

@@ -30,7 +30,8 @@ val run :
     - [None]: the raw engine.  Injected faults hit the protocol directly.
     - [Crash_safe]: behind {!Lbcc_net.Reliable}, exactly-once delivery
       over a lossy engine; retransmission cost under
-      ["leader/retransmit"].  [patience] applies to this tier only.
+      ["leader/retransmit"].  Only this tier reads [patience]; every
+      tier rejects [patience < 1].
     - [Byzantine_safe]: behind {!Lbcc_net.Byzantine}, echo-quorum
       delivery tolerating [f < n/3] equivocating vertices; quorum
       overhead under ["leader/byz-echo"] and the diagnostics in
@@ -43,15 +44,5 @@ val run :
     (asserted internally); under faults the crashed vertices may retain
     stale views and the assertion is skipped.
     @raise Invalid_argument on a disconnected graph under the
-    [Input_graph] topology, or on [Byzantine_safe] with it. *)
-
-val run_reliable :
-  ?accountant:Lbcc_net.Rounds.t ->
-  ?faults:Lbcc_net.Fault.t ->
-  ?patience:int ->
-  ?reliability:Lbcc_net.Model.reliability ->
-  model:Lbcc_net.Model.t ->
-  graph:Lbcc_graph.Graph.t ->
-  unit ->
-  result
-(** {!run} with [reliability] defaulting to [Crash_safe]. *)
+    [Input_graph] topology, on [Byzantine_safe] with it, or on
+    [patience < 1]. *)

@@ -91,6 +91,5 @@ let run ?accountant ?faults ?patience ?(reliability = Model.None) ~model ~graph
     byz;
   }
 
-let run_reliable ?accountant ?faults ?patience
-    ?(reliability = Model.Crash_safe) =
-  run ?accountant ?faults ?patience ~reliability
+let run_reliable ?accountant ?faults ?patience =
+  run ?accountant ?faults ?patience ~reliability:Model.Crash_safe

@@ -34,7 +34,8 @@ val run :
     - [None]: the raw engine.  Injected faults hit the protocol directly.
     - [Crash_safe]: behind {!Lbcc_net.Reliable}, exactly-once delivery
       over a lossy engine; retransmission cost under
-      ["sssp/retransmit"].  [patience] applies to this tier only.
+      ["sssp/retransmit"].  Only this tier reads [patience]; every
+      tier rejects [patience < 1].
     - [Byzantine_safe]: behind {!Lbcc_net.Byzantine}, echo-quorum
       delivery tolerating [f < n/3] equivocating vertices; quorum
       overhead under ["sssp/byz-echo"] and the diagnostics in
@@ -45,16 +46,15 @@ val run :
     worst case for min-based relaxation — and the [None] tier believes
     them.
     @raise Invalid_argument on [Byzantine_safe] with an [Input_graph]
-    model. *)
+    model, or on [patience < 1]. *)
 
 val run_reliable :
   ?accountant:Lbcc_net.Rounds.t ->
   ?faults:Lbcc_net.Fault.t ->
   ?patience:int ->
-  ?reliability:Lbcc_net.Model.reliability ->
   model:Lbcc_net.Model.t ->
   graph:Lbcc_graph.Graph.t ->
   source:int ->
   unit ->
   result
-(** {!run} with [reliability] defaulting to [Crash_safe]. *)
+(** [run ~reliability:Crash_safe]. *)

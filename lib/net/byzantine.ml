@@ -1,8 +1,8 @@
 module Graph = Lbcc_graph.Graph
 module Tbl = Lbcc_util.Tbl
 
-(* One virtual (inner-protocol) round expands into [1 + retries] cycles of
-   three lockstep supersteps: SEND (payloads out, previous cycle's repairs
+(* One virtual (inner-protocol) round expands into two cycles of three
+   lockstep supersteps: SEND (payloads out, previous cycle's repairs
    in), ECHO (digest votes out, payloads in), REPAIR (served payloads out,
    votes in).  The schedule is a pure function of the global superstep
    index, so every vertex is always in the same (vround, cycle, phase) slot
@@ -108,20 +108,20 @@ let plurality ballots =
          | _ -> Some (d, c))
        None
 
-let run ?accountant ?tracer ?(label = "byzantine") ?(max_supersteps = 100_000)
-    ?(on_timeout = `Truncate) ?(retries = 1) ?faults ?tamper ~model ~graph
+(* Cycles per virtual round: the second gives a copy lost or tampered in
+   the first its repair window. *)
+let cycles = 2
+
+let run ?accountant ?faults ~tamper ~label ~max_supersteps ~model ~graph
     ~size_bits ~init ~step () =
-  if retries < 0 then invalid_arg "Byzantine.run: retries must be >= 0";
   (match model.Model.topology with
   | Model.Clique -> ()
   | Model.Input_graph ->
       invalid_arg "Byzantine.run: echo quorums need the clique topology");
-  Lbcc_obs.Trace.span tracer label @@ fun () ->
   let n = Graph.n graph in
   let f_max = Fault.max_tolerated ~n in
   let strong_q = (2 * f_max) + 1 in
   let weak_q = f_max + 1 in
-  let cycles = 1 + retries in
   let period = 3 * cycles in
   (* The in-model worst-case adversary: Byzantine vertices forge every echo
      vote with a digest common across receivers and echoers, which is what
@@ -342,11 +342,7 @@ let run ?accountant ?tracer ?(label = "byzantine") ?(max_supersteps = 100_000)
      control (vround, halted, the echo structure) stays intact — the
      coordinated echo adversary is modeled by [forges] above. *)
   let packet_tamper ~salt pkt =
-    let perturb p =
-      match (p, tamper) with
-      | Some m, Some t -> Some (t ~salt m)
-      | _ -> p
-    in
+    let perturb = Option.map (tamper ~salt) in
     match pkt.body with
     | Send p -> { pkt with body = Send (perturb p) }
     | Repair entries ->
@@ -354,7 +350,7 @@ let run ?accountant ?tracer ?(label = "byzantine") ?(max_supersteps = 100_000)
     | Echo _ -> pkt
   in
   let vertices, stats =
-    Engine.run ?faults ~label ~max_supersteps ~on_timeout ~tamper:packet_tamper
+    Engine.run ?faults ~label ~max_supersteps ~tamper:packet_tamper
       ~model ~graph
       ~size_bits:(packet_bits ~n size_bits)
       ~init:init_vertex ~step:wrapper_step ()
@@ -366,16 +362,18 @@ let run ?accountant ?tracer ?(label = "byzantine") ?(max_supersteps = 100_000)
     Array.fold_left (fun acc v -> acc + v.failures) 0 vertices
   in
   let repairs_served = Array.fold_left (fun acc v -> acc + v.served) 0 vertices in
-  let echo_rounds, suspected =
-    Reliable.settle ?accountant ?tracer ~label ~overhead_label:(echo_label label)
-      ~overhead_attr:"echo_rounds" ~virtual_supersteps
-      ~suspected:(Array.map (fun (v : _ vertex) -> v.suspected) vertices)
-      stats
+  let echo_rounds =
+    Reliable.settle ?accountant ~label ~overhead_label:(echo_label label)
+      ~virtual_supersteps stats
   in
-  Lbcc_obs.Trace.set_attr tracer "quorum_failures"
-    (Lbcc_obs.Json.Int quorum_failures);
-  Lbcc_obs.Trace.set_attr tracer "repairs_served"
-    (Lbcc_obs.Json.Int repairs_served);
+  (* [suspected] sets are never cleared, so their union is everyone anyone
+     suspected.  Recovering it after the run keeps the step closure free of
+     cross-vertex mutation (it runs in parallel). *)
+  let suspected =
+    List.filter
+      (fun u -> Array.exists (fun v -> Hashtbl.mem v.suspected u) vertices)
+      (List.init n Fun.id)
+  in
   let tolerance_exceeded =
     match faults with
     | Some f -> Fault.byzantine_count f > f_max

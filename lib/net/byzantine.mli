@@ -4,7 +4,7 @@
     inner protocol is delivered through a BV-broadcast-style echo/accept
     exchange (Bracha 1987) tolerating [f < n/3] corrupting or equivocating
     vertices on the broadcast congested clique.  One virtual round expands
-    into [1 + retries] cycles of three lockstep supersteps:
+    into two cycles of three lockstep supersteps:
 
     + {b SEND} — every vertex broadcasts its inner payload (and ingests the
       previous cycle's repairs);
@@ -73,13 +73,10 @@ type 'state result = {
 
 val run :
   ?accountant:Rounds.t ->
-  ?tracer:Lbcc_obs.Trace.t ->
-  ?label:string ->
-  ?max_supersteps:int ->
-  ?on_timeout:Engine.on_timeout ->
-  ?retries:int ->
   ?faults:Fault.t ->
-  ?tamper:(salt:int -> 'msg -> 'msg) ->
+  tamper:(salt:int -> 'msg -> 'msg) ->
+  label:string ->
+  max_supersteps:int ->
   model:Model.t ->
   graph:Lbcc_graph.Graph.t ->
   size_bits:('msg -> int) ->
@@ -87,12 +84,10 @@ val run :
   step:('state, 'msg) Engine.step ->
   unit ->
   'state result
-(** Runs [step] under echo-quorum delivery.  [retries] (default 1) extra
-    cycles per virtual round give tampered copies one repair window each;
-    [max_supersteps] caps {e real} engine supersteps, so allow
-    [3 * (1 + retries)] per inner superstep.  [?tamper] is the {e inner}
-    payload transform handed to the engine for corruption/equivocation
-    verdicts; without it payloads are immune and only echo forgery and
-    silent drops remain adversarial.
+(** Runs [step] under echo-quorum delivery.  The second cycle of each
+    virtual round gives tampered copies one repair window;
+    [max_supersteps] caps {e real} engine supersteps, so allow 6 per inner
+    superstep.  [tamper] is the {e inner} payload transform handed to the
+    engine for corruption/equivocation verdicts.
     @raise Invalid_argument on an [Input_graph] model (echo quorums need
-    the clique), or [retries < 0]. *)
+    the clique). *)

@@ -38,18 +38,8 @@ type 'state result = {
 
 let retransmit_label label = label ^ "/retransmit"
 
-let settle ?accountant ?tracer ~label ~overhead_label ~overhead_attr
-    ~virtual_supersteps ~suspected (stats : Engine.stats) =
-  (* [suspected] sets are never cleared, so their union is everyone anyone
-     suspected.  Recovering it after the run keeps the step closure free of
-     cross-vertex mutation (it runs in parallel). *)
-  let union = Hashtbl.create 8 in
-  Array.iter
-    (fun s ->
-      (* Set union: insertion order cannot affect the resulting key set. *)
-      (* lbcc-lint: allow det-unordered-hashtbl *)
-      Hashtbl.iter (fun u () -> Hashtbl.replace union u ()) s)
-    suspected;
+let settle ?accountant ~label ~overhead_label ~virtual_supersteps
+    (stats : Engine.stats) =
   let protocol_rounds = Stdlib.min virtual_supersteps stats.Engine.rounds in
   let overhead_rounds = stats.Engine.rounds - protocol_rounds in
   (* The per-superstep bit maxima are not recoverable after the fact, so the
@@ -61,18 +51,7 @@ let settle ?accountant ?tracer ~label ~overhead_label ~overhead_attr
         ~rounds:protocol_rounds;
       Rounds.charge acc ~label:overhead_label ~rounds:overhead_rounds
   | None -> ());
-  Lbcc_obs.Trace.add tracer ~rounds:stats.Engine.rounds
-    ~bits:stats.Engine.total_bits ~supersteps:stats.Engine.supersteps
-    ~messages:stats.Engine.messages_sent ();
-  List.iter
-    (fun (k, v) -> Lbcc_obs.Trace.set_attr tracer k (Lbcc_obs.Json.Int v))
-    [
-      ("virtual_supersteps", virtual_supersteps);
-      ("protocol_rounds", protocol_rounds);
-      (overhead_attr, overhead_rounds);
-      ("suspected", Hashtbl.length union);
-    ];
-  (overhead_rounds, Lbcc_util.Tbl.sorted_keys ~compare:Int.compare union)
+  overhead_rounds
 
 let packet_bits ~n inner_bits (pkt : _ packet) =
   let open Payload in
@@ -104,11 +83,9 @@ let inbox_of_got got =
   |> List.filter_map (fun (s, p) ->
          match p with Some m -> Some (s, m) | None -> None)
 
-let run ?accountant ?tracer ?(label = "reliable") ?(max_supersteps = 100_000)
-    ?(on_timeout = `Truncate) ?(patience = 30) ?faults ~model ~graph ~size_bits
-    ~init ~step () =
+let run ?accountant ?(patience = 30) ?faults ~label ~max_supersteps ~model
+    ~graph ~size_bits ~init ~step () =
   if patience < 1 then invalid_arg "Reliable.run: patience must be >= 1";
-  Lbcc_obs.Trace.span tracer label @@ fun () ->
   let n = Graph.n graph in
   let all_ids =
     match model.Model.topology with
@@ -205,7 +182,7 @@ let run ?accountant ?tracer ?(label = "reliable") ?(max_supersteps = 100_000)
     end
   in
   let vertices, stats =
-    Engine.run ?faults ~label ~max_supersteps ~on_timeout ~model ~graph
+    Engine.run ?faults ~label ~max_supersteps ~model ~graph
       ~size_bits:(packet_bits ~n size_bits)
       ~init:init_vertex ~step:wrapper_step ()
   in
@@ -215,9 +192,7 @@ let run ?accountant ?tracer ?(label = "reliable") ?(max_supersteps = 100_000)
     Array.fold_left (fun m v -> Stdlib.max m v.vround) 0 vertices
   in
   ignore
-    (settle ?accountant ?tracer ~label ~overhead_label:(retransmit_label label)
-       ~overhead_attr:"retransmit_rounds" ~virtual_supersteps
-       ~suspected:(Array.map (fun (v : _ vertex) -> v.suspected) vertices)
-       stats
-      : int * int list);
+    (settle ?accountant ~label ~overhead_label:(retransmit_label label)
+       ~virtual_supersteps stats
+      : int);
   { states = Array.map (fun v -> v.inner) vertices; stats; virtual_supersteps }

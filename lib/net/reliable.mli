@@ -31,10 +31,7 @@
     receives the remainder: retransmissions, ack piggybacking, and
     round-stamp overhead.  The aggregate bits the real execution broadcast
     are recorded under the protocol label (the per-superstep maxima are not
-    recoverable after the fact).  With a [?tracer] the run executes inside
-    a span named [label] carrying the real execution's counters plus
-    the attributes {!settle} sets; the tracer is {e not} passed to the inner
-    engine, so the span's counters are not double-counted. *)
+    recoverable after the fact). *)
 
 module Graph = Lbcc_graph.Graph
 
@@ -50,31 +47,23 @@ val retransmit_label : string -> string
 
 val settle :
   ?accountant:Rounds.t ->
-  ?tracer:Lbcc_obs.Trace.t ->
   label:string ->
   overhead_label:string ->
-  overhead_attr:string ->
   virtual_supersteps:int ->
-  suspected:(int, unit) Hashtbl.t array ->
   Engine.stats ->
-  int * int list
-(** The epilogue every wrapped delivery tier ({!run}, {!Byzantine.run})
-    shares once its inner engine run is over.  It charges
+  int
+(** The charge split both wrapped delivery tiers ({!run},
+    {!Byzantine.run}) apply once their inner engine run is over: it charges
     [min virtual_supersteps stats.rounds] rounds and all of
     [stats.total_bits] under [label], and the remaining rounds under
-    [overhead_label].  It adds the real execution's counters to the open
-    span of [tracer], with [virtual_supersteps], [protocol_rounds],
-    [overhead_attr] and [suspected] attributes.  Returns the overhead
-    rounds and the ascending union of the per-vertex [suspected] sets. *)
+    [overhead_label].  Returns the overhead rounds. *)
 
 val run :
   ?accountant:Rounds.t ->
-  ?tracer:Lbcc_obs.Trace.t ->
-  ?label:string ->
-  ?max_supersteps:int ->
-  ?on_timeout:Engine.on_timeout ->
   ?patience:int ->
   ?faults:Fault.t ->
+  label:string ->
+  max_supersteps:int ->
   model:Model.t ->
   graph:Graph.t ->
   size_bits:('msg -> int) ->
@@ -82,6 +71,7 @@ val run :
   step:('state, 'msg) Engine.step ->
   unit ->
   'state result
-(** [patience] defaults to 30 real supersteps; [max_supersteps] (the cap on
-    {b real} supersteps) defaults to 100_000.
-    @raise Engine.Timeout under [?on_timeout:`Raise] when the cap is hit. *)
+(** [patience] defaults to 30 real supersteps; [max_supersteps] caps the
+    {b real} supersteps, and a run that hits it returns truncated with
+    [stats.converged = false].
+    @raise Invalid_argument when [patience < 1]. *)

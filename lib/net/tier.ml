@@ -14,6 +14,11 @@ let wrapped_cap max_supersteps = 100 * max_supersteps
    are public API and must not impose one (fingerprint-stable). *)
 let run ?accountant ?faults ?patience ~reliability ~tamper ~label ~model ~graph
     ~size_bits ~init ~step ~max_supersteps () =
+  (* Checked on every tier, not only the one that reads it, so a caller's
+     bad value never depends on the tier it happens to pick. *)
+  (match patience with
+  | Some p when p < 1 -> invalid_arg "Tier.run: patience must be >= 1"
+  | _ -> ());
   match reliability with
   | Model.None ->
       let states, stats =

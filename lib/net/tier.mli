@@ -44,7 +44,7 @@ val run :
   unit ->
   'state result
 (** [max_supersteps] is the lossless program's cap; the wrapped tiers
-    scale it as the table says.  [patience] applies to [Crash_safe] only
-    (see {!Reliable.run}).
-    @raise Invalid_argument on [Byzantine_safe] with an [Input_graph]
-    model (echo quorums need the clique). *)
+    scale it as the table says.  Only [Crash_safe] reads [patience] (see
+    {!Reliable.run}), but every tier rejects [patience < 1].
+    @raise Invalid_argument on [patience < 1], or on [Byzantine_safe] with
+    an [Input_graph] model (echo quorums need the clique). *)

@@ -113,7 +113,8 @@ let protocols =
       fun seed ->
         with_acct (fun acc ->
             let r =
-              Bfs.run_reliable ~accountant:acc ~faults:(faults_of seed)
+              Bfs.run ~reliability:Model.Crash_safe ~accountant:acc
+                ~faults:(faults_of seed)
                 ~model:Model.broadcast_congest ~graph:(graph_of seed) ~source:0
                 ()
             in
@@ -143,7 +144,7 @@ let protocols =
                    ~crashes:[ (2, 4); (5, 2) ] ())
             in
             let r =
-              Leader.run_reliable ~accountant:acc ~faults
+              Leader.run ~reliability:Model.Crash_safe ~accountant:acc ~faults
                 ~model:Model.broadcast_congest ~graph:(graph_of seed) ()
             in
             Printf.sprintf "%d|%d|%d|%b" r.Leader.leader r.Leader.rounds

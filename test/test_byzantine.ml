@@ -184,7 +184,13 @@ let test_reliability_tier_dispatch () =
                 base_l.Leader.supersteps l.Leader.supersteps;
               Alcotest.(check bool) (what "diagnostics only on the byzantine tier")
                 (reliability = byz)
-                (Option.is_some b.Bfs.byz))
+                (Option.is_some b.Bfs.byz);
+              Alcotest.check_raises (what "patience 0 rejected")
+                (Invalid_argument "Tier.run: patience must be >= 1")
+                (fun () ->
+                  ignore
+                    (Bfs.run ~patience:0 ~reliability ~model ~graph:g ~source:0 ()
+                      : Bfs.result)))
             tiers)
         [ Model.broadcast_congest; clique ])
     [ 1; 2; 3 ]

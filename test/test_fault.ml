@@ -113,7 +113,7 @@ let lossy_spec =
 let test_reliable_lossless_matches_engine () =
   let g = Gen.erdos_renyi_connected (Prng.create 4) ~n:18 ~p:0.2 ~w_max:6 in
   let plain = Bfs.run ~model:Model.broadcast_congest ~graph:g ~source:0 () in
-  let rel = Bfs.run_reliable ~model:Model.broadcast_congest ~graph:g ~source:0 () in
+  let rel = Bfs.run ~reliability:Model.Crash_safe ~model:Model.broadcast_congest ~graph:g ~source:0 () in
   Alcotest.(check (array int)) "distances" plain.Bfs.dist rel.Bfs.dist;
   Alcotest.(check (array int)) "parents" plain.Bfs.parent rel.Bfs.parent;
   Alcotest.(check int) "virtual supersteps = lossless supersteps"
@@ -123,7 +123,7 @@ let test_reliable_bfs_recovers_from_drops () =
   let g = Gen.erdos_renyi_connected (Prng.create 5) ~n:20 ~p:0.2 ~w_max:4 in
   let plain = Bfs.run ~model:Model.broadcast_congest ~graph:g ~source:0 () in
   let faults = Fault.create ~seed:11 lossy_spec in
-  let rel = Bfs.run_reliable ~faults ~model:Model.broadcast_congest ~graph:g ~source:0 () in
+  let rel = Bfs.run ~reliability:Model.Crash_safe ~faults ~model:Model.broadcast_congest ~graph:g ~source:0 () in
   Alcotest.(check bool) "converged" true rel.Bfs.converged;
   Alcotest.(check (array int)) "distances" plain.Bfs.dist rel.Bfs.dist;
   Alcotest.(check (array int)) "parents" plain.Bfs.parent rel.Bfs.parent;
@@ -152,7 +152,7 @@ let test_reliable_leader_recovers_from_drops () =
       let g = Gen.erdos_renyi_connected (Prng.create 7) ~n:20 ~p:0.2 ~w_max:1 in
       let plain = Leader.run ~model ~graph:g () in
       let faults = Fault.create ~seed:13 lossy_spec in
-      let rel = Leader.run_reliable ~faults ~model ~graph:g () in
+      let rel = Leader.run ~reliability:Model.Crash_safe ~faults ~model ~graph:g () in
       Alcotest.(check bool) "converged" true rel.Leader.converged;
       Alcotest.(check int) "same leader" plain.Leader.leader rel.Leader.leader;
       Alcotest.(check int) "virtual supersteps" plain.Leader.supersteps
@@ -172,8 +172,8 @@ let test_reliable_with_crash_matches_lossless () =
     Fault.create ~seed:14 (Fault.spec ~drop_prob:0.2 ~crashes:[ (23, 30) ] ())
   in
   let rel =
-    Bfs.run_reliable ~faults ~patience:20 ~model:Model.broadcast_congest ~graph:g
-      ~source:0 ()
+    Bfs.run ~reliability:Model.Crash_safe ~faults ~patience:20
+      ~model:Model.broadcast_congest ~graph:g ~source:0 ()
   in
   Alcotest.(check bool) "converged" true rel.Bfs.converged;
   Alcotest.(check (array int)) "distances" plain.Bfs.dist rel.Bfs.dist
@@ -182,8 +182,10 @@ let test_reliable_retransmit_label_charged () =
   let g = Gen.erdos_renyi_connected (Prng.create 9) ~n:16 ~p:0.25 ~w_max:4 in
   let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n:16) in
   let faults = Fault.create ~seed:15 lossy_spec in
-  let _ = Bfs.run_reliable ~accountant:acc ~faults ~model:Model.broadcast_congest
-            ~graph:g ~source:0 () in
+  let _ =
+    Bfs.run ~reliability:Model.Crash_safe ~accountant:acc ~faults
+      ~model:Model.broadcast_congest ~graph:g ~source:0 ()
+  in
   let breakdown = Rounds.breakdown acc in
   Alcotest.(check bool) "bfs label" true (List.mem_assoc "bfs" breakdown);
   Alcotest.(check bool) "retransmit label" true
