@@ -26,18 +26,22 @@ lint: build
 	$(LINT) --strict --out lint.json lib bin bench examples
 
 # Typed tier on top (DESIGN.md §13): interprocedural determinism taint,
-# parallel-region race detection and phase-accounting flow from the .cmt
-# files the build just produced.  Writes both the lbcc-lint/1 report and
-# a SARIF 2.1.0 report (CI uploads both as artifacts).  A baseline can
-# gate only new findings: make lint-typed LINT_BASELINE=lint-baseline.json
+# parallel-region race detection, phase-accounting flow and dead exports
+# from the .cmt files of lib/ and of the executables (`@check` writes the
+# executables' ones, which a native-only build skips).  Writes both the
+# lbcc-lint/1 report and a SARIF 2.1.0 report (CI uploads both as
+# artifacts).  A baseline can gate only new findings:
+# make lint-typed LINT_BASELINE=lint-baseline.json
 LINT_BASELINE_FLAG := $(if $(LINT_BASELINE),--baseline $(LINT_BASELINE),)
 lint-typed: build
+	$(DUNE) @check
 	$(LINT) --strict --typed --out lint.json --sarif lint.sarif \
 	  $(LINT_BASELINE_FLAG) lib bin bench examples
 
 # Fault-injection smoke run: the reliable-broadcast layer must reproduce the
 # lossless outputs under 20% drop + an injected crash, and the raw engine run
 # must still terminate honestly.  Greps assert the recovery, not just exit 0.
+# Last, an out-of-range --source must be a usage error (exit 2).
 smoke: build
 	$(CLI) dist --algo bfs --vertices 24 --drop-prob 0.2 --crash 23@30 \
 	  --fault-seed 7 | grep -q 'matches lossless run: true'
@@ -56,6 +60,7 @@ smoke: build
 	  | grep -q 'matches lossless run: true'
 	! $(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 8 \
 	  --byz-prob 0.4 --reliability byzantine | grep -q 'quorum-failures=0'
+	$(CLI) dist --algo bfs --source 999 >/dev/null 2>&1; test $$? -eq 2
 	@echo "smoke: OK"
 
 # Benchmark smoke: the whole unit suite re-run on a 2-domain worker pool

@@ -742,7 +742,11 @@ let dist_cmd =
   let run seed n family w_max algo model source patience reliability faults =
     let g = make_graph family seed n w_max in
     let nv = Graph.n g in
-    let source = if source < 0 || source >= nv then 0 else source in
+    if source < 0 || source >= nv then begin
+      Printf.eprintf "lbcc dist: --source %d is not a vertex (0..%d)\n" source
+        (nv - 1);
+      exit 2
+    end;
     let tier =
       match reliability with
       | Some t -> t

@@ -12,8 +12,6 @@ module Fingerprint = Lbcc_service.Fingerprint
 
 let version = "1.0.0"
 
-let domains () = Pool.size (Pool.default ())
-
 type rounds_report = {
   total : int;
   bits : int;
@@ -177,6 +175,10 @@ type resistance_result = {
   rounds : rounds_report;
 }
 
+(* Front door: the one-shot resistance query of the public API, the
+   counterpart of the daemon's resistance opcode; test_core.ml,
+   test_flow.ml and test_service.ml check it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let effective_resistance ?ctx g ~s ~t =
   let c = Ctx.resolve ?ctx () in
   let acc = fresh_accountant ?tracer:c.Ctx.tracer ~n:(Graph.n g) () in

@@ -128,9 +128,3 @@ val effective_resistance :
     instead of discarding it. *)
 
 val version : string
-
-val domains : unit -> int
-(** Lanes of the process-wide worker pool the simulator and linalg kernels
-    run on — [LBCC_DOMAINS], the [--domains] flag, or the runtime's
-    recommendation.  Purely a wall-clock knob: every result is bit-identical
-    at every value. *)

@@ -54,21 +54,6 @@ val verdict_string : verdict -> string
 val pp : Format.formatter -> 'a outcome -> unit
 (** Verdict, attempt count and per-attempt scores (not the value). *)
 
-val retry :
-  ?max_retries:int ->
-  seed:int ->
-  run:(seed:int -> attempt:int -> 'a) ->
-  accept:('a -> bool) ->
-  score:('a -> float) ->
-  rounds:('a -> int) ->
-  detail:('a -> string) ->
-  unit ->
-  'a outcome
-(** The generic loop: up to [1 + max_retries] attempts (default
-    [max_retries = 3]).  [run] may raise; the exception is recorded as a
-    failed attempt and the loop continues.  Stops at the first accepted
-    attempt. *)
-
 val sparsify :
   ?seed:int ->
   ?epsilon:float ->

@@ -27,6 +27,9 @@ let build (net : Network.t) =
     net.Network.arcs;
   { n = net.Network.n; heads; caps; adj }
 
+(* Test oracle: "flow.mcmf value matches dinic" (test_flow.ml) checks
+   Mcmf.solve's flow value against it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let dinic (net : Network.t) =
   let r = build net in
   let s = net.Network.source and t = net.Network.sink in

@@ -30,6 +30,9 @@ let column_of_vertex_raw ~source v =
   else if v < source then v
   else v - 1
 
+(* Test-only, checked by "flow.lp column mapping" (test_flow.ml); slated
+   for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let column_of_vertex inst v = column_of_vertex_raw ~source:inst.net.Network.source v
 
 let build ?(constants = default_constants) ~prng (net : Network.t) =

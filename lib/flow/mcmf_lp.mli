@@ -24,8 +24,6 @@ type constants = {
   perturb : bool;  (** apply the uniqueness perturbation to costs *)
 }
 
-val default_constants : constants
-
 type instance = {
   net : Network.t;
   problem : Problem.t;
@@ -57,9 +55,6 @@ val laplacian_normal_solver :
     The returned operator is {e prepared}: its normal-matrix and diagonal
     workspaces are allocated once here and reused by every solve, and it
     must therefore be driven sequentially (the IPM does). *)
-
-val extract : instance -> Vec.t -> float array * float
-(** [(arc flows, F)] components of an LP point. *)
 
 val round_flow : instance -> Vec.t -> float array
 (** The paper's rounding: damp by [(1 - eps-hat)] and round each arc flow

@@ -21,11 +21,6 @@ val m : t -> int
 val max_capacity : t -> int
 val max_cost : t -> int
 
-val out_arcs : t -> int -> (int * arc) list
-(** [(arc_id, arc)] leaving a vertex. *)
-
-val in_arcs : t -> int -> (int * arc) list
-
 val is_flow : ?tol:float -> t -> float array -> bool
 (** Capacity bounds and conservation at every vertex except source/sink. *)
 
@@ -56,5 +51,3 @@ val transportation :
     ([costs.(i).(j)] from supplier [i] to consumer [j]).  When total supply
     equals total demand, the min-cost max-flow is the optimal shipping plan.
     @raise Invalid_argument on negative entries or shape mismatch. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,12 +1,3 @@
-let write oc (net : Network.t) =
-  Printf.fprintf oc "c laplacian_bcc flow network\n";
-  Printf.fprintf oc "p mcmf %d %d %d %d\n" net.Network.n (Network.m net)
-    net.Network.source net.Network.sink;
-  Array.iter
-    (fun (a : Network.arc) ->
-      Printf.fprintf oc "a %d %d %d %d\n" a.src a.dst a.capacity a.cost)
-    net.Network.arcs
-
 let to_string net =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "c laplacian_bcc flow network\n";
@@ -26,7 +17,7 @@ let parse_lines lines =
     (fun idx line ->
       let lineno = idx + 1 in
       let fail msg =
-        failwith (Printf.sprintf "Network_io.read: line %d: %s" lineno msg)
+        failwith (Printf.sprintf "Network_io.of_string: line %d: %s" lineno msg)
       in
       let line = String.trim line in
       if line = "" then ()
@@ -63,33 +54,21 @@ let parse_lines lines =
         | _ -> fail "unknown line kind")
     lines;
   match !header with
-  | None -> failwith "Network_io.read: missing problem line"
+  | None -> failwith "Network_io.of_string: missing problem line"
   | Some (n, m, source, sink) ->
       let arcs = List.rev !arcs in
       if List.length arcs <> m then
         failwith
-          (Printf.sprintf "Network_io.read: expected %d arcs, found %d" m
+          (Printf.sprintf "Network_io.of_string: expected %d arcs, found %d" m
              (List.length arcs));
       Network.make ~n ~source ~sink arcs
 
-let read_all_lines ic =
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
-
-let read ic = parse_lines (read_all_lines ic)
 let of_string s = parse_lines (String.split_on_char '\n' s)
 
 let save path net =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc net)
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string net))
 
-let load path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 let to_dot ?(name = "net") ?flow (net : Network.t) =
   let buf = Buffer.create 1024 in

@@ -10,13 +10,10 @@
 
     Vertices are 0-based. *)
 
-val write : out_channel -> Network.t -> unit
 val to_string : Network.t -> string
 
-val read : in_channel -> Network.t
-(** @raise Failure on malformed input. *)
-
 val of_string : string -> Network.t
+(** @raise Failure on malformed input. *)
 
 val save : string -> Network.t -> unit
 val load : string -> Network.t

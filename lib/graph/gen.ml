@@ -121,47 +121,6 @@ let random_geometric prng ~n ~radius ~w_max =
     Graph.create ~n (dedupe_edges (!edges @ cycle))
   end
 
-let preferential_attachment prng ~n ~degree ~w_max =
-  if degree < 1 then invalid_arg "Gen.preferential_attachment: degree >= 1";
-  if n <= degree then invalid_arg "Gen.preferential_attachment: n must exceed degree";
-  let targets = ref [] in
-  (* endpoint multiset for preferential sampling *)
-  let endpoints = ref [] and n_endpoints = ref 0 in
-  let edges = ref [] in
-  let seed_size = degree + 1 in
-  for u = 0 to seed_size - 1 do
-    for v = u + 1 to seed_size - 1 do
-      edges := { Graph.u; v; w = weight prng w_max } :: !edges;
-      endpoints := u :: v :: !endpoints;
-      n_endpoints := !n_endpoints + 2
-    done
-  done;
-  let endpoint_arr = ref (Array.of_list !endpoints) in
-  for v = seed_size to n - 1 do
-    targets := [];
-    let chosen = Hashtbl.create 8 in
-    while Hashtbl.length chosen < degree do
-      let t = !endpoint_arr.(Prng.int prng (Array.length !endpoint_arr)) in
-      if not (Hashtbl.mem chosen t) then Hashtbl.add chosen t ()
-    done;
-    Tbl.iter_sorted ~compare:Int.compare
-      (fun t () ->
-        edges := { Graph.u = v; v = t; w = weight prng w_max } :: !edges;
-        endpoints := v :: t :: !endpoints)
-      chosen;
-    endpoint_arr := Array.of_list !endpoints
-  done;
-  Graph.create ~n !edges
-
-let random_regularish prng ~n ~degree ~w_max =
-  if degree < 2 then invalid_arg "Gen.random_regularish: degree >= 2";
-  let cycles = Stdlib.max 1 (degree / 2) in
-  let edges = ref [] in
-  for _ = 1 to cycles do
-    edges := random_cycle_edges prng ~n ~w_max @ !edges
-  done;
-  Graph.create ~n (dedupe_edges !edges)
-
 let delta ?(w_max = 1) ?(connected = false) prng ~graph ~inserts ~deletes
     ~reweights () =
   let n = Graph.n graph and m = Graph.m graph in
@@ -212,16 +171,3 @@ let delta ?(w_max = 1) ?(connected = false) prng ~graph ~inserts ~deletes
     in
     try_deletes 16
   end
-
-let dumbbell_expander prng ~n ~w_max =
-  if n < 8 then invalid_arg "Gen.dumbbell_expander: n must be >= 8";
-  let half = n / 2 in
-  let left = random_regularish prng ~n:half ~degree:4 ~w_max in
-  let right = random_regularish prng ~n:(n - half) ~degree:4 ~w_max in
-  let shift (e : Graph.edge) = { e with u = e.u + half; v = e.v + half } in
-  let edges =
-    Array.to_list (Graph.edges left)
-    @ List.map shift (Array.to_list (Graph.edges right))
-    @ [ { Graph.u = 0; v = half; w = weight prng w_max } ]
-  in
-  Graph.create ~n edges

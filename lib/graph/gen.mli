@@ -7,9 +7,6 @@
 
 open Lbcc_util
 
-val erdos_renyi : Prng.t -> n:int -> p:float -> w_max:int -> Graph.t
-(** G(n, p) with random integer weights.  Not necessarily connected. *)
-
 val erdos_renyi_connected : Prng.t -> n:int -> p:float -> w_max:int -> Graph.t
 (** G(n, p) plus a random Hamiltonian cycle, guaranteeing connectivity while
     keeping the edge distribution ER-like. *)
@@ -30,16 +27,6 @@ val barbell : ?w_max:int -> Prng.t -> clique:int -> path:int -> Graph.t
 val random_geometric : Prng.t -> n:int -> radius:float -> w_max:int -> Graph.t
 (** Uniform points in the unit square; edges within [radius], weight scaled
     from distance.  A spanning structure is added if disconnected. *)
-
-val preferential_attachment : Prng.t -> n:int -> degree:int -> w_max:int -> Graph.t
-(** Barabási–Albert-style heavy-tailed degrees, [degree] edges per arrival. *)
-
-val random_regularish : Prng.t -> n:int -> degree:int -> w_max:int -> Graph.t
-(** Union of [degree/2] random Hamiltonian cycles — an expander-like sparse
-    graph with near-uniform degrees. *)
-
-val dumbbell_expander : Prng.t -> n:int -> w_max:int -> Graph.t
-(** Two expander halves joined by a single edge — worst-case conductance. *)
 
 val delta :
   ?w_max:int ->

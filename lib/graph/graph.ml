@@ -35,13 +35,9 @@ let m g = Array.length g.edges
 let edges g = g.edges
 let edge g id = g.edges.(id)
 let neighbors g v = g.adjacency.(v)
-let degree g v = List.length g.adjacency.(v)
-
 let total_weight g = Array.fold_left (fun acc e -> acc +. e.w) 0.0 g.edges
 
 let max_weight g = Array.fold_left (fun acc e -> Float.max acc e.w) 0.0 g.edges
-
-let min_weight g = Array.fold_left (fun acc e -> Float.min acc e.w) infinity g.edges
 
 let other_endpoint e v =
   if e.u = v then e.v
@@ -56,6 +52,9 @@ let sub_edges g ids =
   let edges = List.map (fun id -> g.edges.(id)) ids in
   create ~n:g.n edges
 
+(* Test oracle: "sparsifier.lemma33 resparsify union" (test_sparsifier.ml)
+   certifies Sparsify.resparsify's output against this union. *)
+(* lbcc-lint: allow typ-dead-export *)
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: vertex count mismatch";
   of_edge_array ~n:a.n (Array.append a.edges b.edges)
@@ -78,6 +77,9 @@ let coalesce g =
   in
   create ~n:g.n edges
 
+(* Test-only, checked by "graph.laplacian sparse = dense"
+   (test_graph.ml); slated for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let laplacian g =
   let triplets =
     Array.to_list g.edges
@@ -101,16 +103,6 @@ let laplacian_dense g =
       Dense.add_entry d e.v e.u (-.e.w))
     g.edges;
   d
-
-let incidence g =
-  let triplets =
-    Array.to_list g.edges
-    |> List.mapi (fun id e -> [ (id, e.v, 1.0); (id, e.u, -1.0) ])
-    |> List.concat
-  in
-  Sparse.of_triplets ~rows:(m g) ~cols:g.n triplets
-
-let weight_vector g = Array.map (fun e -> e.w) g.edges
 
 let apply_laplacian_into g x y =
   if Vec.dim x <> g.n then invalid_arg "Graph.apply_laplacian: dimension mismatch";
@@ -153,29 +145,6 @@ let components g =
 
 let is_connected g = g.n <= 1 || snd (components g) = 1
 
-let canonical_edge e = if e.u <= e.v then (e.u, e.v, e.w) else (e.v, e.u, e.w)
-
-let compare_canonical (u1, v1, w1) (u2, v2, w2) =
-  let c = Int.compare u1 u2 in
-  if c <> 0 then c
-  else
-    let c = Int.compare v1 v2 in
-    if c <> 0 then c else Float.compare w1 w2
-
-let equal_structure a b =
-  a.n = b.n
-  && m a = m b
-  &&
-  let ka = Array.map canonical_edge a.edges and kb = Array.map canonical_edge b.edges in
-  Array.sort compare_canonical ka;
-  Array.sort compare_canonical kb;
-  Array.for_all2 (fun x y -> compare_canonical x y = 0) ka kb
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n (m g);
-  Array.iteri (fun id e -> Format.fprintf ppf "e%d: %d-%d w=%g@," id e.u e.v e.w) g.edges;
-  Format.fprintf ppf "@]"
-
 module Delta = struct
   type op = Insert of edge | Delete of int | Reweight of int * float
 
@@ -184,8 +153,6 @@ module Delta = struct
     deletes : int array;
     reweights : (int * float) array;
   }
-
-  let empty = { inserts = [||]; deletes = [||]; reweights = [||] }
 
   let check_insert (e : edge) =
     if e.u < 0 || e.v < 0 then
@@ -241,11 +208,6 @@ module Delta = struct
       reweights = Array.of_list (List.rev !reweights);
     }
 
-  let ops d =
-    Array.to_list (Array.map (fun id -> Delete id) d.deletes)
-    @ Array.to_list (Array.map (fun (id, w) -> Reweight (id, w)) d.reweights)
-    @ Array.to_list (Array.map (fun e -> Insert e) d.inserts)
-
   let inserts d = d.inserts
   let deletes d = d.deletes
   let reweights d = d.reweights
@@ -261,18 +223,6 @@ module Delta = struct
     Array.iter (fun (id, _) -> hi := Stdlib.max !hi id) d.reweights;
     !hi
 
-  let pp ppf d =
-    Format.fprintf ppf "@[<v>delta +%d -%d ~%d@," (Array.length d.inserts)
-      (Array.length d.deletes)
-      (Array.length d.reweights);
-    Array.iter (fun id -> Format.fprintf ppf "del e%d@," id) d.deletes;
-    Array.iter
-      (fun (id, w) -> Format.fprintf ppf "rw e%d w=%g@," id w)
-      d.reweights;
-    Array.iter
-      (fun (e : edge) -> Format.fprintf ppf "ins %d-%d w=%g@," e.u e.v e.w)
-      d.inserts;
-    Format.fprintf ppf "@]"
 end
 
 let check_delta g (d : Delta.t) =

@@ -28,11 +28,8 @@ val edge : t -> int -> edge
 val neighbors : t -> int -> (int * int) list
 (** [neighbors g v] lists [(u, edge_id)] pairs for edges incident to [v]. *)
 
-val degree : t -> int -> int
-
 val total_weight : t -> float
 val max_weight : t -> float
-val min_weight : t -> float
 
 val other_endpoint : edge -> int -> int
 (** [other_endpoint e v] is the endpoint of [e] that is not [v].
@@ -58,13 +55,6 @@ val laplacian : t -> Lbcc_linalg.Sparse.t
 
 val laplacian_dense : t -> Lbcc_linalg.Dense.t
 
-val incidence : t -> Lbcc_linalg.Sparse.t
-(** Edge-vertex incidence matrix [B] ([m x n]): row [e] has [+1] at the head
-    [v] and [-1] at the tail [u] (orientation [u -> v] by edge record). *)
-
-val weight_vector : t -> Lbcc_linalg.Vec.t
-(** Vector of edge weights indexed by edge identifier. *)
-
 val apply_laplacian : t -> Lbcc_linalg.Vec.t -> Lbcc_linalg.Vec.t
 (** Matrix-free [L x] in [O(m)]. *)
 
@@ -76,12 +66,6 @@ val components : t -> int array * int
 (** [(comp, count)] where [comp.(v)] is the component index of [v]. *)
 
 val is_connected : t -> bool
-
-val equal_structure : t -> t -> bool
-(** Same vertex count and same multiset of [(u, v, w)] (up to endpoint
-    order and float equality); used by tests. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 Batched mutation}
 
@@ -101,17 +85,12 @@ module Delta : sig
 
   type t
 
-  val empty : t
-
   val of_ops : op list -> t
   (** Normalize an op sequence.  Ops are interpreted left to right against a
       single graph version: for the same edge id the last op wins (a
       [Reweight] followed by a [Delete] is the [Delete]).
       @raise Invalid_argument on self-loop inserts, non-positive or
       non-finite weights, or negative edge ids. *)
-
-  val ops : t -> op list
-  (** The normal form as an op list: deletes, then reweights, then inserts. *)
 
   val inserts : t -> edge array
   val deletes : t -> int array
@@ -125,7 +104,6 @@ module Delta : sig
   val max_id : t -> int
   (** Largest pre-delta edge id referenced, or [-1] if none. *)
 
-  val pp : Format.formatter -> t -> unit
 end
 
 val apply : t -> Delta.t -> t

@@ -31,6 +31,9 @@ let dijkstra_with_parents g ~src =
 
 let dijkstra g ~src = fst (dijkstra_with_parents g ~src)
 
+(* Test oracle: "dist.bfs matches reference" (test_dist.ml) and "net.engine
+   bfs distances" (test_net.ml) check Bfs levels against it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let bfs_hops g ~src =
   let n = Graph.n g in
   let dist = Array.make n max_int in
@@ -48,8 +51,6 @@ let bfs_hops g ~src =
       (Graph.neighbors g v)
   done;
   dist
-
-let all_pairs g = Array.init (Graph.n g) (fun src -> dijkstra g ~src)
 
 let stretch g h =
   if Graph.n g <> Graph.n h then invalid_arg "Paths.stretch: vertex count mismatch";
@@ -70,6 +71,9 @@ let eccentricity g ~src =
   let d = dijkstra g ~src in
   Array.fold_left (fun acc x -> if Float.is_finite x then Float.max acc x else acc) 0.0 d
 
+(* Test-only, checked by the three "graph.paths bellman-ford" cases
+   (test_graph.ml); slated for deletion with them. *)
+(* lbcc-lint: allow typ-dead-export *)
 let bellman_ford ~n ~arcs ~src =
   let dist = Array.make n infinity in
   dist.(src) <- 0.0;

@@ -7,23 +7,13 @@ val dijkstra : Graph.t -> src:int -> float array
 (** Single-source distances with nonnegative weights; [infinity] where
     unreachable. *)
 
-val dijkstra_with_parents : Graph.t -> src:int -> float array * int array
-(** Distances plus parent edge ids ([-1] at the source / unreachable). *)
-
 val bfs_hops : Graph.t -> src:int -> int array
 (** Hop distances ignoring weights; [max_int] where unreachable. *)
-
-val all_pairs : Graph.t -> float array array
-(** Exact APSP by repeated Dijkstra: [O(n m log n)].  Fine for the
-    experiment sizes (n <= ~1000 on sparse graphs). *)
 
 val stretch : Graph.t -> Graph.t -> float
 (** [stretch g h] is the maximum over vertex pairs [u, v] connected in [g] of
     [d_h(u,v) / d_g(u,v)]; [infinity] if [h] disconnects such a pair.
     [h] must be a subgraph of [g] on the same vertex set (not checked). *)
-
-val eccentricity : Graph.t -> src:int -> float
-(** Largest finite distance from [src]. *)
 
 val bellman_ford :
   n:int -> arcs:(int * int * float) list -> src:int -> float array option

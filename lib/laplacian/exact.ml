@@ -104,6 +104,9 @@ let solve t b =
 
 let solve_graph g b = solve (factor g) b
 
+(* Test oracle: "laplacian.solver error bound" (test_laplacian.ml) measures
+   Solver.solve's error in this norm. *)
+(* lbcc-lint: allow typ-dead-export *)
 let laplacian_norm g x =
   let q = Vec.dot x (Graph.apply_laplacian g x) in
   sqrt (Float.max 0.0 q)

@@ -132,7 +132,6 @@ let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?t_scale ?k
     bandwidth;
   }
 
-let graph t = t.graph
 let sparsifier t = t.sparsifier
 let kappa t = t.kappa
 let preprocessing_rounds t = t.preprocessing_rounds
@@ -216,5 +215,3 @@ let solve ?accountant ?(phases = [ "solve" ]) ?workspace t ~b ~eps =
     bits = Rounds.checkpoint_bits acc - start_bits;
     residual = Exact.residual t.graph ~x:result.Chebyshev.solution ~b;
   }
-
-let solve_exact_fallback t ~b = Exact.solve_graph t.graph b

@@ -69,11 +69,15 @@ val preprocess :
     thousands (the SCALE bench runs [n = 8192] this way).  Round/bit
     accounting is identical under either backend: the preconditioner solve
     is vertex-internal and free in the model; only wall-clock and memory
-    differ.  Pair [`Cg] with [~certify:(`Probe _)] — the default [`Power]
-    certificate densely factors both Laplacians, which defeats the point.
+    differ.  At that scale the default [`Power] certificate densely factors
+    both Laplacians, but the cheap [`Probe] certificate is no safe
+    substitute: it estimates the pencil's [lambda_max] from random vectors,
+    so it can only underestimate [kappa], and Chebyshev then diverges
+    without an exception.  On logged IPM normal systems of a [|V| = 8]
+    flow, [`Probe 16] certified [kappa = 8.46] where the exact value is
+    [1029] (ROADMAP item 1).
     @raise Invalid_argument if [graph] is not connected. *)
 
-val graph : t -> Graph.t
 val sparsifier : t -> Graph.t
 val kappa : t -> float
 val preprocessing_rounds : t -> int
@@ -93,6 +97,3 @@ val solve :
     [["query"]]).  Pass a distinct [workspace] per lane to run concurrent
     solves on one handle; results are identical either way (the iteration
     count is a function of [(kappa, eps)] alone). *)
-
-val solve_exact_fallback : t -> b:Vec.t -> Vec.t
-(** Direct dense solve of [L_G x = b], for reference comparisons. *)

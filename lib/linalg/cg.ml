@@ -42,6 +42,3 @@ let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ~matvec ~precond ~b () =
   done;
   let res = Vec.norm2 r in
   { solution = x; iterations = !iterations; residual_norm = res; converged = res <= tol *. bnorm }
-
-let solve ?x0 ?max_iter ?tol ~matvec ~b () =
-  solve_preconditioned ?x0 ?max_iter ?tol ~matvec ~precond:Vec.blit ~b ()

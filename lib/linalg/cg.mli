@@ -15,18 +15,6 @@ type result = {
   converged : bool;
 }
 
-val solve :
-  ?x0:Vec.t ->
-  ?max_iter:int ->
-  ?tol:float ->
-  matvec:(Vec.t -> Vec.t -> unit) ->
-  b:Vec.t ->
-  unit ->
-  result
-(** Plain CG for an SPD (or PSD with [b] in the range) operator.
-    Stops when [||r||_2 <= tol * ||b||_2] or after [max_iter] iterations
-    (default [10 * dim]). *)
-
 val solve_preconditioned :
   ?x0:Vec.t ->
   ?max_iter:int ->
@@ -36,4 +24,7 @@ val solve_preconditioned :
   b:Vec.t ->
   unit ->
   result
-(** Preconditioned CG; [precond] applies an approximation of [A^+]. *)
+(** Preconditioned CG for an SPD (or PSD with [b] in the range)
+    operator; [precond] applies an approximation of [A^+] (a plain copy
+    gives unpreconditioned CG).  Stops when [||r||_2 <= tol * ||b||_2] or
+    after [max_iter] iterations (default [10 * dim]). *)

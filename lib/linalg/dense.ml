@@ -5,7 +5,6 @@ let create r c =
   { r; c; a = Array.make (r * c) 0.0 }
 
 let rows m = m.r
-let cols m = m.c
 
 let get m i j = m.a.((i * m.c) + j)
 let set m i j v = m.a.((i * m.c) + j) <- v
@@ -27,21 +26,8 @@ let init r c f =
   done;
   m
 
-let of_arrays rows_arr =
-  let r = Array.length rows_arr in
-  let c = if r = 0 then 0 else Array.length rows_arr.(0) in
-  Array.iter
-    (fun row ->
-      if Array.length row <> c then invalid_arg "Dense.of_arrays: ragged rows")
-    rows_arr;
-  init r c (fun i j -> rows_arr.(i).(j))
-
-let to_arrays m = Array.init m.r (fun i -> Array.init m.c (fun j -> get m i j))
-
 let fill m v = Array.fill m.a 0 (m.r * m.c) v
 let copy m = { m with a = Array.copy m.a }
-
-let transpose m = init m.c m.r (fun i j -> get m j i)
 
 let check_same name x y =
   if x.r <> y.r || x.c <> y.c then
@@ -50,12 +36,6 @@ let check_same name x y =
 let add x y =
   check_same "add" x y;
   { x with a = Array.init (Array.length x.a) (fun i -> x.a.(i) +. y.a.(i)) }
-
-let sub x y =
-  check_same "sub" x y;
-  { x with a = Array.init (Array.length x.a) (fun i -> x.a.(i) -. y.a.(i)) }
-
-let scale s m = { m with a = Array.map (fun v -> s *. v) m.a }
 
 (* Output rows are independent in matmul/matvec and the update rows of an
    LU pivot step are independent too, so all three parallelize over row
@@ -102,6 +82,9 @@ let matvec m x =
   matvec_into m x y;
   y
 
+(* Test oracle: "linalg.sparse matvec vs dense" (test_linalg.ml) checks
+   Sparse.matvec_t against it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let matvec_t m x =
   if m.r <> Array.length x then invalid_arg "Dense.matvec_t: dimension mismatch";
   let y = Array.make m.c 0.0 in
@@ -127,8 +110,6 @@ let of_diag d =
     set m i i d.(i)
   done;
   m
-
-let trace m = Array.fold_left ( +. ) 0.0 (diag m)
 
 let frobenius m = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 m.a)
 
@@ -230,10 +211,9 @@ let factorize = lu_factor
 let solve_factored = lu_solve
 let solve_factored_into = lu_solve_into
 
-let solve_many m bs =
-  let f = lu_factor m in
-  Array.map (lu_solve f) bs
-
+(* Test-only, checked by "linalg.dense inverse" (test_linalg.ml); slated
+   for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let inverse m =
   let n = m.r in
   let f = lu_factor m in
@@ -246,6 +226,9 @@ let inverse m =
   done;
   inv
 
+(* Test-only, checked by "linalg.dense cholesky" (test_linalg.ml); slated
+   for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let cholesky m =
   if m.r <> m.c then invalid_arg "Dense.cholesky: not square";
   let n = m.r in
@@ -265,6 +248,9 @@ let cholesky m =
   done;
   l
 
+(* Test-only, checked by "linalg.dense cholesky solve" (test_linalg.ml);
+   slated for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let cholesky_solve l b =
   let n = rows l in
   if Array.length b <> n then invalid_arg "Dense.cholesky_solve: dimension mismatch";
@@ -282,14 +268,3 @@ let cholesky_solve l b =
     y.(i) <- y.(i) /. get l i i
   done;
   y
-
-let quadratic_form m x = Vec.dot x (matvec m x)
-
-let pp ppf m =
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to m.c - 1 do
-      Format.fprintf ppf "%10.4g " (get m i j)
-    done;
-    Format.fprintf ppf "@]@."
-  done

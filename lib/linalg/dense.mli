@@ -11,26 +11,19 @@ val create : int -> int -> t
 (** [create r c] is the zero matrix with [r] rows and [c] columns. *)
 
 val identity : int -> t
-val of_arrays : float array array -> t
-val to_arrays : t -> float array array
 val init : int -> int -> (int -> int -> float) -> t
 
 val rows : t -> int
-val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val add_entry : t -> int -> int -> float -> unit
-val copy : t -> t
 
 val fill : t -> float -> unit
 (** [fill m v] sets every entry of [m] to [v] in place — lets hot loops
     (the IPM normal-matrix assembly) reuse one buffer instead of
     reallocating per call. *)
 
-val transpose : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val matmul : t -> t -> t
 (** Row-chunk parallel on the default pool for large operands; per-row
     arithmetic order is fixed, so results are identical at any pool size
@@ -47,7 +40,6 @@ val matvec_t : t -> Vec.t -> Vec.t
 
 val diag : t -> Vec.t
 val of_diag : Vec.t -> t
-val trace : t -> float
 val frobenius : t -> float
 val symmetrize : t -> t
 (** [(a + a^T) / 2]. *)
@@ -57,9 +49,6 @@ val is_symmetric : ?tol:float -> t -> bool
 val solve : t -> Vec.t -> Vec.t
 (** Gaussian elimination with partial pivoting.
     @raise Failure if the matrix is (numerically) singular. *)
-
-val solve_many : t -> Vec.t array -> Vec.t array
-(** Factor once, solve for several right-hand sides. *)
 
 type factorization
 (** A reusable LU factorization with partial pivoting. *)
@@ -82,8 +71,3 @@ val cholesky : t -> t
 
 val cholesky_solve : t -> Vec.t -> Vec.t
 (** [cholesky_solve l b] solves [l l^T x = b] given the factor [l]. *)
-
-val quadratic_form : t -> Vec.t -> float
-(** [x^T a x]. *)
-
-val pp : Format.formatter -> t -> unit

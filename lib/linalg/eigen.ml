@@ -63,13 +63,6 @@ let jacobi ?(max_sweeps = 100) ?(tol = 1e-12) a0 =
 
 let eigenvalues ?max_sweeps ?tol a = fst (jacobi ?max_sweeps ?tol a)
 
-let spd_condition_number a =
-  let eigs = eigenvalues a in
-  let n = Array.length eigs in
-  if n = 0 then invalid_arg "Eigen.spd_condition_number: empty matrix";
-  if eigs.(0) <= 0.0 then failwith "Eigen.spd_condition_number: not positive definite";
-  eigs.(n - 1) /. eigs.(0)
-
 let pseudo_sqrt_inverse ?(rank_tol = 1e-9) a =
   let eigs, v = jacobi a in
   let n = Array.length eigs in

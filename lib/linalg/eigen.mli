@@ -14,9 +14,6 @@ val jacobi : ?max_sweeps:int -> ?tol:float -> Dense.t -> Vec.t * Dense.t
 val eigenvalues : ?max_sweeps:int -> ?tol:float -> Dense.t -> Vec.t
 (** Eigenvalues only, sorted ascending. *)
 
-val spd_condition_number : Dense.t -> float
-(** Ratio of largest to smallest eigenvalue of an SPD matrix. *)
-
 val relative_condition : Dense.t -> Dense.t -> float * float
 (** [relative_condition a b] for symmetric PSD [a], [b] with the same
     nullspace returns [(lambda_min, lambda_max)] of the pencil [(a, b)]
@@ -24,7 +21,3 @@ val relative_condition : Dense.t -> Dense.t -> float * float
     generalized eigenvalues [lambda] with [a x = lambda b x].
     This is exactly the quantity bounded by the sparsifier guarantee
     [(1-eps) L_H <= L_G <= (1+eps) L_H]. *)
-
-val pseudo_sqrt_inverse : ?rank_tol:float -> Dense.t -> Dense.t
-(** Symmetric PSD pseudo inverse square root [a^{+1/2}], treating
-    eigenvalues below [rank_tol * lambda_max] as zero. *)

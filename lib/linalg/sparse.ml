@@ -65,34 +65,19 @@ let of_triplets ~rows:r ~cols:c triplets =
     entries;
   { r; c; row_ptr; col_idx; values }
 
-let of_dense d =
-  let triplets = ref [] in
-  for i = Dense.rows d - 1 downto 0 do
-    for j = Dense.cols d - 1 downto 0 do
-      let v = Dense.get d i j in
-      if nonzero v then triplets := (i, j, v) :: !triplets
-    done
-  done;
-  of_triplets ~rows:(Dense.rows d) ~cols:(Dense.cols d) !triplets
-
 let iter_row m i f =
   for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
     f m.col_idx.(k) m.values.(k)
   done
 
-let iter m f =
-  for i = 0 to m.r - 1 do
-    iter_row m i (fun j v -> f i j v)
-  done
-
-let fold m ~init ~f =
-  let acc = ref init in
-  iter m (fun i j v -> acc := f !acc i j v);
-  !acc
-
+(* Test oracle: "linalg.sparse matvec vs dense" and "linalg.sparse gram"
+   (test_linalg.ml) build their dense references with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let to_dense m =
   let d = Dense.create m.r m.c in
-  iter m (fun i j v -> Dense.add_entry d i j v);
+  for i = 0 to m.r - 1 do
+    iter_row m i (fun j v -> Dense.add_entry d i j v)
+  done;
   d
 
 (* Rows are independent, so matvec parallelizes over row chunks with
@@ -139,122 +124,6 @@ let matvec_t m x =
   matvec_t_into m x y;
   y
 
-(* Counting-sort transpose: one pass counts entries per output row, a second
-   places them.  Scanning input rows in ascending order keeps each output
-   row sorted; explicit zeros are dropped exactly as [of_triplets] would. *)
-let transpose m =
-  let row_ptr = Array.make (m.c + 1) 0 in
-  for k = 0 to Array.length m.values - 1 do
-    if nonzero m.values.(k) then
-      row_ptr.(m.col_idx.(k) + 1) <- row_ptr.(m.col_idx.(k) + 1) + 1
-  done;
-  for j = 1 to m.c do
-    row_ptr.(j) <- row_ptr.(j) + row_ptr.(j - 1)
-  done;
-  let out = row_ptr.(m.c) in
-  let col_idx = Array.make out 0 and values = Array.make out 0.0 in
-  let fill = Array.sub row_ptr 0 m.c in
-  for i = 0 to m.r - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      let v = m.values.(k) in
-      if nonzero v then begin
-        let j = m.col_idx.(k) in
-        let pos = fill.(j) in
-        fill.(j) <- pos + 1;
-        col_idx.(pos) <- i;
-        values.(pos) <- v
-      end
-    done
-  done;
-  { r = m.c; c = m.r; row_ptr; col_idx; values }
-
-let scale s m = { m with values = Array.map (fun v -> s *. v) m.values }
-
-(* Linear two-pointer merge over the sorted rows of both operands.  Entries
-   summing (or standing alone as) exactly 0.0 are dropped, matching the
-   historical triplet round-trip; two-term IEEE addition is commutative, so
-   the sums are bitwise those of the old path. *)
-let add a b =
-  if a.r <> b.r || a.c <> b.c then invalid_arg "Sparse.add: dimension mismatch";
-  let cap = nnz a + nnz b in
-  let col_idx = Array.make cap 0 and values = Array.make cap 0.0 in
-  let row_ptr = Array.make (a.r + 1) 0 in
-  let k = ref 0 in
-  let push j v =
-    if nonzero v then begin
-      col_idx.(!k) <- j;
-      values.(!k) <- v;
-      incr k
-    end
-  in
-  for i = 0 to a.r - 1 do
-    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
-    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
-    while !ka < ea && !kb < eb do
-      let ja = a.col_idx.(!ka) and jb = b.col_idx.(!kb) in
-      if ja < jb then begin
-        push ja a.values.(!ka);
-        incr ka
-      end
-      else if jb < ja then begin
-        push jb b.values.(!kb);
-        incr kb
-      end
-      else begin
-        push ja (a.values.(!ka) +. b.values.(!kb));
-        incr ka;
-        incr kb
-      end
-    done;
-    while !ka < ea do
-      push a.col_idx.(!ka) a.values.(!ka);
-      incr ka
-    done;
-    while !kb < eb do
-      push b.col_idx.(!kb) b.values.(!kb);
-      incr kb
-    done;
-    row_ptr.(i + 1) <- !k
-  done;
-  {
-    r = a.r;
-    c = a.c;
-    row_ptr;
-    col_idx = Array.sub col_idx 0 !k;
-    values = Array.sub values 0 !k;
-  }
-
-let row_scale d m =
-  if Array.length d <> m.r then invalid_arg "Sparse.row_scale: dimension mismatch";
-  let values = Array.copy m.values in
-  for i = 0 to m.r - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      values.(k) <- values.(k) *. d.(i)
-    done
-  done;
-  { m with values }
-
-let col_scale m d =
-  if Array.length d <> m.c then invalid_arg "Sparse.col_scale: dimension mismatch";
-  let values = Array.copy m.values in
-  for k = 0 to Array.length values - 1 do
-    values.(k) <- values.(k) *. d.(m.col_idx.(k))
-  done;
-  { m with values }
-
-let diag m =
-  let n = min m.r m.c in
-  let d = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    iter_row m i (fun j v -> if j = i then d.(i) <- d.(i) +. v)
-  done;
-  d
-
-let get m i j =
-  let acc = ref 0.0 in
-  iter_row m i (fun j' v -> if j' = j then acc := !acc +. v);
-  !acc
-
 let gram a d =
   if Array.length d <> a.r then invalid_arg "Sparse.gram: dimension mismatch";
   let g = Dense.create a.c a.c in
@@ -265,8 +134,3 @@ let gram a d =
           iter_row a i (fun j2 v2 -> Dense.add_entry g j1 j2 (di *. v1 *. v2)))
   done;
   g
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>sparse %dx%d nnz=%d@," m.r m.c (nnz m);
-  iter m (fun i j v -> Format.fprintf ppf "(%d,%d)=%g@," i j v);
-  Format.fprintf ppf "@]"

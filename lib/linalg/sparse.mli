@@ -2,15 +2,15 @@
 
     Built once from coordinate triplets (duplicates are summed), then used for
     matvec-style operations.  This is the representation behind graph
-    Laplacians, incidence matrices and the LP constraint matrices. *)
+    Laplacians and the LP constraint matrices. *)
 
 type t
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
 (** Duplicate [(i, j)] entries are summed; explicit zeros are dropped. *)
 
-val of_dense : Dense.t -> t
 val to_dense : t -> Dense.t
+(** The dense reference tests compare the sparse kernels against. *)
 
 val rows : t -> int
 val cols : t -> int
@@ -24,40 +24,6 @@ val matvec : t -> Vec.t -> Vec.t
 val matvec_t : t -> Vec.t -> Vec.t
 (** [matvec_t a x = a^T x] without materializing the transpose. *)
 
-val matvec_into : t -> Vec.t -> Vec.t -> unit
-(** [matvec_into a x y] writes [a x] into [y] without allocating.  [y] must
-    not alias [x].  Same parallel row chunking as {!matvec}. *)
-
-val matvec_t_into : t -> Vec.t -> Vec.t -> unit
-(** [matvec_t_into a x y] writes [a^T x] into [y] without allocating.  [y]
-    must not alias [x]. *)
-
-val transpose : t -> t
-(** Linear-time counting sort (no triplet round-trip). *)
-
-val scale : float -> t -> t
-
-val add : t -> t -> t
-(** Linear two-pointer merge of the sorted rows; entries summing to exactly
-    [0.0] are dropped. *)
-
-val row_scale : Vec.t -> t -> t
-(** [row_scale d a] is [diag(d) * a]. *)
-
-val col_scale : t -> Vec.t -> t
-(** [col_scale a d] is [a * diag(d)]. *)
-
-val diag : t -> Vec.t
-
-val get : t -> int -> int -> float
-(** Linear scan of the row; meant for tests, not inner loops. *)
-
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-val iter : t -> (int -> int -> float -> unit) -> unit
-val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
-
 val gram : t -> Vec.t -> Dense.t
 (** [gram a d] is the (dense) normal matrix [a^T diag(d) a] — the paper's
     [A^T D A].  Requires [dim d = rows a]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -28,8 +28,6 @@ let scale a x = Array.map (fun v -> a *. v) x
 let neg x = scale (-1.0) x
 let mul x y = map2 ( *. ) x y
 let div x y = map2 ( /. ) x y
-let recip x = Array.map (fun v -> 1.0 /. v) x
-
 let axpy a x y =
   check_dims "axpy" x y;
   for i = 0 to Array.length x - 1 do
@@ -39,17 +37,6 @@ let axpy a x y =
 (* In-place kernels: same elementwise arithmetic as their allocating
    counterparts (identical rounding), writing into a caller-owned buffer.
    Destinations may alias inputs. *)
-
-let blit x dst =
-  check_dims "blit" x dst;
-  Array.blit x 0 dst 0 (Array.length x)
-
-let add_into x y dst =
-  check_dims "add_into" x y;
-  check_dims "add_into" x dst;
-  for i = 0 to Array.length x - 1 do
-    dst.(i) <- x.(i) +. y.(i)
-  done
 
 let sub_into x y dst =
   check_dims "sub_into" x y;
@@ -70,8 +57,6 @@ let mul_into x y dst =
   for i = 0 to Array.length x - 1 do
     dst.(i) <- x.(i) *. y.(i)
   done
-
-let fill_zero dst = Array.fill dst 0 (Array.length dst) 0.0
 
 (* dst <- a*dst + b*z, the Chebyshev direction update.  Rounding matches
    add (scale a dst) (scale b z). *)
@@ -130,17 +115,12 @@ let mean_center x =
     Array.map (fun v -> v -. m) x
   end
 
+(* Test-only, checked by "linalg.vec clamp" (test_linalg.ml); slated for
+   deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let clamp ~lo ~hi x =
   check_dims "clamp" lo x;
   check_dims "clamp" hi x;
   Array.init (Array.length x) (fun i -> Float.min hi.(i) (Float.max lo.(i) x.(i)))
 
 let max_elt x = Array.fold_left Float.max neg_infinity x
-let min_elt x = Array.fold_left Float.min infinity x
-
-let pp ppf x =
-  Format.fprintf ppf "[|";
-  Array.iteri
-    (fun i v -> if i > 0 then Format.fprintf ppf "; %g" v else Format.fprintf ppf "%g" v)
-    x;
-  Format.fprintf ppf "|]"

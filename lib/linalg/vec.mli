@@ -25,9 +25,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** Coordinate-wise quotient. *)
 
-val recip : t -> t
-(** Coordinate-wise reciprocal. *)
-
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
 
@@ -36,12 +33,6 @@ val axpy : float -> t -> t -> unit
     Allocation-free variants writing into a caller-owned buffer with the
     same elementwise arithmetic (hence identical rounding) as their
     allocating counterparts.  Destinations may alias inputs. *)
-
-val blit : t -> t -> unit
-(** [blit x dst] copies [x] into [dst]. *)
-
-val add_into : t -> t -> t -> unit
-(** [add_into x y dst] performs [dst <- x + y]. *)
 
 val sub_into : t -> t -> t -> unit
 (** [sub_into x y dst] performs [dst <- x - y]. *)
@@ -58,8 +49,6 @@ val axpby_into : float -> float -> t -> t -> unit
 
 val mean_center_into : t -> t -> unit
 (** [mean_center_into x dst] writes the mean-centered [x] into [dst]. *)
-
-val fill_zero : t -> unit
 
 val dot : t -> t -> float
 val norm2 : t -> float
@@ -81,6 +70,3 @@ val clamp : lo:t -> hi:t -> t -> t
 (** Coordinate-wise median of [lo], [x], [hi] (the paper's [MEDIAN]). *)
 
 val max_elt : t -> float
-val min_elt : t -> float
-
-val pp : Format.formatter -> t -> unit

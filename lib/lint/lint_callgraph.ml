@@ -22,7 +22,13 @@
    [with_phase acc "p" @@ fun () -> ...] opens a phase scope exactly like
    the parenthesised form.  An application carrying a [~phases:...]
    argument marks that call edge as phased: the callee routes its charges
-   through [with_phases] internally (the Solver.solve convention). *)
+   through [with_phases] internally (the Solver.solve convention).
+
+   Code that runs when a module is initialised ([let () = ...],
+   [let _ = ...], bare top-level expressions) has no binding to hang it
+   on; it is collected into one init node per module, kept apart from
+   the named nodes in [inits] so only the passes that ask for it (the
+   dead-export pass roots its walk there) ever see it. *)
 
 type ref_info = {
   name : string;  (** normalized dotted name, aliases resolved *)
@@ -34,6 +40,7 @@ type node = {
   id : string;  (** dotted: [Lbcc_net.Engine.run] *)
   unit_path : string;
   def_loc : Location.t;
+  exported : bool;  (** declared in its unit's interface *)
   mutable refs : ref_info list;  (** in source order *)
   mutable phase_labels : (string * Location.t) list;
   mutable calls : (node * Location.t * bool) list;  (** resolved, source order *)
@@ -42,6 +49,7 @@ type node = {
 type t = {
   nodes : (string, node) Hashtbl.t;  (** by id *)
   order : string list;  (** sorted ids, the deterministic iteration order *)
+  inits : node list;  (** module initialisers, sorted by id *)
   units : Lint_tast.unit_info list;
 }
 
@@ -71,38 +79,82 @@ let rec head_name aliases (e : Typedtree.expression) =
   | Typedtree.Texp_apply (f, _) -> head_name aliases f
   | _ -> None
 
-let collect_unit ~(unit : Lint_tast.unit_info) ~add_node =
+let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
+    =
   let aliases = Lint_tast.alias_map unit.structure in
-  let rec bind_nodes ~module_path (str : Typedtree.structure) =
+  (* Module-level value binders seen so far, by unique ident name.  A bare
+     identifier that is not one of them is a local (a parameter, a [let]
+     inside a body) and names no node; OCaml's scoping means a body only
+     refers to binders bound before it or in its own [let rec] group. *)
+  let binders = Hashtbl.create 64 in
+  let created = ref [] in
+  let new_node ~id ~def_loc ~exported =
+    let n =
+      { id; unit_path = unit.path; def_loc; exported; refs = [];
+        phase_labels = []; calls = [] }
+    in
+    created := n :: !created;
+    n
+  in
+  let init_nodes = Hashtbl.create 4 in
+  let init_node module_path =
+    match Hashtbl.find_opt init_nodes module_path with
+    | Some n -> n
+    | None ->
+        let n =
+          new_node
+            ~id:(String.concat "." (module_path @ [ "(init)" ]))
+            ~def_loc:Location.none ~exported:false
+        in
+        Hashtbl.replace init_nodes module_path n;
+        add_init n;
+        n
+  in
+  let exported rel =
+    match unit.exports with
+    | None -> true
+    | Some names -> List.mem (String.concat "." rel) names
+  in
+  let rec bind_nodes ~module_path ~rel (str : Typedtree.structure) =
     List.iter
       (fun (item : Typedtree.structure_item) ->
         match item.Typedtree.str_desc with
         | Typedtree.Tstr_value (_, vbs) ->
             List.iter
               (fun (vb : Typedtree.value_binding) ->
+                List.iter
+                  (fun id -> Hashtbl.replace binders (Ident.unique_name id) ())
+                  (Typedtree.pat_bound_idents vb.Typedtree.vb_pat))
+              vbs;
+            List.iter
+              (fun (vb : Typedtree.value_binding) ->
                 match Typedtree.pat_bound_idents vb.Typedtree.vb_pat with
-                | [] -> ()
+                | [] ->
+                    collect_body ~node:(init_node module_path)
+                      vb.Typedtree.vb_expr
                 | id :: _ ->
-                    let node_id =
-                      String.concat "." (module_path @ [ Ident.name id ])
-                    in
                     let n =
-                      {
-                        id = node_id;
-                        unit_path = unit.path;
-                        def_loc = vb.Typedtree.vb_pat.Typedtree.pat_loc;
-                        refs = [];
-                        phase_labels = [];
-                        calls = [];
-                      }
+                      new_node
+                        ~id:(String.concat "." (module_path @ [ Ident.name id ]))
+                        ~def_loc:vb.Typedtree.vb_pat.Typedtree.pat_loc
+                        ~exported:(exported (rel @ [ Ident.name id ]))
                     in
                     add_node n;
                     collect_body ~node:n vb.Typedtree.vb_expr)
               vbs
+        | Typedtree.Tstr_eval (e, _) ->
+            collect_body ~node:(init_node module_path) e
+        | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ }
+          when Lint_tast.module_target aliases mb_expr <> None ->
+            Option.iter
+              (add_alias (String.concat "." (module_path @ [ Ident.name id ])))
+              (Lint_tast.module_target aliases mb_expr)
         | Typedtree.Tstr_module
             { mb_id = Some id; mb_expr = { mod_desc = Tmod_structure sub; _ }; _ }
           ->
-            bind_nodes ~module_path:(module_path @ [ Ident.name id ]) sub
+            bind_nodes
+              ~module_path:(module_path @ [ Ident.name id ])
+              ~rel:(rel @ [ Ident.name id ]) sub
         | Typedtree.Tstr_module
             {
               mb_id = Some id;
@@ -114,7 +166,9 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node =
                 };
               _;
             } ->
-            bind_nodes ~module_path:(module_path @ [ Ident.name id ]) sub
+            bind_nodes
+              ~module_path:(module_path @ [ Ident.name id ])
+              ~rel:(rel @ [ Ident.name id ]) sub
         | _ -> ())
       str.Typedtree.str_items
   and collect_body ~node expr =
@@ -132,6 +186,9 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node =
     in
     let rec expr_iter sub (e : Typedtree.expression) =
       match e.Typedtree.exp_desc with
+      | Typedtree.Texp_ident (Path.Pident id, _, _)
+        when not (Hashtbl.mem binders (Ident.unique_name id)) ->
+          ()
       | Typedtree.Texp_ident (p, _, _) ->
           record (Lint_tast.resolve aliases p) e.Typedtree.exp_loc
       | Typedtree.Texp_apply (f, args) ->
@@ -201,18 +258,25 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node =
       | _ -> default_iterator.expr sub e
     in
     let it = { default_iterator with expr = expr_iter } in
-    it.expr it expr;
-    node.refs <- List.rev node.refs;
-    node.phase_labels <- List.rev node.phase_labels
+    it.expr it expr
   in
-  bind_nodes ~module_path:(String.split_on_char '.' unit.modname) unit.structure
+  bind_nodes
+    ~module_path:(String.split_on_char '.' unit.modname)
+    ~rel:[] unit.structure;
+  (* Facts were consed in; restore source order. *)
+  List.iter
+    (fun n ->
+      n.refs <- List.rev n.refs;
+      n.phase_labels <- List.rev n.phase_labels)
+    !created
 
 (* ------------------------------------------------------------------ *)
 (* Resolution                                                          *)
 
 (* A reference resolves to a node by (in order): exact dotted name; the
-   name qualified by the referring unit's module (module-local [helper]);
-   a unique dotted suffix of length >= 2 ([Engine.run] from a fixture's
+   name qualified by an enclosing module of the referring node, innermost
+   first (module-local [helper], also from inside a nested module); a
+   unique dotted suffix of length >= 2 ([Engine.run] from a fixture's
    local [Engine] module).  Single-component suffixes are too ambiguous
    to use. *)
 let build units =
@@ -224,8 +288,34 @@ let build units =
       order := n.id :: !order
     end
   in
-  List.iter (fun unit -> collect_unit ~unit ~add_node) units;
+  let inits = ref [] in
+  let add_init n = inits := n :: !inits in
+  (* Module aliases by dotted path, across units: [Lbcc_core.Lbcc.Cache]
+     is [Lbcc_service.Cache]. *)
+  let module_aliases = Hashtbl.create 64 in
+  let add_alias path target = Hashtbl.replace module_aliases path target in
+  List.iter
+    (fun unit -> collect_unit ~unit ~add_node ~add_init ~add_alias)
+    units;
+  (* Rewrite the longest aliased module prefix of a dotted name, until
+     none is left (a bounded number of times, against alias cycles). *)
+  let rec unalias fuel name =
+    let segs = String.split_on_char '.' name in
+    let n = List.length segs in
+    let rec try_prefix k =
+      if k < 1 then name
+      else
+        let prefix = String.concat "." (List.filteri (fun i _ -> i < k) segs) in
+        match Hashtbl.find_opt module_aliases prefix with
+        | Some target ->
+            let rest = List.filteri (fun i _ -> i >= k) segs in
+            unalias (fuel - 1) (String.concat "." (target :: rest))
+        | None -> try_prefix (k - 1)
+    in
+    if fuel = 0 then name else try_prefix (n - 1)
+  in
   let order = List.sort String.compare !order in
+  let inits = List.sort (fun a b -> String.compare a.id b.id) !inits in
   (* Suffix index: every >=2-component dotted suffix of every node id. *)
   let by_suffix = Hashtbl.create 256 in
   List.iter
@@ -244,52 +334,53 @@ let build units =
       in
       suffixes 0)
     order;
-  let graph = { nodes; order; units } in
-  (* Resolve edges. *)
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt nodes id with
-      | None -> ()
-      | Some n ->
-          let modname =
-            (* The unit/module prefix of this node's id. *)
-            match String.rindex_opt n.id '.' with
-            | Some i -> String.sub n.id 0 i
-            | None -> n.id
+  let resolve_calls n =
+    (* The enclosing module paths of this node, innermost first. *)
+    let rec enclosing id =
+      match String.rindex_opt id '.' with
+      | Some i ->
+          let outer = String.sub id 0 i in
+          outer :: enclosing outer
+      | None -> []
+    in
+    let scopes = enclosing n.id in
+    n.calls <-
+      List.filter_map
+        (fun r ->
+          let r = { r with name = unalias 8 r.name } in
+          let candidates =
+            match Hashtbl.find_opt nodes r.name with
+            | Some m -> [ m ]
+            | None -> (
+                match
+                  List.find_map
+                    (fun scope -> Hashtbl.find_opt nodes (scope ^ "." ^ r.name))
+                    scopes
+                with
+                | Some m -> [ m ]
+                | None ->
+                    if String.contains r.name '.' then
+                      List.filter_map
+                        (fun cid -> Hashtbl.find_opt nodes cid)
+                        (Option.value ~default:[]
+                           (Hashtbl.find_opt by_suffix r.name))
+                    else [])
           in
-          n.calls <-
-            List.filter_map
-              (fun r ->
-                let candidates =
-                  match Hashtbl.find_opt nodes r.name with
-                  | Some m -> [ m ]
-                  | None -> (
-                      match
-                        Hashtbl.find_opt nodes (modname ^ "." ^ r.name)
-                      with
-                      | Some m -> [ m ]
-                      | None ->
-                          if String.contains r.name '.' then
-                            List.filter_map
-                              (fun cid -> Hashtbl.find_opt nodes cid)
-                              (Option.value ~default:[]
-                                 (Hashtbl.find_opt by_suffix r.name))
-                          else [])
-                in
-                match candidates with
-                | [] -> None
-                | [ m ] when m.id = n.id -> None (* self loop *)
-                | ms ->
-                    Some
-                      (List.filter_map
-                         (fun m ->
-                           if m.id = n.id then None
-                           else Some (m, r.rloc, r.phased))
-                         ms))
-              n.refs
-            |> List.concat)
-    order;
-  graph
+          match candidates with
+          | [] -> None
+          | [ m ] when m.id = n.id -> None (* self loop *)
+          | ms ->
+              Some
+                (List.filter_map
+                   (fun m ->
+                     if m.id = n.id then None else Some (m, r.rloc, r.phased))
+                   ms))
+        n.refs
+      |> List.concat
+  in
+  List.iter (fun id -> Option.iter resolve_calls (Hashtbl.find_opt nodes id)) order;
+  List.iter resolve_calls inits;
+  { nodes; order; inits; units }
 
 (* Shortest call chain from any node satisfying [root] to [target], as a
    list of node ids (root first).  BFS over the sorted node order keeps
@@ -331,18 +422,20 @@ let witness ?(use_edge = fun _ -> true) ?(stop = fun _ -> false) t ~roots
       in
       Some (unwind target [])
 
-(* All nodes reachable from [roots] (inclusive), optionally restricted to
-   unphased edges and truncated at [stop] sinks. *)
-let reachable ?(use_edge = fun _ -> true) ?(stop = fun _ -> false) t ~roots =
+(* All nodes reachable from [roots] and the [extra] start nodes
+   (inclusive), optionally restricted to unphased edges and truncated at
+   [stop] sinks. *)
+let reachable ?(use_edge = fun _ -> true) ?(stop = fun _ -> false)
+    ?(extra = []) t ~roots =
   let seen = Hashtbl.create 64 in
   let queue = Queue.create () in
   List.iter
     (fun n ->
-      if roots n && not (Hashtbl.mem seen n.id) then begin
+      if not (Hashtbl.mem seen n.id) then begin
         Hashtbl.replace seen n.id ();
         Queue.add n queue
       end)
-    (sorted_nodes t);
+    (List.filter roots (sorted_nodes t) @ extra);
   while not (Queue.is_empty queue) do
     let n = Queue.pop queue in
     if stop n then ()

@@ -1,7 +1,7 @@
 (* Static race detector for parallel regions.
 
    The worker pool's contract (lib/util/pool.mli) is that a chunk body
-   passed to [Pool.parallel_for] / [Pool.parallel_reduce ~map] only
+   passed to [Pool.parallel_for] only
    writes state that is disjoint per index — that is what makes every
    pool size compute bit-identical results.  A closure that writes a
    captured ref, a captured mutable record field, or a captured
@@ -34,7 +34,7 @@
    — is exempt by construction, so per-chunk scratch and accumulator
    refs lint clean. *)
 
-let parallel_suffixes = [ "Pool.parallel_for"; "Pool.parallel_reduce" ]
+let parallel_suffixes = [ "Pool.parallel_for" ]
 
 let indexed_writers =
   [
@@ -238,20 +238,11 @@ let check_unit (unit : Lint_tast.unit_info) =
             let name = Lint_tast.resolve aliases p in
             let two = Lint_tast.suffix ~k:2 name in
             if List.mem two parallel_suffixes then
+              (* the chunk body is the last positional argument *)
               let body =
-                if Lint_tast.last_component two = "parallel_for" then
-                  (* last positional argument *)
-                  match List.rev (positional args) with
-                  | b :: _ -> Some b
-                  | [] -> None
-                else
-                  (* parallel_reduce: the ~map chunk function *)
-                  List.fold_left
-                    (fun acc (lbl, arg) ->
-                      match (lbl, arg) with
-                      | Asttypes.Labelled "map", Some b -> Some b
-                      | _ -> acc)
-                    None args
+                match List.rev (positional args) with
+                | b :: _ -> Some b
+                | [] -> None
               in
               match Option.map (closure_arg ~closures) body with
               | Some (Some closure) ->

@@ -211,6 +211,17 @@ let rules =
       applies = accounting_path;
     };
     {
+      name = "typ-dead-export";
+      severity = Lint_diag.Warning;
+      doc =
+        "[typed] A value a lib/ interface exports is reached from no \
+         executable (bin/, bench/, perfbench/, examples/) and no module \
+         initialiser: only tests, or nothing, call it. Delete it with the \
+         tests that check only it; a test oracle stays with a waiver \
+         naming its test.";
+      applies = (fun p -> in_dir "lib" p && not (in_dir "lib/lint" p));
+    };
+    {
       name = "typ-stale-cmt";
       severity = Lint_diag.Warning;
       doc =

@@ -22,6 +22,10 @@ type unit_info = {
   path : string;  (** root-relative source path, e.g. [lib/net/engine.ml] *)
   modname : string;  (** dotted module name, e.g. [Lbcc_net.Engine] *)
   structure : Typedtree.structure;
+  exports : string list option;
+      (** the values the unit's interface declares, dotted relative to the
+          unit ([Delta.apply]); [None] when it has no interface, so every
+          top-level binding is public *)
   stale : bool;  (** the source file is newer than its [.cmt] *)
 }
 
@@ -85,18 +89,20 @@ let has_dot_prefix ~prefix s =
      && String.sub s 0 (String.length prefix) = prefix
      && s.[String.length prefix] = '.'
 
+(* The dotted module a module expression aliases, if it is one. *)
+let rec module_target aliases (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some (resolve aliases p)
+  | Typedtree.Tmod_constraint (me, _, _, _) -> module_target aliases me
+  | _ -> None
+
 (* Collect the alias table for a structure.  Aliases may chain
    ([module P = Pool] after [module Pool = Lbcc_util.Pool]), so targets
    are resolved through the table built so far; Tast_iterator visits in
    source order, which makes that sound. *)
 let alias_map structure =
   let aliases : aliases = Hashtbl.create 16 in
-  let rec module_target (me : Typedtree.module_expr) =
-    match me.Typedtree.mod_desc with
-    | Typedtree.Tmod_ident (p, _) -> Some (resolve aliases p)
-    | Typedtree.Tmod_constraint (me, _, _, _) -> module_target me
-    | _ -> None
-  in
+  let module_target = module_target aliases in
   let open Tast_iterator in
   let structure_item sub (item : Typedtree.structure_item) =
     (match item.Typedtree.str_desc with
@@ -137,47 +143,109 @@ let rec walk_files dir acc =
         acc entries
   | exception Sys_error _ -> acc
 
-let in_lib path =
-  String.length path > 4 && String.sub path 0 4 = "lib/"
+let under dir path =
+  let p = dir ^ "/" in
+  String.length path > String.length p
+  && String.sub path 0 (String.length p) = p
 
-(* Load every implementation cmt under [root]/_build/default/lib.  Returns
-   [Error] with an actionable message when the build directory is absent or
-   holds no lib cmts — the CLI turns that into the "run dune build first"
-   exit. *)
-let load_cmts ~root =
-  let build = Filename.concat root "_build/default/lib" in
-  if not (Sys.file_exists build && Sys.is_directory build) then
-    Error
-      (Printf.sprintf
-         "no build artifacts under %s: run `dune build` first so the typed \
-          pass can read the .cmt files" build)
+let in_lib = under "lib"
+
+(* The executables' source trees.  Their units are call-graph roots only
+   (the dead-export pass starts from them); every other typed pass keeps
+   to lib/. *)
+let exe_dirs = [ "bin"; "bench"; "perfbench"; "examples" ]
+
+(* The value paths an interface declares, dotted relative to the unit,
+   nested signatures included. *)
+let interface_values (sg : Typedtree.signature) =
+  let rec go prefix (sg : Typedtree.signature) =
+    List.concat_map
+      (fun (item : Typedtree.signature_item) ->
+        match item.Typedtree.sig_desc with
+        | Typedtree.Tsig_value vd -> [ prefix ^ vd.Typedtree.val_name.Location.txt ]
+        | Typedtree.Tsig_module
+            {
+              md_name = { txt = Some name; _ };
+              md_type = { mty_desc = Tmty_signature sub; _ };
+              _;
+            } ->
+            go (prefix ^ name ^ ".") sub
+        | _ -> [])
+      sg.Typedtree.sig_items
+  in
+  go "" sg
+
+(* The interface of the implementation at [cmt_path], from the [.cmti]
+   dune writes beside it. *)
+let read_exports cmt_path =
+  let cmti = Filename.remove_extension cmt_path ^ ".cmti" in
+  if not (Sys.file_exists cmti) then None
   else
-    let cmts = walk_files build [] in
+    match Cmt_format.read_cmt cmti with
+    | { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } ->
+        Some (interface_values sg)
+    | _ | (exception _) -> None
+
+let load_unit ~root cmt_path =
+  match Cmt_format.read_cmt cmt_path with
+  | exception _ -> None
+  | cmt -> (
+      match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
+      | Cmt_format.Implementation structure, Some src
+        when Filename.check_suffix src ".ml" ->
+          let stale =
+            match (mtime (Filename.concat root src), mtime cmt_path) with
+            | Some src_t, Some cmt_t -> src_t > cmt_t
+            | _ -> false
+          in
+          Some
+            {
+              path = src;
+              modname = normalize_modname cmt.Cmt_format.cmt_modname;
+              structure;
+              exports = read_exports cmt_path;
+              stale;
+            }
+      | _ -> None)
+
+(* The [.ml] sources of an executable directory, root-relative. *)
+let exe_sources ~root dir =
+  match Sys.readdir (Filename.concat root dir) with
+  | names ->
+      Array.to_list names
+      |> List.filter (fun n -> Filename.check_suffix n ".ml")
+      |> List.map (fun n -> dir ^ "/" ^ n)
+  | exception Sys_error _ -> []
+
+let build_first ?(target = "") fmt =
+  Printf.ksprintf
+    (fun what ->
+      Error
+        (Printf.sprintf
+           "%s: run `dune build%s` first so the typed pass can read the .cmt \
+            files" what target))
+    fmt
+
+(* Load every implementation cmt under [root]/_build/default/lib, plus
+   those of the executables in [exe_dirs].  Returns [Error] with an
+   actionable message when the build directory is absent, holds no lib
+   cmts, or lacks the cmt of some executable source — the CLI turns that
+   into the "run dune build first" exit. *)
+let load_cmts ~root =
+  let build = Filename.concat root "_build/default" in
+  let lib_build = Filename.concat build "lib" in
+  if not (Sys.file_exists lib_build && Sys.is_directory lib_build) then
+    build_first "no build artifacts under %s" lib_build
+  else
+    let cmts =
+      List.fold_left
+        (fun acc d -> walk_files (Filename.concat build d) acc)
+        (walk_files lib_build []) exe_dirs
+    in
     let units =
-      List.filter_map
-        (fun cmt_path ->
-          match Cmt_format.read_cmt cmt_path with
-          | exception _ -> None
-          | cmt -> (
-              match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
-              | Cmt_format.Implementation structure, Some src
-                when Filename.check_suffix src ".ml" && in_lib src ->
-                  let stale =
-                    match
-                      (mtime (Filename.concat root src), mtime cmt_path)
-                    with
-                    | Some src_t, Some cmt_t -> src_t > cmt_t
-                    | _ -> false
-                  in
-                  Some
-                    {
-                      path = src;
-                      modname = normalize_modname cmt.Cmt_format.cmt_modname;
-                      structure;
-                      stale;
-                    }
-              | _ -> None))
-        cmts
+      List.filter
+        (fun u -> List.exists (fun d -> under d u.path) ("lib" :: exe_dirs))
+        (List.filter_map (load_unit ~root) cmts)
     in
     (* One unit per source path (there is only the byte cmt, but be safe),
        in stable path order so every downstream pass is deterministic. *)
@@ -192,12 +260,19 @@ let load_cmts ~root =
           end)
         (List.sort (fun a b -> String.compare a.path b.path) units)
     in
-    if units = [] then
-      Error
-        (Printf.sprintf
-           "no .cmt files under %s: run `dune build` first so the typed pass \
-            can read them" build)
-    else Ok units
+    let missing =
+      List.filter
+        (fun src -> not (Hashtbl.mem seen src))
+        (List.concat_map (exe_sources ~root) exe_dirs)
+    in
+    if not (List.exists (fun u -> in_lib u.path) units) then
+      build_first "no .cmt files under %s" lib_build
+    else
+      match missing with
+      | src :: _ ->
+          (* A native-only executable build writes no .cmt; @check does. *)
+          build_first ~target:" @check" "no .cmt for %s under %s" src build
+      | [] -> Ok units
 
 (* ------------------------------------------------------------------ *)
 (* In-memory typing (fixtures)                                         *)
@@ -227,7 +302,7 @@ let type_source ~path ~modname source =
     let structure, _, _, _, _ = Typemod.type_structure env parsed in
     structure
   with
-  | structure -> Ok { path; modname; structure; stale = false }
+  | structure -> Ok { path; modname; structure; exports = None; stale = false }
   | exception exn ->
       let line, msg =
         match Location.error_of_exn exn with

@@ -37,6 +37,12 @@ type config = {
           phase scopes before broadcasting *)
   primitives : string list;
       (** dotted 2-component suffixes of the broadcast primitives *)
+  export_scope : string list;
+      (** dotted library prefixes whose exported values must be reached
+          from a root *)
+  roots : string list;
+      (** dotted prefixes of the entry points' top-level bindings; module
+          initialisers are roots as well *)
 }
 
 let default_config =
@@ -54,6 +60,15 @@ let default_config =
         "Engine.run"; "Reliable.run"; "Byzantine.run";
         "Rounds.charge"; "Rounds.charge_broadcast"; "Rounds.charge_vector";
       ];
+    export_scope =
+      [
+        "Lbcc_util"; "Lbcc_obs"; "Lbcc_linalg"; "Lbcc_graph"; "Lbcc_net";
+        "Lbcc_dist"; "Lbcc_spanner"; "Lbcc_sparsifier"; "Lbcc_laplacian";
+        "Lbcc_service"; "Lbcc_lp"; "Lbcc_flow"; "Lbcc_core"; "Lbcc_serve";
+      ];
+    (* dune wraps every executable's modules in [Dune__exe]: the units
+       under bin/, bench/, perfbench/ and examples/. *)
+    roots = [ "Dune.exe" ];
   }
 
 let is_door config id =
@@ -100,22 +115,14 @@ let kind_doc = function
    clock, pool.ml owns domains. *)
 let classify_seed ~unit_path name =
   let n = Lint_tast.drop_stdlib name in
-  let in_dir d =
-    Lint_tast.has_dot_prefix ~prefix:d (String.concat "." (String.split_on_char '/' unit_path))
-    (* paths are not dotted; do a plain prefix test instead *)
-  in
-  ignore (in_dir : string -> bool);
-  let under p =
-    String.length unit_path >= String.length p
-    && String.sub unit_path 0 (String.length p) = p
-  in
+  let under dir = Lint_tast.under dir unit_path in
   let two = Lint_tast.suffix ~k:2 n in
   if Lint_tast.has_dot_prefix ~prefix:"Random" n && not (under "lib/util") then
     Some (Sk_random, n)
   else
     match two with
     | "Hashtbl.iter" | "Hashtbl.fold"
-      when under "lib/"
+      when Lint_tast.in_lib unit_path
            && (not (under "lib/util"))
            && (not (under "lib/obs"))
            && not (under "lib/lint") ->
@@ -159,16 +166,13 @@ let taint config (graph : Lint_callgraph.t) ~suppress_for =
   in
   (* Reachability never crosses a door: calls INTO Tbl/Clock/Pool are the
      sanctioned way to consume their nondeterminism. *)
-  let reach =
-    reachable graph ~roots:entry
-      ~use_edge:(fun _ -> true)
-  in
+  let reach = reachable graph ~roots:entry in
   let reach n = Hashtbl.mem reach n.id && not (is_door config n.id) in
   List.concat_map
     (fun n ->
       match node_seeds n with
       | [] -> []
-      | seeds when not (reach n) -> ignore (seeds : (seed_kind * string * Location.t) list); []
+      | _ when not (reach n) -> []
       | seeds ->
           let chain =
             match witness graph ~roots:entry ~target:n.id with
@@ -269,7 +273,9 @@ let phase_flow config (graph : Lint_callgraph.t) =
                       label
                       (String.concat "|" Lint_rules.phase_vocabulary))))
           n.phase_labels)
-      (sorted_nodes graph)
+      (List.filter
+         (fun n -> Lint_tast.in_lib n.unit_path)
+         (sorted_nodes graph))
   in
   diags @ label_diags
 
@@ -279,7 +285,7 @@ let phase_flow config (graph : Lint_callgraph.t) =
 let races (graph : Lint_callgraph.t) =
   List.concat_map
     (fun (u : Lint_tast.unit_info) ->
-      if u.path = "lib/util/pool.ml" then []
+      if u.path = "lib/util/pool.ml" || not (Lint_tast.in_lib u.path) then []
       else
         List.map
           (fun (f : Lint_race.finding) ->
@@ -289,9 +295,39 @@ let races (graph : Lint_callgraph.t) =
     graph.Lint_callgraph.units
 
 (* ------------------------------------------------------------------ *)
+(* Dead exports                                                        *)
+
+(* An exported value in [export_scope] is dead when nothing reachable
+   from the roots (the entry points' top-level bindings and every module
+   initialiser) calls it: only tests reach it, or nothing at all. *)
+let dead_exports config (graph : Lint_callgraph.t) =
+  let open Lint_callgraph in
+  let under prefixes n =
+    List.exists (fun p -> Lint_tast.has_dot_prefix ~prefix:p n.id) prefixes
+  in
+  let reached =
+    reachable graph ~roots:(under config.roots) ~extra:graph.inits
+  in
+  List.filter_map
+    (fun n ->
+      if n.exported && under config.export_scope n
+         && not (Hashtbl.mem reached n.id)
+      then
+        Some
+          (mk_diag ~rule:"typ-dead-export" ~file:n.unit_path ~loc:n.def_loc
+             (Printf.sprintf
+                "public value %s is reached from no entry point (bin/, \
+                 bench/, perfbench/, examples/) and no module initialiser; \
+                 delete it with the tests that check only it, or waive it \
+                 naming the test that uses it as an oracle"
+                n.id))
+      else None)
+    (sorted_nodes graph)
+
+(* ------------------------------------------------------------------ *)
 (* Combined                                                            *)
 
-(* Run the three passes over a prebuilt graph.  [suppress_for] memoizes
+(* Run the four passes over a prebuilt graph.  [suppress_for] memoizes
    waiver tables per source file; taint consults it during analysis
    (sanctioned seeds), and the caller applies it again to the final
    diagnostics uniformly. *)
@@ -299,3 +335,4 @@ let analyze ?(config = default_config) graph ~suppress_for =
   taint config graph ~suppress_for
   @ phase_flow config graph
   @ races graph
+  @ dead_exports config graph

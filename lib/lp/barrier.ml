@@ -28,6 +28,9 @@ let hi t = t.hi
 
 let contains t x = x > t.lo && x < t.hi
 
+(* Test oracle: "lp.barrier numeric derivatives" (test_lp.ml) checks dphi
+   against finite differences of it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let value t x =
   match t.kind with
   | Lower l -> -.log (safe_dist (x -. l))
@@ -53,6 +56,9 @@ let ddphi t x =
       let c = safe_dist (cos ((a *. x) +. b)) in
       a *. a /. (c *. c)
 
+(* Test-only, checked by "lp.barrier center interior" (test_lp.ml);
+   slated for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let center t =
   match t.kind with
   | Lower l -> l +. 1.0

@@ -72,22 +72,6 @@ val centering_inexact :
   centering_state
 (** One Newton step plus weight refresh (Algorithm 11). *)
 
-val path_following :
-  ?accountant:Lbcc_net.Rounds.t ->
-  config:config ->
-  prng:Prng.t ->
-  problem:Problem.t ->
-  solver:Problem.normal_solver ->
-  x:Vec.t ->
-  w:Vec.t ->
-  t_start:float ->
-  t_end:float ->
-  eta:float ->
-  cost:Vec.t ->
-  unit ->
-  Vec.t * Vec.t * trace
-(** Algorithm 10. *)
-
 val initial_weights :
   ?accountant:Lbcc_net.Rounds.t ->
   config:config ->

@@ -28,12 +28,3 @@ let sign_at ~seed ~j ~i =
 let entry ~seed ~k ~j ~i = sign_at ~seed ~j ~i /. sqrt (float_of_int k)
 
 let row ~seed ~k ~j ~m = Vec.init m (fun i -> entry ~seed ~k ~j ~i)
-
-let apply ~seed ~k x =
-  let m = Vec.dim x in
-  Vec.init k (fun j ->
-      let acc = ref 0.0 in
-      for i = 0 to m - 1 do
-        acc := !acc +. (sign_at ~seed ~j ~i *. x.(i))
-      done;
-      !acc /. sqrt (float_of_int k))

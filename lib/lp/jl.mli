@@ -22,10 +22,3 @@ val row : seed:int -> k:int -> j:int -> m:int -> Vec.t
 (** [row ~seed ~k ~j ~m] is [Q^(j)], the [j]-th row of the seeded projection
     [Q ∈ R^{k×m}], with entries [±1/sqrt k].  Pure: any party holding the
     seed reconstructs the same row. *)
-
-val entry : seed:int -> k:int -> j:int -> i:int -> float
-(** Single entry [Q_{j,i}], for the distributed evaluation where vertex [v]
-    only materializes the coordinates it owns. *)
-
-val apply : seed:int -> k:int -> Vec.t -> Vec.t
-(** [apply ~seed ~k x = Q x ∈ R^k]. *)

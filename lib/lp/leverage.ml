@@ -61,7 +61,3 @@ let approximate ?accountant ~prng ~eta op =
     done
   done;
   sigma
-
-let sum_check sigma ~rank =
-  let s = Vec.sum sigma in
-  Float.abs (s -. float_of_int rank) /. float_of_int (Stdlib.max rank 1)

@@ -39,7 +39,3 @@ val approximate :
     bits, charged as one broadcast), every vertex expands [Q], and
     [k = O(log(m)/eta^2)] probes are evaluated, each charged two vector
     exchanges plus [solve_rounds]. *)
-
-val sum_check : Vec.t -> rank:int -> float
-(** [sum sigma_i] must equal [rank(M)]; returns the relative deviation —
-    a cheap global sanity certificate used by tests. *)

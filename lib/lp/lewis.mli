@@ -22,8 +22,6 @@ type params = {
   leverage_eta : float;  (** probe accuracy for inner leverage scores *)
 }
 
-val default_params : params
-
 val residual : leverage:(Vec.t -> Vec.t) -> p:float -> Vec.t -> float
 (** [|| w^{-1} (sigma(W^{1/2-1/p} M) - w) ||_inf] — distance from the Lewis
     fixed point; [leverage d] must return [sigma(diag(d) M)]. *)

@@ -33,8 +33,6 @@ let objective t x = Vec.dot t.c x
 let phi' t x = Array.mapi (fun i xi -> Barrier.dphi t.barriers.(i) xi) x
 let phi'' t x = Array.mapi (fun i xi -> Barrier.ddphi t.barriers.(i) xi) x
 
-let analytic_center_start t = Array.map Barrier.center t.barriers
-
 let big_u t ~x0 =
   let acc = ref (Vec.norm_inf t.c) in
   Array.iteri

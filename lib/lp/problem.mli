@@ -34,11 +34,6 @@ val objective : t -> Vec.t -> float
 val phi' : t -> Vec.t -> Vec.t
 val phi'' : t -> Vec.t -> Vec.t
 
-val analytic_center_start : t -> Vec.t
-(** The coordinate-wise barrier minimizer — an interior point, though not
-    necessarily satisfying [A^T x = b] (callers supply feasible starts;
-    this is a convenience for tests). *)
-
 val big_u : t -> x0:Vec.t -> float
 (** The parameter [U] of Theorem 1.4:
     [max(||1/(u - x0)||_inf, ||1/(x0 - l)||_inf, ||u - l||_inf, ||c||_inf)]

@@ -37,10 +37,6 @@
     the caller's [label]; all remaining rounds — echo, repair and retry
     traffic — are charged under ["<label>/byz-echo"]. *)
 
-val echo_label : string -> string
-(** [echo_label l] is [l ^ "/byz-echo"], the accounting label of the
-    quorum machinery. *)
-
 (** The run's delivery diagnostics. *)
 module Diag : sig
   type t = {

@@ -18,10 +18,10 @@
     vertex halted (or crashed) on its own, and [?on_timeout:`Raise] turns the
     superstep cap into a {!Timeout} instead of a silent truncation.
 
-    The heavier algorithms of this repository (spanner, sparsifier) use
-    bespoke superstep drivers for clarity; this engine backs the simple
-    vertex programs (BFS baseline, leader election, aggregation) and the unit
-    tests of the charging rules.
+    Every dist protocol (BFS, SSSP, leader election) runs on this engine
+    through {!Tier.run}, under each delivery tier.  The spanner, and the
+    sparsifier built from it, still keep their own superstep driver that
+    charges the accountant directly; ROADMAP item 8 ports them here.
 
     {2 Message path}
 

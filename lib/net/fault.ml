@@ -100,8 +100,6 @@ let create ?(seed = 1) (s : spec) =
     equivocated = 0;
   }
 
-let lossless () = create ~seed:0 (spec ())
-
 let is_lossless t =
   Float.equal t.drop_prob 0.0
   && Float.equal t.duplicate_prob 0.0
@@ -185,19 +183,10 @@ let tamper t ~round ~src ~dst =
         | None -> None
       else None
 
-let tampers t =
-  (not (Float.equal t.corrupt_prob 0.0))
-  || (Hashtbl.length t.byz > 0 && not (Float.equal t.byz_prob 0.0))
-
 let equivocates t =
   Hashtbl.length t.byz > 0 && not (Float.equal t.byz_prob 0.0)
 
-let drops t = t.dropped
-let duplicates t = t.duplicated
 let adversarial_spent t = t.adversarial_budget - t.adversarial_left
-let corruptions t = t.corrupted
-let equivocations t = t.equivocated
-let seed t = t.sd
 
 let pp ppf t =
   Format.fprintf ppf

@@ -65,9 +65,6 @@ val create : ?seed:int -> spec -> t
     @raise Invalid_argument if a probability is outside [\[0, 1)], the
     budget is negative, or a Byzantine vertex id is negative. *)
 
-val lossless : unit -> t
-(** A fault plan that never interferes; [Engine] treats it like [None]. *)
-
 val is_lossless : t -> bool
 
 val crashed : t -> vertex:int -> round:int -> bool
@@ -96,30 +93,12 @@ val tamper : t -> round:int -> src:int -> dst:int -> int option
     Apart from the tamper counters this is a pure function of its
     coordinates, like {!copies}. *)
 
-val tampers : t -> bool
-(** Can this plan ever tamper a payload?  ([corrupt_prob > 0] or a
-    non-empty Byzantine set with [byz_prob > 0].) *)
-
 val equivocates : t -> bool
 (** Is there an active equivocating adversary — a non-empty Byzantine set
     with [byz_prob > 0]?  {!Byzantine} uses this to decide whether its
     Byzantine vertices also forge their echo votes. *)
 
-val drops : t -> int
-(** Messages destroyed so far (random + adversarial). *)
-
-val duplicates : t -> int
-(** Deliveries duplicated so far. *)
-
 val adversarial_spent : t -> int
 (** How much of the adversarial budget has been used. *)
-
-val corruptions : t -> int
-(** Deliveries tampered by channel corruption so far. *)
-
-val equivocations : t -> int
-(** Deliveries tampered by a Byzantine sender so far. *)
-
-val seed : t -> int
 
 val pp : Format.formatter -> t -> unit

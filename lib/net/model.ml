@@ -12,8 +12,6 @@ let name t =
   | Input_graph -> "Broadcast CONGEST"
   | Clique -> "Broadcast Congested Clique"
 
-let pp ppf t = Format.pp_print_string ppf (name t)
-
 type reliability = None | Crash_safe | Byzantine_safe
 
 let reliability_name = function

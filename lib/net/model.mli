@@ -21,7 +21,6 @@ val bandwidth : n:int -> int
     messages (an ID plus a small tag) need. *)
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 type reliability =
   | None  (** raw engine: faults hit the protocol directly *)

@@ -45,5 +45,3 @@ let plan graph =
     done
   done;
   { off; srcs }
-
-let in_degree p v = p.off.(v + 1) - p.off.(v)

@@ -12,5 +12,3 @@ val plan : Lbcc_graph.Graph.t -> t
     per-vertex lists, no comparison sort.  Each segment lists a receiver's
     in-neighbors in ascending order, the inbox order {!Engine.run}
     guarantees on [Input_graph] topologies. *)
-
-val in_degree : t -> int -> int

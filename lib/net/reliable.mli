@@ -42,9 +42,6 @@ type 'state result = {
       (** inner supersteps completed (what the lossless run counts) *)
 }
 
-val retransmit_label : string -> string
-(** The accountant label overhead is charged under. *)
-
 val settle :
   ?accountant:Rounds.t ->
   label:string ->

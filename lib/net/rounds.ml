@@ -147,6 +147,9 @@ let tree t =
   in
   build rows
 
+(* Test-only, checked by "net.rounds reset/checkpoint" and "net.rounds
+   reset clears hierarchy" (test_net.ml); slated for deletion with them. *)
+(* lbcc-lint: allow typ-dead-export *)
 let reset t =
   t.total <- 0;
   t.total_bits <- 0;
@@ -157,11 +160,3 @@ let reset t =
 let checkpoint t = t.total
 
 let checkpoint_bits t = t.total_bits
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>rounds total=%d bits=%d (B=%d bits)@," t.total
-    t.total_bits t.bandwidth;
-  List.iter2
-    (fun (l, r) (_, b) -> Format.fprintf ppf "  %-32s %d (%d bits)@," l r b)
-    (breakdown t) (bits_breakdown t);
-  Format.fprintf ppf "@]"

@@ -92,5 +92,3 @@ val checkpoint : t -> int
 (** Current total, for measuring a subcomputation as a difference. *)
 
 val checkpoint_bits : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -5,5 +5,3 @@
    these values when deciding protocol or scheduler behaviour. *)
 
 let now_s () = Unix.gettimeofday ()
-
-let cpu_s () = Sys.time ()

@@ -10,9 +10,6 @@
 
 val now_s : unit -> float
 (** Wall-clock seconds since the epoch ([Unix.gettimeofday]).  Suitable for
-    latency deltas; not monotonic under clock steps, which is acceptable for
-    histogram observations. *)
-
-val cpu_s : unit -> float
-(** Processor seconds for this process ([Sys.time]) — the clock {!Trace}
-    defaults to. *)
+    latency deltas and span timing (it is {!Trace.create}'s default clock);
+    not monotonic under clock steps, which is acceptable for
+    observations. *)

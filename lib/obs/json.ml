@@ -314,5 +314,3 @@ let to_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
-
-let equal (a : t) (b : t) = a = b

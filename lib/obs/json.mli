@@ -37,6 +37,3 @@ val member : string -> t -> t option
 
 val to_float : t -> float option
 (** Numeric accessor: [Int] and [Float] both answer. *)
-
-val equal : t -> t -> bool
-(** Structural equality; object key order is significant. *)

@@ -126,13 +126,6 @@ let quantile (s : histogram_summary) q =
     walk 0.0 s.buckets
   end
 
-let quantile_of r name q = Option.map (fun s -> quantile s q) (histogram r name)
-
-let names r =
-  let collect tbl acc = Hashtbl.fold (fun k _ acc -> k :: acc) tbl acc in
-  collect r.counters (collect r.gauges (collect r.histograms []))
-  |> List.sort_uniq compare
-
 let sorted_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
 let to_json r =

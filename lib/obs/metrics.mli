@@ -51,11 +51,7 @@ val quantile : histogram_summary -> float -> float
     The estimate's error is bounded by the winning bucket's width.
     @raise Invalid_argument on an empty summary or [q] outside [\[0, 1\]]. *)
 
-val quantile_of : t -> string -> float -> float option
 (** {!quantile} on a named histogram; [None] when it does not exist. *)
-
-val names : t -> string list
-(** All registered metric names, sorted. *)
 
 val to_json : t -> Json.t
 (** [{counters: {...}, gauges: {...}, histograms: {...}}], each sorted by

@@ -27,7 +27,7 @@ let fresh_span name =
     children = [];
   }
 
-let create ?(clock = Sys.time) () =
+let create ?(clock = Clock.now_s) () =
   let root_span = fresh_span "trace" in
   { clock; root_span; stack = [ root_span ] }
 
@@ -60,15 +60,6 @@ let add tracer ?(rounds = 0) ?(bits = 0) ?(supersteps = 0) ?(messages = 0) () =
       s.bits <- s.bits + bits;
       s.supersteps <- s.supersteps + supersteps;
       s.messages <- s.messages + messages
-
-let set_attr tracer key value =
-  match tracer with
-  | None -> ()
-  | Some t ->
-      let s = current t in
-      s.attrs <- (List.remove_assoc key s.attrs) @ [ (key, value) ]
-
-let depth t = List.length t.stack - 1
 
 let root t = t.root_span
 

@@ -24,14 +24,15 @@ type span = {
   mutable bits : int;  (** inclusive broadcast bits (per-superstep maxima) *)
   mutable supersteps : int;
   mutable messages : int;
-  mutable attrs : (string * Json.t) list;  (** insertion order *)
+  mutable attrs : (string * Json.t) list;
+      (** free-form annotations for readers that build their own span
+          trees; the library records none *)
   mutable children : span list;  (** in open order *)
 }
 
 val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] returns seconds and defaults to [Sys.time] (processor time —
-    the standard library has no monotonic wall clock and the simulation is
-    CPU-bound anyway). *)
+(** [clock] returns seconds and defaults to {!Clock.now_s}, so [wall_ns]
+    holds elapsed wall-clock time. *)
 
 val span : t option -> string -> (unit -> 'a) -> 'a
 (** [span tracer name f] runs [f] inside a fresh child span of the current
@@ -40,13 +41,6 @@ val span : t option -> string -> (unit -> 'a) -> 'a
 val add : t option -> ?rounds:int -> ?bits:int -> ?supersteps:int ->
   ?messages:int -> unit -> unit
 (** Add counters to the currently open span (the root when none is open). *)
-
-val set_attr : t option -> string -> Json.t -> unit
-(** Attach an attribute to the currently open span (replaces an existing
-    key). *)
-
-val depth : t -> int
-(** Number of currently open spans (0 at top level). *)
 
 val root : t -> span
 (** The synthetic root span; its children are the top-level spans. *)

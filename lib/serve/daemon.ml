@@ -142,8 +142,6 @@ let take_output t =
   in
   pop []
 
-let output_pending t = not (Queue.is_empty t.out)
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 

@@ -56,8 +56,6 @@ val take_output : t -> (int * Bytes.t) list
 (** Drain the emission queue: [(client, encoded response frame)] in
     emission order. *)
 
-val output_pending : t -> bool
-
 val request_shutdown : t -> unit
 (** Begin draining: subsequent work requests are answered [Overloaded];
     already-admitted requests will still be answered. *)

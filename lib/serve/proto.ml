@@ -382,6 +382,4 @@ module Reader = struct
         Some payload
       end
     end
-
-  let buffered t = t.len
 end

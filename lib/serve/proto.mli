@@ -20,10 +20,6 @@ exception Decode_error of string
 (** Malformed payload (unknown opcode, truncated body, trailing bytes,
     out-of-range frame length). *)
 
-val max_payload : int
-(** Upper bound on a payload size; a length prefix beyond it raises
-    {!Decode_error} before any allocation. *)
-
 type error_code =
   | Overloaded  (** admission control rejected the request (bounded queue) *)
   | Bad_request  (** unknown graph, wrong vector length, bad vertex id *)
@@ -100,6 +96,4 @@ module Reader : sig
       more bytes arrive.  @raise Decode_error on an out-of-range length
       prefix (the connection is unrecoverable). *)
 
-  val buffered : t -> int
-  (** Bytes currently buffered (diagnostics). *)
 end

@@ -49,7 +49,6 @@ let create ?metrics cfg =
     rejected = 0;
   }
 
-let config t = t.cfg
 let pending t = t.pending
 let batches t = t.batches
 let admitted t = t.admitted

@@ -39,8 +39,6 @@ val create : ?metrics:Lbcc_obs.Metrics.t -> config -> 'a t
     @raise Invalid_argument on [max_queue < 1], [max_batch < 1] or a
     negative [window]. *)
 
-val config : 'a t -> config
-
 val admit : 'a t -> key:string -> 'a -> bool
 (** Enqueue under the coalescing [key]; [false] means the queue is at
     [max_queue] and the request was rejected ({e admission control}: the

@@ -25,18 +25,6 @@ type config = {
   networks : int;
 }
 
-let default_config =
-  {
-    seed = 1;
-    clients = 16;
-    per_client = 8;
-    graphs = 4;
-    zipf_s = 1.0;
-    resistance_frac = 0.25;
-    flows = 0;
-    networks = 0;
-  }
-
 (* Cumulative zipf(s) distribution over ranks 0..n-1: weight(i) ∝ 1/(i+1)^s. *)
 let zipf_cdf ~s ~n =
   if n < 1 then invalid_arg "Workload.zipf_cdf: n < 1";

@@ -22,9 +22,6 @@ type config = {
   networks : int;  (** required [> 0] when [flows > 0] *)
 }
 
-val default_config : config
-(** 16 clients × 8 ops over 4 graphs, zipf 1.0, 25% resistance, no flow. *)
-
 val zipf_cdf : s:float -> n:int -> float array
 (** Cumulative zipf(s) distribution over ranks [0 .. n-1]
     (weight ∝ [1/(rank+1)^s]); last entry is exactly 1.

@@ -34,11 +34,6 @@ let create ?(capacity = 8) ?metrics ?(metrics_prefix = "cache") () =
     prefix = metrics_prefix;
   }
 
-let set_metrics t ?(prefix = "cache") metrics =
-  t.metrics <- metrics;
-  t.prefix <- prefix
-
-let capacity t = t.capacity
 let size t = Hashtbl.length t.table
 
 (* Every counter the cache maintains is mirrored into the attached registry
@@ -107,10 +102,6 @@ let remove t key =
   Hashtbl.remove t.table key;
   gauge_size t
 
-let clear t =
-  Hashtbl.reset t.table;
-  gauge_size t
-
 let stats t =
   {
     hits = t.hits;
@@ -119,8 +110,3 @@ let stats t =
     size = size t;
     capacity = t.capacity;
   }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0

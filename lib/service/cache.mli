@@ -31,13 +31,6 @@ val create :
     canonical export consumers read instead of the {!stats} snapshot ints.
     @raise Invalid_argument when [capacity < 0]. *)
 
-val set_metrics : 'v t -> ?prefix:string -> Lbcc_obs.Metrics.t option -> unit
-(** Attach (or detach, with [None]) a registry after creation — how the
-    serve daemon points the process-wide {!Prepared.shared_cache} at its own
-    registry.  Only counts from the attach onward are mirrored; [prefix]
-    defaults to ["cache"]. *)
-
-val capacity : 'v t -> int
 val size : 'v t -> int
 
 val find : 'v t -> string -> 'v option
@@ -54,8 +47,4 @@ val find_or_add : 'v t -> string -> (unit -> 'v) -> 'v * bool
 val remove : 'v t -> string -> unit
 (** Drop an entry if present (no eviction counted). *)
 
-val clear : 'v t -> unit
-(** Drop all entries; statistics are kept (use {!reset_stats}). *)
-
 val stats : 'v t -> stats
-val reset_stats : 'v t -> unit

@@ -16,12 +16,6 @@ type t = {
           are surcharged by the tier's round overhead (DESIGN.md §9) *)
 }
 
-val default : t
-(** [{ seed = 1; tracer = None; metrics = None; reliability = None }] —
-    seed 1 and raw delivery are the historical defaults of the [Lbcc]
-    entry points, kept so migrating to [?ctx] never changes a call's
-    output. *)
-
 val make :
   ?seed:int ->
   ?tracer:Lbcc_obs.Trace.t ->

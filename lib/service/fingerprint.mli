@@ -21,9 +21,6 @@ type t
 val graph : Graph.t -> t
 (** Fingerprint the full edge multiset, [O(m)]. *)
 
-val hash : t -> int64
-(** Collapse to 64 bits (mixes [n], [m], and the edge-term sum). *)
-
 val to_hex : t -> string
 (** 16-digit lowercase hex of {!hash}, for cache keys and log lines. *)
 

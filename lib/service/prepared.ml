@@ -278,20 +278,14 @@ let update_cached ?cache ?accountant t delta =
 
 let graph t = t.graph
 let solver t = t.solver
-let ctx t = t.ctx
 let sketch t = t.sketch
 let generation t = t.generation
-let fingerprint t = t.fingerprint
 let fingerprint_hex t = Fingerprint.to_hex t.fingerprint
 let preprocessing_rounds t = t.prepare_rounds
 let preprocessing_bits t = t.prepare_bits
 let prepare_breakdown t = t.prepare_breakdown
 let queries t = t.queries
 let query_rounds t = t.query_rounds
-let rounds t = Rounds.rounds t.acc
-let bits t = Rounds.bits t.acc
-let breakdown t = zip3 t.acc
-
 let amortized_rounds_per_query t =
   float_of_int (t.prepare_rounds + t.query_rounds)
   /. float_of_int (max 1 t.queries)

@@ -89,20 +89,6 @@ val shared_cache : unit -> t Cache.t
 
 (** {2 Incremental updates} *)
 
-val update : ?accountant:Rounds.t -> t -> Graph.Delta.t -> t
-(** Patch the handle for the mutated graph [Graph.apply (graph t) delta]:
-    the fingerprint is patched in [O(|delta|)] (exactly equal to a
-    from-scratch fingerprint of the new graph), the sparsifier sketch is
-    updated incrementally ({!Lbcc_sparsifier.Sparsify.update} — only the
-    delta's neighborhoods are re-sampled), and the preconditioner is
-    refactored from the patched sketch.  The returned handle charges the
-    incremental work under phase [update/*] on a fresh accountant (mirrored
-    onto [accountant] when given) — for small deltas far fewer rounds than
-    {!create} pays — and starts with zero queries.  Deterministic in
-    [(t, delta)]: the handle's ctx seed drives all re-sampling.
-    @raise Invalid_argument if the delta is invalid for the handle's graph
-    or the mutated graph is disconnected. *)
-
 val update_cached :
   ?cache:t Cache.t -> ?accountant:Rounds.t -> t -> Graph.Delta.t -> t
 (** {!update}, then re-key the cache in place: the entry under the old
@@ -115,7 +101,6 @@ val update_cached :
 
 val graph : t -> Graph.t
 val solver : t -> Lbcc_laplacian.Solver.t
-val ctx : t -> Ctx.t
 
 val sketch : t -> Lbcc_sparsifier.Sparsify.sketch
 (** The incremental sparsifier state {!update} maintains. *)
@@ -123,7 +108,6 @@ val sketch : t -> Lbcc_sparsifier.Sparsify.sketch
 val generation : t -> int
 (** Number of deltas patched into this handle (0 for a fresh {!create}). *)
 
-val fingerprint : t -> Fingerprint.t
 val fingerprint_hex : t -> string
 
 val preprocessing_rounds : t -> int
@@ -141,15 +125,6 @@ val queries : t -> int
 
 val query_rounds : t -> int
 (** Total query-phase rounds across all queries served. *)
-
-val rounds : t -> int
-(** Everything charged on the handle: preprocessing + all queries. *)
-
-val bits : t -> int
-
-val breakdown : t -> (string * int * int) list
-(** [(label path, rounds, bits)] over the handle's whole life: exactly one
-    [prepare/*] group followed by the accumulated [query/*] charges. *)
 
 val amortized_rounds_per_query : t -> float
 (** [(preprocessing_rounds + query_rounds) / max 1 queries] — the quantity

@@ -37,10 +37,6 @@ let probe prng g h ~samples =
   let lambda_max = !hi in
   { lambda_min; lambda_max; epsilon_achieved = epsilon_of ~lambda_min ~lambda_max }
 
-let is_sparsifier ?(tol = 1e-9) g h ~epsilon =
-  let c = exact g h in
-  c.epsilon_achieved <= epsilon +. tol
-
 (* Local pinned-vertex Laplacian solve (the Laplacian library depends on
    this one, so it cannot be used here). *)
 let pinned_factor g =

@@ -26,10 +26,6 @@ val probe : Prng.t -> Graph.t -> Graph.t -> samples:int -> certificate
     returns the extreme observed Rayleigh quotients.  A necessary condition
     only ([lambda] range is inner-approximated). *)
 
-val is_sparsifier : ?tol:float -> Graph.t -> Graph.t -> epsilon:float -> bool
-(** [is_sparsifier g h ~epsilon] checks the exact certificate against
-    [epsilon], with a small numerical slack [tol]. *)
-
 val power : Prng.t -> Graph.t -> Graph.t -> iters:int -> certificate
 (** Extremal generalized eigenvalues of [(L_G, L_H)] by power iteration on
     [L_H^+ L_G] (for [lambda_max]) and [L_G^+ L_H] (for [lambda_min]),

@@ -306,6 +306,9 @@ let update ?accountant ?k ?t ?t_scale ~prng sk delta =
     }
   end
 
+(* Test-only, checked by the two "sparsifier.lemma33 resparsify" cases
+   (test_sparsifier.ml); slated for deletion with them. *)
+(* lbcc-lint: allow typ-dead-export *)
 let resparsify ?accountant ?k ?t ?t_scale ~prng ~graphs ~epsilon () =
   match graphs with
   | [] -> invalid_arg "Sparsify.resparsify: empty graph list"

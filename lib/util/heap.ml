@@ -4,9 +4,6 @@ type 'a t = { mutable data : 'a entry array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let is_empty h = h.len = 0
-let size h = h.len
-
 let grow h =
   let cap = Array.length h.data in
   if h.len >= cap then begin

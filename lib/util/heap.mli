@@ -6,8 +6,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
 val push : 'a t -> float -> 'a -> unit
 val pop_min : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-key entry, or [None] when empty. *)

@@ -207,26 +207,3 @@ let parallel_for t ?chunk ~n f =
               let hi = Stdlib.min n (lo + chunk) in
               f lo hi))
   end
-
-let parallel_reduce t ?chunk ~n ~init ~map ~combine () =
-  if n <= 0 then init
-  else begin
-    let chunk = match chunk with Some c -> c | None -> default_chunk n in
-    let chunk, nchunks = chunk_bounds ~n ~chunk in
-    let slots = Array.make nchunks None in
-    parallel_for t ~chunk ~n (fun lo hi ->
-        (* The parallel path hands chunk-aligned ranges; the sequential
-           fallback hands [0, n).  Walking the grid inside the callback
-           makes both produce one slot per grid chunk. *)
-        let pos = ref lo in
-        while !pos < hi do
-          let e = Stdlib.min hi (!pos + chunk) in
-          slots.(!pos / chunk) <- Some (map !pos e);
-          pos := e
-        done);
-    let acc = ref init in
-    Array.iter
-      (function Some v -> acc := combine !acc v | None -> ())
-      slots;
-    !acc
-  end

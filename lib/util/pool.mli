@@ -3,8 +3,7 @@
     The pool keeps [size - 1] worker domains parked on condition variables;
     the calling domain is the remaining lane.  Work is split on a chunk grid
     whose boundaries depend only on the problem size (never on the pool
-    size), and {!parallel_reduce} combines chunk results in ascending chunk
-    order — so every pool size, including 1, computes bit-identical results
+    size) — so every pool size, including 1, computes bit-identical results
     as long as the per-chunk work touches disjoint state.
 
     A pool of size 1 never spawns a domain and runs everything inline.
@@ -15,21 +14,15 @@
 
 type t
 
-val create : ?domains:int -> unit -> t
-(** [create ()] sizes the pool from the [LBCC_DOMAINS] environment variable
-    when set (clamped to [\[1, 128\]]), else
-    [Domain.recommended_domain_count ()].  [?domains] overrides both. *)
-
 val size : t -> int
 (** Total lanes, including the calling domain.  [size t = 1] means fully
     sequential. *)
 
-val shutdown : t -> unit
-(** Joins the worker domains.  The pool must not be used afterwards. *)
-
 val default : unit -> t
 (** The process-wide shared pool, created on first use and joined in an
-    [at_exit] hook. *)
+    [at_exit] hook.  It is sized from the [LBCC_DOMAINS] environment
+    variable when set (clamped to [\[1, 128\]]), else
+    [Domain.recommended_domain_count ()]. *)
 
 val set_default_domains : int -> unit
 (** Replace the default pool with one of exactly [d] lanes (shutting the old
@@ -43,17 +36,3 @@ val parallel_for : t -> ?chunk:int -> n:int -> (int -> int -> unit) -> unit
     each, default [max 1 (ceil (n / 64))]); the sequential fallback calls
     [f 0 n] once.  [f] must write disjoint state per index — under that
     contract results are identical for every pool size and schedule. *)
-
-val parallel_reduce :
-  t ->
-  ?chunk:int ->
-  n:int ->
-  init:'a ->
-  map:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  unit ->
-  'a
-(** [parallel_reduce t ~n ~init ~map ~combine ()] maps every grid chunk
-    [\[lo, hi)] with [map] and folds the chunk results with [combine] in
-    ascending chunk order — deterministic for every pool size even when
-    [combine] is not associative in floating point. *)

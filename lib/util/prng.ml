@@ -9,6 +9,9 @@ let mix z =
 
 let create seed = { state = mix (Int64.of_int seed) }
 
+(* Test-only, checked by "util.prng copy independent" (test_util.ml);
+   slated for deletion with it. *)
+(* lbcc-lint: allow typ-dead-export *)
 let copy t = { state = t.state }
 
 let next_int64 t =
@@ -35,16 +38,7 @@ let int t bound =
   in
   loop ()
 
-let bool t = Int64.compare (Int64.logand (next_int64 t) 1L) 0L <> 0
-
 let bernoulli t p = float t < p
-
-let bits t n =
-  assert (n >= 0 && n <= 62);
-  if n = 0 then 0
-  else Int64.to_int (Int64.shift_right_logical (next_int64 t) (64 - n))
-
-let sign t = if bool t then 1.0 else -1.0
 
 let gaussian t =
   let rec nonzero () =

@@ -29,18 +29,8 @@ val float : t -> float
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val bits : t -> int -> int
-(** [bits t n] returns [n] uniform random bits packed in an [int];
-    requires [0 <= n <= 62]. *)
-
-val sign : t -> float
-(** Uniform in [{ -1.; +1. }]. *)
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)

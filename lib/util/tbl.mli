@@ -18,12 +18,3 @@ val iter_sorted :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted ~compare f tbl] applies [f] to each binding in ascending
     key order. *)
-
-val fold_sorted :
-  compare:('k -> 'k -> int) ->
-  ('k -> 'v -> 'acc -> 'acc) ->
-  ('k, 'v) Hashtbl.t ->
-  'acc ->
-  'acc
-(** [fold_sorted ~compare f tbl init] folds over bindings in ascending key
-    order. *)

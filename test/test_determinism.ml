@@ -43,30 +43,6 @@ let test_pool_parallel_for () =
     [ 1; 2; 4 ];
   Pool.set_default_domains 1
 
-let test_pool_reduce_deterministic () =
-  (* Floating-point chunk sums must combine identically at every size. *)
-  let n = 10_000 in
-  let xs = Array.init n (fun i -> sin (float_of_int i) *. 1e3) in
-  let sum_at d =
-    Pool.set_default_domains d;
-    Pool.parallel_reduce (Pool.default ()) ~n ~init:0.0
-      ~map:(fun lo hi ->
-        let acc = ref 0.0 in
-        for i = lo to hi - 1 do
-          acc := !acc +. xs.(i)
-        done;
-        !acc)
-      ~combine:( +. ) ()
-  in
-  let s1 = sum_at 1 and s2 = sum_at 2 and s4 = sum_at 4 in
-  Pool.set_default_domains 1;
-  Alcotest.(check bool)
-    "reduce identical 1 vs 2" true
-    (Int64.bits_of_float s1 = Int64.bits_of_float s2);
-  Alcotest.(check bool)
-    "reduce identical 1 vs 4" true
-    (Int64.bits_of_float s1 = Int64.bits_of_float s4)
-
 let test_pool_exceptions () =
   Pool.set_default_domains 4;
   (try
@@ -102,8 +78,6 @@ let suites =
     ( "pool",
       [
         Alcotest.test_case "parallel_for covers" `Quick test_pool_parallel_for;
-        Alcotest.test_case "reduce bit-identical" `Quick
-          test_pool_reduce_deterministic;
         Alcotest.test_case "exception propagation" `Quick test_pool_exceptions;
         Alcotest.test_case "nested runs inline" `Quick test_pool_nested;
       ] );

@@ -122,6 +122,48 @@ let phase_tests =
   ]
 
 (* --------------------------------------------------------------------- *)
+(* Dead exports                                                           *)
+
+let dead_config modname =
+  {
+    default with
+    Lint_typed.export_scope = [ modname ^ ".Lib" ];
+    roots = [ modname ^ ".Exe" ];
+  }
+
+let dead_ids diags =
+  List.map
+    (fun d ->
+      (* The message names the value right after "public value ". *)
+      match String.split_on_char ' ' d.Lint_diag.message with
+      | "public" :: "value" :: id :: _ -> id
+      | _ -> d.Lint_diag.message)
+    diags
+
+let dead_tests =
+  [
+    Alcotest.test_case "typ-dead-export: test-only and unreferenced fire"
+      `Quick (fun () ->
+        let u = type_fixture "dead_pos.ml" ~modname:"Dead_pos" in
+        let diags = analyze ~config:(dead_config "Dead_pos") [ u ] in
+        Alcotest.(check (list string))
+          "two dead exports"
+          [ "typ-dead-export"; "typ-dead-export" ]
+          (rules_fired diags);
+        Alcotest.(check (list string))
+          "the test-only and the orphan value"
+          [ "Dead_pos.Lib.Store.checked"; "Dead_pos.Lib.Store.orphan" ]
+          (dead_ids diags));
+    Alcotest.test_case
+      "typ-dead-export: hops, aliases and initialisers keep values live"
+      `Quick (fun () ->
+        let u = type_fixture "dead_neg.ml" ~modname:"Dead_neg" in
+        Alcotest.(check (list string))
+          "no diagnostics" []
+          (rules_fired (analyze ~config:(dead_config "Dead_neg") [ u ])));
+  ]
+
+(* --------------------------------------------------------------------- *)
 (* Driver satellites: discover dedupe, baseline, SARIF                    *)
 
 let discover_tests =
@@ -286,7 +328,15 @@ let smoke_tests =
               List.iter
                 (fun d -> Printf.printf "%s\n" (Lint_diag.to_string d))
                 r.Lint_driver.diags;
-              Alcotest.(check int) "errors" 0 (Lint_driver.errors r));
+              Alcotest.(check int) "errors" 0 (Lint_driver.errors r);
+              Alcotest.(check (list string))
+                "no dead exports" []
+                (List.filter_map
+                   (fun d ->
+                     if d.Lint_diag.rule = "typ-dead-export" then
+                       Some (Lint_diag.to_string d)
+                     else None)
+                   r.Lint_driver.diags));
     Alcotest.test_case "missing cmts raise Typed_unavailable" `Quick (fun () ->
         (* The fixture tree has no _build: the typed path must refuse with
            the actionable message rather than analyze nothing. *)
@@ -303,9 +353,66 @@ let smoke_tests =
                go 0));
   ]
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+let write_file path contents =
+  mkdir_p (Filename.dirname path);
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let exe_cmt_tests =
+  [
+    Alcotest.test_case "missing executable cmts raise Typed_unavailable" `Quick
+      (fun () ->
+        (* A tree whose lib/ has its cmt but whose bin/ source has none:
+           the dead-export roots are incomplete, so the typed pass must
+           refuse rather than report every export dead. *)
+        let lib_cmt root =
+          Filename.concat root
+            "_build/default/lib/util/.lbcc_util.objs/byte/lbcc_util__Heap.cmt"
+        in
+        match find_repo_root () with
+        | Some root when Sys.file_exists (lib_cmt root) ->
+            let tmp =
+              Filename.concat (Filename.get_temp_dir_name ())
+                (Printf.sprintf "lbcc-lint-exe-%d" (Unix.getpid ()))
+            in
+            Fun.protect
+              ~finally:(fun () -> if Sys.file_exists tmp then remove_tree tmp)
+              (fun () ->
+                write_file (lib_cmt tmp)
+                  (In_channel.with_open_bin (lib_cmt root) In_channel.input_all);
+                write_file (Filename.concat tmp "lib/util/heap.ml")
+                  (read_file (Filename.concat root "lib/util/heap.ml"));
+                write_file (Filename.concat tmp "bin/tool.ml") "let () = ()\n";
+                match Lint_driver.run_typed ~root:tmp [ "lib" ] with
+                | _ -> Alcotest.fail "expected Typed_unavailable"
+                | exception Lint_driver.Typed_unavailable msg ->
+                    Alcotest.(check bool)
+                      "names the executable source" true
+                      (let needle = "bin/tool.ml" in
+                       let nl = String.length needle and ml = String.length msg in
+                       let rec go i =
+                         i + nl <= ml && (String.sub msg i nl = needle || go (i + 1))
+                       in
+                       go 0))
+        | _ -> () (* no checkout or build; make lint-typed covers CI *));
+  ]
+
 let suites =
   [
     ( "lint-typed",
-      taint_tests @ race_tests @ phase_tests @ discover_tests @ baseline_tests
-      @ sarif_tests @ smoke_tests );
+      taint_tests @ race_tests @ phase_tests @ dead_tests @ discover_tests
+      @ baseline_tests
+      @ sarif_tests @ smoke_tests @ exe_cmt_tests );
   ]

@@ -105,7 +105,7 @@ let test_rounds_charge_vector_entries () =
   Rounds.charge_vector acc ~label:"v" ~entry_bits:4;
   Alcotest.(check int) "one entry, one round" 1 (Rounds.rounds acc);
   Alcotest.(check int) "one entry bits" 4 (Rounds.bits acc);
-  Rounds.reset acc;
+  let acc = Rounds.create ~bandwidth:10 in
   Rounds.charge_vector ~entries:8 acc ~label:"v" ~entry_bits:4;
   Alcotest.(check int) "entries multiply bits" 32 (Rounds.bits acc);
   Alcotest.(check int) "rounds = ceil(32/10)" 4 (Rounds.rounds acc);

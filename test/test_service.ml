@@ -109,7 +109,8 @@ let test_prepare_once_query_rounds () =
   let prep = Prepared.preprocessing_rounds p in
   Alcotest.(check bool) "preprocessing charged" true (prep > 0);
   Alcotest.(check int) "no queries yet" 0 (Prepared.queries p);
-  Alcotest.(check int) "handle total = preprocessing" prep (Prepared.rounds p);
+  Alcotest.(check int) "breakdown sums to preprocessing" prep
+    (List.fold_left (fun a (_, r, _) -> a + r) 0 (Prepared.prepare_breakdown p));
   (* Standalone Thm 1.3 query phase on an independently prepared solver:
      the per-query rounds of the handle must match it exactly. *)
   let standalone =
@@ -130,18 +131,16 @@ let test_prepare_once_query_rounds () =
     qs;
   Alcotest.(check int) "k queries recorded" k (Prepared.queries p);
   Alcotest.(check int) "preprocessing not recharged" prep
-    (Prepared.rounds p - Prepared.query_rounds p);
+    (Prepared.preprocessing_rounds p);
   Alcotest.(check int) "query rounds accumulate" (k * standalone)
     (Prepared.query_rounds p);
-  (* The breakdown shows exactly one prepare/* group and the query label. *)
-  let labels = List.map (fun (l, _, _) -> l) (Prepared.breakdown p) in
-  let prepares =
-    List.filter (fun l -> String.length l >= 8 && String.sub l 0 8 = "prepare/")
-      labels
-  in
-  Alcotest.(check bool) "prepare labels present" true (prepares <> []);
-  Alcotest.(check bool) "query label present" true
-    (List.mem "query/laplacian-matvec" labels);
+  (* Preprocessing is charged under prepare/* labels only. *)
+  let labels = List.map (fun (l, _, _) -> l) (Prepared.prepare_breakdown p) in
+  Alcotest.(check bool) "prepare labels present" true
+    (labels <> []
+    && List.for_all
+         (fun l -> String.length l >= 8 && String.sub l 0 8 = "prepare/")
+         labels);
   (* Amortization: rounds/query decreases as more queries are served. *)
   let amortized_k = Prepared.amortized_rounds_per_query p in
   let _ = Prepared.solve p ~b:(List.hd (rhs_batch ~seed:43 ~nv:(Graph.n g) 1)) in
@@ -173,8 +172,12 @@ let solve_many_vs_sequential domains () =
       let bs = rhs_batch ~seed:99 ~nv:(Graph.n g) k in
       let batch_h = Prepared.create ~seed:5 g in
       let seq_h = Prepared.create ~seed:5 g in
-      let batched = Prepared.solve_many batch_h bs in
-      let sequential = List.map (fun b -> Prepared.solve seq_h ~b) bs in
+      let batch_acc = Rounds.create ~bandwidth:8
+      and seq_acc = Rounds.create ~bandwidth:8 in
+      let batched = Prepared.solve_many ~accountant:batch_acc batch_h bs in
+      let sequential =
+        List.map (fun b -> Prepared.solve ~accountant:seq_acc seq_h ~b) bs
+      in
       List.iteri
         (fun i ((bq : Prepared.query_result), (sq : Prepared.query_result)) ->
           Alcotest.(check bool)
@@ -186,7 +189,9 @@ let solve_many_vs_sequential domains () =
             sq.Prepared.rounds bq.Prepared.rounds)
         (List.combine batched sequential);
       Alcotest.(check bool) "accountant state identical" true
-        (Prepared.breakdown batch_h = Prepared.breakdown seq_h);
+        (Rounds.breakdown batch_acc = Rounds.breakdown seq_acc
+        && Rounds.bits_breakdown batch_acc = Rounds.bits_breakdown seq_acc
+        && Prepared.query_rounds batch_h = Prepared.query_rounds seq_h);
       Alcotest.(check int) "queries equal" (Prepared.queries seq_h)
         (Prepared.queries batch_h))
 

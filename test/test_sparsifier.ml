@@ -104,10 +104,10 @@ let test_certify_probe_within_exact () =
 let test_is_sparsifier_predicate () =
   let prng = Prng.create 18 in
   let g = Gen.erdos_renyi_connected prng ~n:20 ~p:0.4 ~w_max:2 in
-  Alcotest.(check bool) "self" true (Certify.is_sparsifier g g ~epsilon:0.01);
+  let within h epsilon = (Certify.exact g h).Certify.epsilon_achieved <= epsilon in
+  Alcotest.(check bool) "self" true (within g 0.01);
   let h = Graph.map_weights (fun _ e -> 3.0 *. e.Graph.w) g in
-  Alcotest.(check bool) "tripled fails at eps=0.5" false
-    (Certify.is_sparsifier g h ~epsilon:0.5)
+  Alcotest.(check bool) "tripled fails at eps=0.5" false (within h 0.5)
 
 (* Lemma 3.3: ad-hoc and a-priori sampling give the same output
    distribution; compare sparsifier sizes across seeds. *)

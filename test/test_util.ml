@@ -175,7 +175,6 @@ let test_heap_sorts () =
 
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check bool) "pop empty" true (Heap.pop_min h = None)
 
 let prop_heap_min =
