@@ -41,7 +41,8 @@ lint-typed: build
 # Fault-injection smoke run: the reliable-broadcast layer must reproduce the
 # lossless outputs under 20% drop + an injected crash, and the raw engine run
 # must still terminate honestly.  Greps assert the recovery, not just exit 0.
-# Last, an out-of-range --source must be a usage error (exit 2).
+# Last, an out-of-range --source and a malformed --input network must be
+# usage errors (exit 2).
 smoke: build
 	$(CLI) dist --algo bfs --vertices 24 --drop-prob 0.2 --crash 23@30 \
 	  --fault-seed 7 | grep -q 'matches lossless run: true'
@@ -61,6 +62,8 @@ smoke: build
 	! $(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 8 \
 	  --byz-prob 0.4 --reliability byzantine | grep -q 'quorum-failures=0'
 	$(CLI) dist --algo bfs --source 999 >/dev/null 2>&1; test $$? -eq 2
+	f=$$(mktemp) && printf 'p mcmf 2 1 0 1\na 0 1 x 1\n' > $$f; \
+	  $(CLI) flow --input $$f >/dev/null 2>&1; s=$$?; rm -f $$f; test $$s -eq 2
 	@echo "smoke: OK"
 
 # Benchmark smoke: the whole unit suite re-run on a 2-domain worker pool

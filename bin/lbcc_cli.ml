@@ -638,7 +638,12 @@ let flow_cmd =
       reliability trace json =
     let net =
       match input with
-      | Some path -> Lbcc_flow.Network_io.load path
+      | Some path -> (
+          (* A file that does not parse is bad input, not a crash. *)
+          try Lbcc_flow.Network_io.load path
+          with Failure msg | Invalid_argument msg ->
+            Printf.eprintf "lbcc flow: --input %s: %s\n" path msg;
+            exit 2)
       | None ->
           Lbcc_flow.Network.random (Prng.create seed) ~n ~density ~max_capacity
             ~max_cost

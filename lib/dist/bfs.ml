@@ -1,6 +1,7 @@
 open Lbcc_util
 module Model = Lbcc_net.Model
 module Tier = Lbcc_net.Tier
+module Inbox = Lbcc_net.Engine.Inbox
 module Graph = Lbcc_graph.Graph
 
 type state = {
@@ -32,10 +33,11 @@ let program ~n ~source =
     else begin
       (* Adopt the first (lowest-id) announcer as parent and announce the
          new distance in the same superstep. *)
-      match inbox with
-      | (sender, d) :: _ ->
-          ({ sdist = d + 1; sparent = sender; announced = true }, Some (d + 1), true)
-      | [] -> (st, None, true)
+      if Inbox.length inbox = 0 then (st, None, true)
+      else begin
+        let sender = Inbox.sender inbox 0 and d = Inbox.message inbox 0 in
+        ({ sdist = d + 1; sparent = sender; announced = true }, Some (d + 1), true)
+      end
     end
   in
   (init, step)

@@ -1,6 +1,7 @@
 module Graph = Lbcc_graph.Graph
 module Model = Lbcc_net.Model
 module Tier = Lbcc_net.Tier
+module Inbox = Lbcc_net.Engine.Inbox
 
 type state = {
   best : int;
@@ -30,14 +31,14 @@ let program ~n ~topology =
           if round = 1 then (st, Some st.best, true)
           else begin
             let best =
-              List.fold_left (fun acc (_, b) -> Stdlib.min acc b) st.best inbox
+              Inbox.fold (fun acc _ b -> Stdlib.min acc b) st.best inbox
             in
             ({ st with best }, None, false)
           end
     | Model.Input_graph ->
         fun ~round:_ ~vertex:_ (st : state) inbox ->
           let best =
-            List.fold_left (fun acc (_, b) -> Stdlib.min acc b) st.best inbox
+            Inbox.fold (fun acc _ b -> Stdlib.min acc b) st.best inbox
           in
           let changed = best < st.best in
           let st = { best; changed; idle = (if changed then 0 else st.idle + 1) } in

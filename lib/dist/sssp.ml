@@ -1,5 +1,6 @@
 module Model = Lbcc_net.Model
 module Tier = Lbcc_net.Tier
+module Inbox = Lbcc_net.Engine.Inbox
 module Graph = Lbcc_graph.Graph
 module Payload = Lbcc_net.Payload
 
@@ -44,14 +45,17 @@ let program ~graph ~source =
   let quiet_limit = n in
   let step ~round:_ ~vertex (st : state) inbox =
     let best = ref st in
-    List.iter
-      (fun (sender, d) ->
-        match weight_between vertex sender with
-        | Some w ->
-            if d +. w < !best.sdist -. 1e-12 then
-              best := { !best with sdist = d +. w; sparent = sender; dirty = true }
-        | None -> ())
-      inbox;
+    (* An indexed walk, not [Inbox.iter]: most steps of a quiet vertex see
+       an empty inbox, and a closure would cost words on every one. *)
+    for i = 0 to Inbox.length inbox - 1 do
+      let sender = Inbox.sender inbox i in
+      match weight_between vertex sender with
+      | Some w ->
+          let d = Inbox.message inbox i in
+          if d +. w < !best.sdist -. 1e-12 then
+            best := { !best with sdist = d +. w; sparent = sender; dirty = true }
+      | None -> ()
+    done;
     let st = !best in
     if st.dirty then ({ st with dirty = false; idle = 0 }, Some st.sdist, true)
     else begin

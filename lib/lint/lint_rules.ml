@@ -449,7 +449,7 @@ let check_ident ctx loc l =
       report ctx "det-unordered-hashtbl" loc
         (Printf.sprintf
            "Hashtbl.%s enumerates in hash-bucket order; use \
-            Lbcc_util.Tbl.sorted_keys/sorted_bindings/iter_sorted or waive \
+            Lbcc_util.Tbl.sorted_bindings/iter_sorted or waive \
             with an order-insensitivity argument"
            fn)
   | Some (m, fn) when List.mem (m, fn) wall_clock_fns ->

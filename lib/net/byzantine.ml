@@ -1,5 +1,6 @@
 module Graph = Lbcc_graph.Graph
 module Tbl = Lbcc_util.Tbl
+module Inbox = Engine.Inbox
 
 (* One virtual (inner-protocol) round expands into two cycles of three
    lockstep supersteps: SEND (payloads out, previous cycle's repairs
@@ -30,6 +31,7 @@ type ('state, 'msg) vertex = {
       (* The protocol is clique-only, so every vertex shares ONE [0..n-1]
          array and the iteration helpers skip [id] on the fly — n explicit
          (n-1)-element lists were an O(n^2) setup cost. *)
+  inner_inbox : 'msg Inbox.t; (* refilled before each inner step *)
   mutable inner : 'state;
   mutable inner_live : bool;
   mutable vround : int; (* 0 until the first inner step runs *)
@@ -136,6 +138,7 @@ let run ?accountant ?faults ~tamper ~label ~max_supersteps ~model ~graph
     {
       id = v;
       nbrs = all_ids;
+      inner_inbox = Inbox.create ();
       inner = init v;
       inner_live = true;
       inner_steps = 0;
@@ -183,13 +186,12 @@ let run ?accountant ?faults ~tamper ~label ~max_supersteps ~model ~graph
      inbox, collect the next broadcast, reset the per-round tables. *)
   let advance v =
     if v.inner_live then begin
-      let inbox =
-        if v.vround = 0 then []
-        else
-          Tbl.sorted_bindings ~compare:Int.compare v.accepted
-          |> List.filter_map (fun (s, p) ->
-                 match p with Some m -> Some (s, m) | None -> None)
-      in
+      let inbox = v.inner_inbox in
+      Inbox.clear inbox;
+      if v.vround > 0 then
+        Tbl.iter_sorted ~compare:Int.compare
+          (fun s p -> match p with Some m -> Inbox.push inbox s m | None -> ())
+          v.accepted;
       let inner', msg, continue =
         step ~round:(v.vround + 1) ~vertex:v.id v.inner inbox
       in
@@ -300,8 +302,8 @@ let run ?accountant ?faults ~tamper ~label ~max_supersteps ~model ~graph
     (* Ingest by body kind: under lockstep every packet in the inbox was
        composed in the previous superstep, so its kind identifies its
        phase. *)
-    List.iter
-      (fun (sender, pkt) ->
+    Inbox.iter
+      (fun sender pkt ->
         match pkt.body with
         | Send p -> ingest_send v (sender, pkt) p
         | Echo entries -> ingest_echo v (sender, entries)

@@ -27,11 +27,17 @@
 
     {!run} keeps in-flight messages in two reusable ['msg option] arrays —
     the broadcasts being delivered and the broadcasts being collected —
-    swapped each superstep, and delivers them through a counting-sort CSR
-    delivery plan ({!Plan}) instead of per-vertex adjacency lists
-    (DESIGN.md §10).  The steady-state message path allocates only each
-    broadcast's [Some] cell and the inbox lists handed to the step
-    function.
+    swapped each superstep.  When a superstep ends, the ascending ids of
+    the occupied slots are recorded in a preallocated array: a clique
+    receiver walks only those senders, and an [Input_graph] receiver walks
+    its segment of the counting-sort CSR delivery plan ({!Plan})
+    (DESIGN.md §10).  A superstep therefore costs O(n + deliveries), not
+    O(n{^ 2}) on the clique.  Each receiver's deliveries are copied into
+    its chunk's reusable inbox buffer, so the message path allocates only
+    each broadcast's [Some] cell (a buffer grows until it has held the
+    largest inbox, then never again).  Under faults, the non-default
+    verdicts are counting-sorted by receiver once per superstep and merged
+    into each receiver's sender walk.
 
     {2 Parallel execution}
 
@@ -42,13 +48,55 @@
     sender order (reproducing the historical push-delivery order exactly),
     fault coins are flipped in a sequential phase that replays the
     historical sender-major query sequence, and a chunk writes only the
-    state, message slot and live flag of its own vertices.  Step functions
+    state, message slot and live flag of its own vertices, and its own
+    inbox buffer.  Step functions
     must therefore be pure per vertex — they may freely read shared
     immutable data but must not mutate state shared across vertices. *)
 
-type 'msg inbox = (int * 'msg) list
-(** [(sender, message)] pairs, ascending by sender.  Under a fault model a
-    duplicated delivery appears as two adjacent pairs from the same sender. *)
+(** The deliveries a vertex reads in one superstep: [(sender, message)]
+    pairs, ascending by sender.  Under a fault model a duplicated delivery
+    appears as two adjacent pairs from the same sender, and a tampered one
+    carries the tampered payload.
+
+    An inbox is a read-only view of scratch that {!run} reuses for the
+    next vertex: it is valid only during the step call it is passed to.
+    A step must not keep it, or call {!Inbox.clear}/{!Inbox.push} on it;
+    copy out what must outlive the call. *)
+module Inbox : sig
+  type 'msg t
+
+  val length : 'msg t -> int
+
+  val sender : 'msg t -> int -> int
+  (** [sender t i] is the [i]-th sender, [0 <= i < length t].
+      @raise Invalid_argument out of range. *)
+
+  val message : 'msg t -> int -> 'msg
+  (** [message t i] is the [i]-th message.
+      @raise Invalid_argument out of range. *)
+
+  val iter : (int -> 'msg -> unit) -> 'msg t -> unit
+  (** [iter f t] calls [f sender message] in inbox order. *)
+
+  val fold : ('a -> int -> 'msg -> 'a) -> 'a -> 'msg t -> 'a
+  (** [fold f acc t] folds [f acc sender message] in inbox order. *)
+
+  (** {3 Building an inbox}
+
+      For delivery tiers that replay an inner protocol over the engine
+      ({!Reliable}, {!Byzantine}): they keep one buffer per vertex and
+      refill it before each inner step, in ascending sender order. *)
+
+  val create : unit -> 'msg t
+  (** An empty buffer; it grows on demand and keeps its capacity. *)
+
+  val clear : 'msg t -> unit
+
+  val push : 'msg t -> int -> 'msg -> unit
+  (** [push t sender message] appends one delivery. *)
+end
+
+type 'msg inbox = 'msg Inbox.t
 
 type ('state, 'msg) step =
   round:int -> vertex:int -> 'state -> 'msg inbox -> 'state * 'msg option * bool

@@ -127,7 +127,7 @@ let key salt ~round ~src ~dst =
   lxor (dst * 0xC2B2AE3D)
 
 let coin salt ~round ~src ~dst ~p =
-  p > 0.0 && Prng.float (Prng.create (key salt ~round ~src ~dst)) < p
+  p > 0.0 && Prng.first_bernoulli (key salt ~round ~src ~dst) p
 
 (* Coin and per-delivery key material from one stream: the first draw is
    the decision, the second is the tamper salt handed to the caller. *)

@@ -18,6 +18,17 @@
     round stamp.  The ack barrier bounds the round skew between neighbors
     by one, so a single look-ahead buffer suffices.
 
+    Layout: a vertex keeps its per-neighbour state — the payloads of the
+    current and the next virtual round, held/acked/halted/suspected flags
+    and the last real superstep it heard from the neighbour — in arrays
+    indexed by the neighbour's position in its ascending neighbour list
+    (the vertex id on the clique).  The engine's inbox ascends by sender,
+    so one cursor maps each delivery to its position.  A packet's acks are
+    an ascending [int array] of vertex ids, which a receiver
+    binary-searches for its own id, and a vertex rebuilds its packet only
+    when the contents change.  Nothing in the superstep loop hashes or
+    sorts.
+
     Crash tolerance: a neighbor not heard from for [patience] consecutive
     real supersteps is suspected and dropped from every barrier, after
     which the inner program simply stops hearing from it — exactly how the

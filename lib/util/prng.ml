@@ -2,7 +2,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -26,6 +26,14 @@ let split t =
 let float t =
   let x = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float x *. (1.0 /. 9007199254740992.0)
+
+(* [bernoulli (create seed) p], computed without building the generator
+   or boxing the draw, so a one-shot coin from hashed coordinates
+   allocates nothing. *)
+let first_bernoulli seed p =
+  let z = mix (Int64.add (mix (Int64.of_int seed)) golden_gamma) in
+  Int64.to_float (Int64.shift_right_logical z 11) *. (1.0 /. 9007199254740992.0)
+  < p
 
 let int t bound =
   assert (bound > 0);

@@ -32,6 +32,11 @@ val int : t -> int -> int
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
+val first_bernoulli : int -> float -> bool
+(** [first_bernoulli seed p] is [bernoulli (create seed) p] without
+    allocating: a coin from the first draw of a fresh stream, for callers
+    that hash coordinates into a one-shot seed. *)
+
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)
 

@@ -4,7 +4,7 @@
 
 let draw prng = Lbcc_util.Prng.int prng 6
 
-let keys tbl = Lbcc_util.Tbl.sorted_keys ~compare:Int.compare tbl
+let keys tbl = List.map fst (Lbcc_util.Tbl.sorted_bindings ~compare:Int.compare tbl)
 
 let union dst src =
   (* Set union is insensitive to enumeration order. *)

@@ -3,6 +3,7 @@ module Model = Lbcc_net.Model
 module Rounds = Lbcc_net.Rounds
 module Payload = Lbcc_net.Payload
 module Engine = Lbcc_net.Engine
+module Fault = Lbcc_net.Fault
 module Graph = Lbcc_graph.Graph
 module Gen = Lbcc_graph.Gen
 
@@ -143,12 +144,11 @@ let bfs_program graph model =
         (* The root announces in the first superstep and halts. *)
         if round = 1 then (state, Some d, false) else (state, None, false)
     | None -> (
-        match inbox with
-        | (_, d) :: _ ->
-            (* Learn, announce immediately, halt. *)
-            let d' = d + 1 in
-            ({ dist = Some d' }, Some d', false)
-        | [] -> (state, None, true))
+        if Engine.Inbox.length inbox = 0 then (state, None, true)
+        else
+          (* Learn, announce immediately, halt. *)
+          let d' = Engine.Inbox.message inbox 0 + 1 in
+          ({ dist = Some d' }, Some d', false))
   in
   Engine.run ~model ~graph ~size_bits:(fun d -> Bits.int_bits d) ~init ~step
     ~max_supersteps:(2 * n) ()
@@ -221,6 +221,158 @@ let test_engine_converged_flag () =
   in
   Alcotest.(check bool) "truncated run reported" false stats.Engine.converged
 
+(* ------------------------------------------------------------------ *)
+(* Engine: the inbox each step sees, against a naive reference         *)
+
+(* A vertex program whose broadcasts and halts are a pure function of
+   (seed, round, vertex), so the reference can replay them without
+   running it.  Each state is the list of inboxes the vertex saw,
+   copied out of the view during the step. *)
+let coin seed ~round ~vertex ~percent =
+  Prng.int (Prng.create ((seed * 7919) + (round * 104_729) + vertex)) 100
+  < percent
+
+let msg_of ~round ~vertex = (round * 1000) + vertex
+let halt_round seed v = 1 + Prng.int (Prng.create ((seed * 31) + v)) 12
+let broadcasts seed ~round ~vertex = coin seed ~round ~vertex ~percent:60
+
+(* Tampered payloads stay distinct from every honest one. *)
+let tamper ~salt m = -(1 + m + (1000 * (salt land 0xFF)))
+
+let observed_inboxes ~seed ~model ~graph ~faults =
+  let step ~round ~vertex seen inbox =
+    let got = List.rev (Engine.Inbox.fold (fun l u m -> (u, m) :: l) [] inbox) in
+    let msg =
+      if broadcasts seed ~round ~vertex then Some (msg_of ~round ~vertex)
+      else None
+    in
+    ((round, got) :: seen, msg, round < halt_round seed vertex)
+  in
+  let states, _ =
+    Engine.run ?faults ~tamper ~model ~graph
+      ~size_bits:(fun m -> Bits.int_bits m)
+      ~init:(fun _ -> []) ~step ~max_supersteps:64 ()
+  in
+  Array.map List.rev states
+
+(* The engine's contract, replayed the slow way: a receiver hears, in
+   ascending sender order, every neighbour (everyone but itself on the
+   clique) that broadcast in the previous superstep, each delivery
+   repeated and tampered as its fault verdict says.  Verdicts are queried
+   sender-major in the graph's adjacency order (the adversarial budget
+   burns in that order) and the last non-default one of a pair counts. *)
+let reference_inboxes ~seed ~model ~graph ~faults =
+  let n = Graph.n graph in
+  let clique = model.Model.topology = Model.Clique in
+  let adjacency v =
+    if clique then List.filter (fun u -> u <> v) (List.init n Fun.id)
+    else List.map fst (Graph.neighbors graph v)
+  in
+  let live = Array.make n true in
+  let seen = Array.make n [] in
+  let sent = ref (Array.make n None) in
+  let verdicts = Hashtbl.create 16 in
+  let round = ref 0 in
+  while Array.exists Fun.id live && !round < 64 do
+    incr round;
+    let round = !round in
+    (match faults with
+    | Some f ->
+        Array.iteri
+          (fun v alive ->
+            if alive && Fault.crashed f ~vertex:v ~round then live.(v) <- false)
+          live
+    | None -> ());
+    let out = Array.make n None in
+    for v = 0 to n - 1 do
+      if live.(v) then begin
+        let got =
+          List.concat_map
+            (fun u ->
+              match !sent.(u) with
+              | None -> []
+              | Some m -> (
+                  match Hashtbl.find_opt verdicts (u, v) with
+                  | None -> [ (u, m) ]
+                  | Some (c, salt) ->
+                      let m =
+                        match salt with Some salt -> tamper ~salt m | None -> m
+                      in
+                      List.init c (fun _ -> (u, m))))
+            (List.sort Int.compare (adjacency v))
+        in
+        seen.(v) <- (round, got) :: seen.(v);
+        if broadcasts seed ~round ~vertex:v then
+          out.(v) <- Some (msg_of ~round ~vertex:v);
+        if round >= halt_round seed v then live.(v) <- false
+      end
+    done;
+    Hashtbl.reset verdicts;
+    (match faults with
+    | Some f ->
+        for v = 0 to n - 1 do
+          if Option.is_some out.(v) then
+            List.iter
+              (fun u ->
+                let c = Fault.copies f ~round ~src:v ~dst:u in
+                let salt =
+                  if c = 0 then None else Fault.tamper f ~round ~src:v ~dst:u
+                in
+                if c <> 1 || Option.is_some salt then
+                  Hashtbl.replace verdicts (v, u) (c, salt))
+              (adjacency v)
+        done
+    | None -> ());
+    sent := out
+  done;
+  Array.map List.rev seen
+
+let random_faults seed ~n =
+  let g = Prng.create (seed + 17) in
+  let prob () = if Prng.int g 3 = 0 then 0.0 else 0.4 *. Prng.float g in
+  let spec =
+    Fault.spec ~drop_prob:(prob ()) ~duplicate_prob:(prob ())
+      ~corrupt_prob:(prob ())
+      ~crashes:(List.init (Prng.int g 3) (fun _ -> (Prng.int g n, 1 + Prng.int g 8)))
+      ~adversarial_drops:(Prng.int g 4)
+      ~byzantine:(List.init (Prng.int g 3) (fun _ -> Prng.int g n))
+      ~byz_prob:(prob ()) ()
+  in
+  Fault.create ~seed spec
+
+(* An Erdős–Rényi graph with a few of its edges doubled, so parallel
+   deliveries are exercised too. *)
+let random_graph seed ~n =
+  let g = Gen.erdos_renyi_connected (Prng.create seed) ~n ~p:0.2 ~w_max:4 in
+  let edges = Array.to_list (Graph.edges g) in
+  let doubled = List.filteri (fun i _ -> i mod 7 = seed mod 7) edges in
+  Graph.create ~n (edges @ doubled)
+
+let qcheck_inbox_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"inbox = naive reference, 1/2/4 domains"
+    QCheck.(triple (int_bound 100_000) (int_range 3 50) bool)
+    (fun (seed, n, faulty) ->
+      (* The generator needs n >= 3, shrunk inputs included. *)
+      let n = Stdlib.max 3 n in
+      let graph = random_graph seed ~n in
+      let faults () = if faulty then Some (random_faults seed ~n) else None in
+      let ok =
+        List.for_all
+          (fun model ->
+            let expected =
+              reference_inboxes ~seed ~model ~graph ~faults:(faults ())
+            in
+            List.for_all
+              (fun d ->
+                Pool.set_default_domains d;
+                observed_inboxes ~seed ~model ~graph ~faults:(faults ())
+                = expected)
+              [ 1; 2; 4 ])
+          [ Model.broadcast_congest; Model.broadcast_congested_clique ]
+      in
+      Pool.set_default_domains 1;
+      ok)
+
 let suites =
   [
     ( "net.model",
@@ -250,5 +402,6 @@ let suites =
         Alcotest.test_case "charges accountant" `Quick test_engine_charges_accountant;
         Alcotest.test_case "message size matters" `Quick test_engine_big_messages_cost_more;
         Alcotest.test_case "converged flag" `Quick test_engine_converged_flag;
+        QCheck_alcotest.to_alcotest qcheck_inbox_matches_reference;
       ] );
   ]

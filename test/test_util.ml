@@ -91,6 +91,14 @@ let prop_prng_int_bounds =
       let v = Prng.int t bound in
       v >= 0 && v < bound)
 
+(* The fault model's coins depend on this being the same draw. *)
+let prop_prng_first_bernoulli =
+  QCheck.Test.make ~name:"first_bernoulli = bernoulli of a fresh generator"
+    ~count:500
+    QCheck.(pair int (float_bound_inclusive 1.0))
+    (fun (seed, p) ->
+      Prng.first_bernoulli seed p = Prng.bernoulli (Prng.create seed) p)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
@@ -201,6 +209,7 @@ let suites =
         Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
         Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         QCheck_alcotest.to_alcotest prop_prng_int_bounds;
+        QCheck_alcotest.to_alcotest prop_prng_first_bernoulli;
       ] );
     ( "util.stats",
       [
