@@ -24,6 +24,10 @@ module Bfs = Lbcc_dist.Bfs
 module Sssp = Lbcc_dist.Sssp
 module Leader = Lbcc_dist.Leader
 module Sparsify = Lbcc_sparsifier.Sparsify
+module Solver = Lbcc_laplacian.Solver
+module Network = Lbcc_flow.Network
+module Mcmf_lp = Lbcc_flow.Mcmf_lp
+module Vec = Lbcc_linalg.Vec
 
 let seeds = List.init 10 (fun i -> i + 1)
 
@@ -191,6 +195,42 @@ let protocols =
             Printf.sprintf "%s|%s|%d|%d" (String.concat "," edges)
               (ints (Sparsify.out_degrees r))
               r.Sparsify.rounds r.Sparsify.final_sampled) );
+    ( "laplacian solve",
+      (* Theorem 1.3 on the sparsifier row's graph: preprocessing, the
+         certified kappa and one high-accuracy Chebyshev solve. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let g =
+              Gen.erdos_renyi_connected (Prng.create seed) ~n:24 ~p:0.3
+                ~w_max:8
+            in
+            let s =
+              Solver.preprocess ~accountant:acc
+                ~prng:(Prng.create (seed + 100)) ~graph:g ()
+            in
+            let b =
+              let prng = Prng.create (seed + 200) in
+              Vec.mean_center (Vec.init (Graph.n g) (fun _ -> Prng.gaussian prng))
+            in
+            let r = Solver.solve ~accountant:acc s ~b ~eps:1e-8 in
+            Printf.sprintf "%Lx|%d|%d|%d|%s"
+              (Int64.bits_of_float (Solver.kappa s))
+              r.Solver.iterations r.Solver.rounds r.Solver.bits
+              (floats r.Solver.solution)) );
+    ( "mcmf",
+      (* Theorem 1.1 end to end: LP build, the IPM with the Laplacian-backed
+         normal solver, rounding and the comparison with the baseline. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let net =
+              Network.random (Prng.create seed) ~n:6 ~density:0.5
+                ~max_capacity:8 ~max_cost:8
+            in
+            let r = Mcmf_lp.solve ~accountant:acc ~prng:(Prng.create 3) net in
+            Printf.sprintf "%d|%d|%b|%b|%d|%d|%d|%Lx" r.Mcmf_lp.value
+              r.Mcmf_lp.cost r.Mcmf_lp.feasible r.Mcmf_lp.matches_baseline
+              r.Mcmf_lp.iterations r.Mcmf_lp.rounds (Rounds.bits acc)
+              (Int64.bits_of_float r.Mcmf_lp.lp_objective)) );
   ]
 
 (* The golden file keeps a readable subset of the seed range (the full
