@@ -268,7 +268,7 @@ let e5 () =
           let b = Dense.matvec a x in
           let r =
             Chebyshev.solve_adaptive ~matvec:(Dense.matvec_into a) ~solve_b
-              ~kappa ~rtol:eps ~b ()
+              ~kappa ~rtol:eps ~b
           in
           let bound = Chebyshev.iterations_bound ~kappa ~eps in
           let ratio = float_of_int r.Chebyshev.iterations /. float_of_int bound in
@@ -372,7 +372,7 @@ let e8 () =
     (fun p ->
       List.iter
         (fun eta ->
-          let w, iters = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones m) ~eta () in
+          let w, iters = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones m) ~eta in
           max_res_ratio :=
             Float.max !max_res_ratio (Lewis.residual ~leverage ~p w /. eta);
           if eta <= 1e-6 then
@@ -386,7 +386,7 @@ let e8 () =
   let leverage_for ~p:_ d = leverage d in
   let p_target = 1.0 -. (1.0 /. log (4.0 *. float_of_int m)) in
   let _, steps =
-    Lewis.compute_initial_weights ~leverage_for ~m ~n ~p_target ~eta:1e-4 ()
+    Lewis.compute_initial_weights ~leverage_for ~m ~n ~p_target ~eta:1e-4
   in
   note "ComputeInitialWeights homotopy: %d steps (paper: O(sqrt n * polylog), sqrt n = %.1f)\n"
     steps
@@ -794,7 +794,7 @@ let e16 () =
           let b = Dense.matvec a x in
           let cheb =
             Chebyshev.solve_adaptive ~matvec:(Dense.matvec_into a) ~solve_b
-              ~kappa ~rtol:eps ~b ()
+              ~kappa ~rtol:eps ~b
           in
           let pcg =
             Lbcc_linalg.Cg.solve_preconditioned ~matvec:(Dense.matvec_into a)

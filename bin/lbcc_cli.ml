@@ -21,7 +21,6 @@ module Resilient = Lbcc_core.Resilient
 module Model = Lbcc_net.Model
 module Rounds = Lbcc_net.Rounds
 module Fault = Lbcc_net.Fault
-module Engine = Lbcc_net.Engine
 module Byzantine = Lbcc_net.Byzantine
 module Bfs = Lbcc_dist.Bfs
 module Sssp = Lbcc_dist.Sssp
@@ -940,18 +939,10 @@ let main_cmd =
    validation failed (the [exit 1] calls inside the commands); 2 usage
    error; 3 internal error.  Cmdliner reports usage problems as 123/124 —
    fold those into the contract.  Exceptions are caught here (not by
-   cmdliner) so an engine timeout surfaces its coordinates — label,
-   superstep, round and active phase — before the process dies with 3. *)
+   cmdliner) so an internal error exits with 3. *)
 let () =
   match
     try Cmd.eval ~catch:false main_cmd with
-    | Engine.Timeout { label; supersteps; rounds; phase } ->
-        Printf.eprintf
-          "lbcc: engine timeout under label %S after %d supersteps (%d \
-           rounds)%s\n"
-          label supersteps rounds
-          (if phase = "" then "" else Printf.sprintf " in phase %S" phase);
-        3
     | e ->
         Printf.eprintf "lbcc: internal error: %s\n" (Printexc.to_string e);
         3

@@ -85,12 +85,15 @@ let retry ?(max_retries = 3) ~seed ~run ~accept ~score ~rounds ~detail () =
   in
   go 1
 
+(* [accept] on the three entry points is the test seam that drives the
+   [Failed] verdict. *)
+(* lbcc-lint: allow typ-dead-option *)
 let sparsify ?(seed = 1) ?(epsilon = 0.5) ?t ?max_retries ?accept g =
   let n = Graph.n g in
   let base_t =
     match t with
     | Some t -> t
-    | None -> Lbcc_sparsifier.Sparsify.default_t ~n ~epsilon ()
+    | None -> Lbcc_sparsifier.Sparsify.default_t ~n ~epsilon
   in
   let accept =
     match accept with
@@ -113,6 +116,7 @@ let sparsify ?(seed = 1) ?(epsilon = 0.5) ?t ?max_retries ?accept g =
         (Graph.m r.Lbcc.sparsifier))
     ()
 
+(* lbcc-lint: allow typ-dead-option *)
 let solve_laplacian ?(seed = 1) ?(eps = 1e-8) ?max_retries ?accept g ~b =
   let accept =
     match accept with
@@ -130,6 +134,7 @@ let solve_laplacian ?(seed = 1) ?(eps = 1e-8) ?max_retries ?accept g ~b =
       Printf.sprintf "residual=%.2e iters=%d" r.Lbcc.residual r.Lbcc.iterations)
     ()
 
+(* lbcc-lint: allow typ-dead-option *)
 let min_cost_max_flow ?(seed = 1) ?max_retries ?accept net =
   let accept =
     match accept with

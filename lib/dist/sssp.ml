@@ -95,5 +95,5 @@ let run ?accountant ?faults ?patience ?(reliability = Model.None) ~model ~graph
     byz;
   }
 
-let run_reliable ?accountant ?faults ?patience =
-  run ?accountant ?faults ?patience ~reliability:Model.Crash_safe
+let run_reliable ?accountant ?faults ~model ~graph ~source () =
+  run ?accountant ?faults ~reliability:Model.Crash_safe ~model ~graph ~source ()

@@ -51,10 +51,9 @@ val run :
 val run_reliable :
   ?accountant:Lbcc_net.Rounds.t ->
   ?faults:Lbcc_net.Fault.t ->
-  ?patience:int ->
   model:Lbcc_net.Model.t ->
   graph:Lbcc_graph.Graph.t ->
   source:int ->
   unit ->
   result
-(** [run ~reliability:Crash_safe]. *)
+(** [run ~reliability:Crash_safe] at the default patience. *)

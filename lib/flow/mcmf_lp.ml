@@ -8,13 +8,10 @@ module Problem = Lbcc_lp.Problem
 module Ipm = Lbcc_lp.Ipm
 module Gremban = Lbcc_laplacian.Gremban
 
-type constants = {
-  mtilde_c : float;
-  lambda_c : float;
-  perturb : bool;
-}
-
-let default_constants = { mtilde_c = 8.0; lambda_c = 16.0; perturb = true }
+(* Calibrated penalty and reward scales (DESIGN.md, substitution 5):
+   [M~ = mtilde_c E^2 M^3] as in the paper, [lambda = lambda_c n M~ M]. *)
+let mtilde_c = 8.0
+let lambda_c = 16.0
 
 type instance = {
   net : Network.t;
@@ -35,13 +32,13 @@ let column_of_vertex_raw ~source v =
 (* lbcc-lint: allow typ-dead-export *)
 let column_of_vertex inst v = column_of_vertex_raw ~source:inst.net.Network.source v
 
-let build ?(constants = default_constants) ~prng (net : Network.t) =
+let build ~prng (net : Network.t) =
   let nv = net.Network.n and ne = Network.m net in
   let source = net.Network.source and sink = net.Network.sink in
   let mm = float_of_int (Stdlib.max (Network.max_capacity net) (Network.max_cost net)) in
   let nef = float_of_int ne and nvf = float_of_int nv in
-  let mtilde = constants.mtilde_c *. nef *. nef *. (mm ** 3.0) in
-  let lambda = constants.lambda_c *. nvf *. mtilde *. mm in
+  let mtilde = mtilde_c *. nef *. nef *. (mm ** 3.0) in
+  let lambda = lambda_c *. nvf *. mtilde *. mm in
   let n_lp = nv - 1 in
   let m_lp = ne + (2 * n_lp) + 1 in
   let col = column_of_vertex_raw ~source in
@@ -63,10 +60,10 @@ let build ?(constants = default_constants) ~prng (net : Network.t) =
   let qtilde =
     Array.map
       (fun (arc : Network.arc) ->
-        let base = float_of_int arc.cost in
-        if constants.perturb then
-          base +. (float_of_int (1 + Prng.int prng (Stdlib.max 1 (int_of_float (2.0 *. nef *. mm)))) /. denom)
-        else base)
+        float_of_int arc.cost
+        +. (float_of_int
+              (1 + Prng.int prng (Stdlib.max 1 (int_of_float (2.0 *. nef *. mm))))
+           /. denom))
       net.Network.arcs
   in
   let c_lp =
@@ -237,7 +234,7 @@ let charge_instance acc (net : Network.t) =
   Rounds.charge_vector acc ~entries:max_deg ~label:"flow-instance"
     ~entry_bits:arc_bits
 
-let solve ?accountant ?(config = Ipm.default_config) ?constants ?eps ~prng net =
+let solve ?accountant ~prng net =
   let acc =
     match accountant with
     | Some a -> a
@@ -250,16 +247,16 @@ let solve ?accountant ?(config = Ipm.default_config) ?constants ?eps ~prng net =
      charges only query-phase normal solves. *)
   let inst, solver =
     Rounds.with_phase acc "prepare" @@ fun () ->
-    let inst = build ?constants ~prng net in
+    let inst = build ~prng net in
     charge_instance acc net;
     (inst, laplacian_normal_solver ~accountant:acc inst)
   in
   let mm =
     float_of_int (Stdlib.max (Network.max_capacity net) (Network.max_cost net))
   in
-  let eps = match eps with Some e -> e | None -> 1.0 /. (12.0 *. mm) in
+  let eps = 1.0 /. (12.0 *. mm) in
   let x_lp, trace =
-    Ipm.lp_solve ~accountant:acc ~config ~prng ~problem:inst.problem ~solver
+    Ipm.lp_solve ~accountant:acc ~prng ~problem:inst.problem ~solver
       ~x0:inst.x0 ~eps ()
   in
   let flow = round_flow inst x_lp in

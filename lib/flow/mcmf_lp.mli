@@ -9,20 +9,14 @@
 
     Constant calibration (DESIGN.md, substitution 5): the paper's
     [lambda = 440 |E|^4 M~^2 M^3] overflows double precision for any
-    nontrivial instance; we expose the penalty/reward scales and default
-    them to values that preserve the argument's inequalities
+    nontrivial instance; we fix [M~ = 8 E^2 M^3] as in the paper and
+    [lambda = 16 n M~ M], which preserves the argument's inequalities
     ([lambda > 2 n M~ >> E M]) at laptop scale.  Exactness is certified
     against {!Mcmf.solve} rather than assumed. *)
 
 open Lbcc_util
 module Vec = Lbcc_linalg.Vec
 module Problem = Lbcc_lp.Problem
-
-type constants = {
-  mtilde_c : float;  (** [M~ = mtilde_c * E^2 * M^3]; paper: 8 *)
-  lambda_c : float;  (** [lambda = lambda_c * n * M~ * M]; paper form differs, see above *)
-  perturb : bool;  (** apply the uniqueness perturbation to costs *)
-}
 
 type instance = {
   net : Network.t;
@@ -33,7 +27,7 @@ type instance = {
   m_lp : int;
 }
 
-val build : ?constants:constants -> prng:Prng.t -> Network.t -> instance
+val build : prng:Prng.t -> Network.t -> instance
 
 val column_of_vertex : instance -> int -> int
 (** LP column of a non-source vertex.
@@ -73,15 +67,12 @@ type solve_result = {
 
 val solve :
   ?accountant:Lbcc_net.Rounds.t ->
-  ?config:Lbcc_lp.Ipm.config ->
-  ?constants:constants ->
-  ?eps:float ->
   prng:Prng.t ->
   Network.t ->
   solve_result
 (** End-to-end Theorem 1.1: build the LP, run [LPSolve] with the
-    Laplacian-backed normal solver, round, validate, and compare with the
-    combinatorial baseline.  Accounting follows the prepare/query split:
+    Laplacian-backed normal solver to [eps = 1 / (12 M)], round, validate,
+    and compare with the combinatorial baseline.  Accounting follows the prepare/query split:
     one [mcmf/prepare/*] phase (instance broadcast + operator setup) paid
     before the IPM starts, then [mcmf/ipm/query/normal-solve] charges per
     iteration. *)

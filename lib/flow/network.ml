@@ -28,7 +28,8 @@ let m t = Array.length t.arcs
 let max_capacity t = Array.fold_left (fun acc a -> Stdlib.max acc a.capacity) 1 t.arcs
 let max_cost t = Array.fold_left (fun acc a -> Stdlib.max acc a.cost) 1 t.arcs
 
-let is_flow ?(tol = 1e-6) t f =
+let is_flow t f =
+  let tol = 1e-6 in
   Array.length f = m t
   && Array.for_all2
        (fun a fe -> fe >= -.tol && fe <= float_of_int a.capacity +. tol)

@@ -21,8 +21,9 @@ val m : t -> int
 val max_capacity : t -> int
 val max_cost : t -> int
 
-val is_flow : ?tol:float -> t -> float array -> bool
-(** Capacity bounds and conservation at every vertex except source/sink. *)
+val is_flow : t -> float array -> bool
+(** Capacity bounds and conservation at every vertex except source/sink,
+    each to within [1e-6]. *)
 
 val flow_value : t -> float array -> float
 (** Net flow out of the source. *)

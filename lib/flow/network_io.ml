@@ -70,9 +70,9 @@ let save path net =
 
 let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
-let to_dot ?(name = "net") ?flow (net : Network.t) =
+let to_dot ?flow (net : Network.t) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
+  Buffer.add_string buf "digraph net {\n";
   Buffer.add_string buf
     (Printf.sprintf "  %d [shape=doublecircle];\n  %d [shape=doublecircle];\n"
        net.Network.source net.Network.sink);

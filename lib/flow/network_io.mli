@@ -18,6 +18,6 @@ val of_string : string -> Network.t
 val save : string -> Network.t -> unit
 val load : string -> Network.t
 
-val to_dot : ?name:string -> ?flow:float array -> Network.t -> string
-(** Graphviz rendering; when [flow] is given arcs are labelled
+val to_dot : ?flow:float array -> Network.t -> string
+(** Graphviz rendering of the digraph [net]; when [flow] is given arcs are labelled
     [flow/capacity @ cost] and loaded arcs are drawn bold. *)

@@ -63,17 +63,3 @@ let save_graph path g =
    for deletion with it. *)
 (* lbcc-lint: allow typ-dead-export *)
 let load_graph path = graph_of_string (In_channel.with_open_bin path In_channel.input_all)
-
-(* Test-only, checked by "io.graph dot export" (test_io.ml); slated for
-   deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let to_dot ?(name = "g") g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
-  Array.iter
-    (fun (e : Graph.edge) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %d -- %d [label=\"%g\"];\n" e.u e.v e.w))
-    (Graph.edges g);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -22,6 +22,3 @@ val save_graph : string -> Graph.t -> unit
 
 val load_graph : string -> Graph.t
 (** Read a file written by {!save_graph} (what [lbcc gen] writes). *)
-
-val to_dot : ?name:string -> Graph.t -> string
-(** Graphviz rendering (undirected, weight-labelled). *)

@@ -2,7 +2,8 @@ module Vec = Lbcc_linalg.Vec
 module Dense = Lbcc_linalg.Dense
 module Graph = Lbcc_graph.Graph
 
-let is_sdd_nonpositive_offdiag ?(tol = 1e-9) m =
+let is_sdd_nonpositive_offdiag m =
+  let tol = 1e-9 in
   Dense.is_symmetric ~tol m
   &&
   let n = Dense.rows m in

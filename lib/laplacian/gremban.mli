@@ -18,8 +18,9 @@ module Vec = Lbcc_linalg.Vec
 module Dense = Lbcc_linalg.Dense
 module Graph = Lbcc_graph.Graph
 
-val is_sdd_nonpositive_offdiag : ?tol:float -> Dense.t -> bool
-(** Symmetric, diagonally dominant, with all off-diagonal entries [<= 0]. *)
+val is_sdd_nonpositive_offdiag : Dense.t -> bool
+(** Symmetric, diagonally dominant, with all off-diagonal entries [<= 0],
+    each to within [1e-9]. *)
 
 val virtual_graph : Dense.t -> Graph.t
 (** The doubled graph whose Laplacian is [L] above.

@@ -61,7 +61,7 @@ let rec with_phases acc phases f =
   | [] -> f ()
   | p :: rest -> Rounds.with_phase acc p (fun () -> with_phases acc rest f)
 
-let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?t_scale ?k
+let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?k
     ?certify ?(backend = `Lu) ?sparsifier ~prng ~graph () =
   if not (Graph.is_connected graph) then
     invalid_arg "Solver.preprocess: graph must be connected";
@@ -84,8 +84,7 @@ let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?t_scale ?k
           invalid_arg "Solver.preprocess: sparsifier must be connected";
         h
     | None ->
-        (Sparsify.run ~accountant:acc ?t ?t_scale ?k ~prng ~graph
-           ~epsilon:0.5 ())
+        (Sparsify.run ~accountant:acc ?t ?k ~prng ~graph ~epsilon:0.5 ())
           .Sparsify.sparsifier
   in
   (* The sparsifier preserves connectivity of the input (each bundle begins

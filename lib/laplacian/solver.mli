@@ -40,7 +40,6 @@ val preprocess :
   ?accountant:Lbcc_net.Rounds.t ->
   ?phases:string list ->
   ?t:int ->
-  ?t_scale:float ->
   ?k:int ->
   ?certify:[ `Exact | `Power of int | `Probe of int ] ->
   ?backend:[ `Lu | `Cg ] ->
@@ -53,8 +52,9 @@ val preprocess :
     is used as [H] directly and the internal sparsification is skipped —
     the door the incremental-update path uses to rebuild a prepared
     operator from a patched {!Lbcc_sparsifier.Sparsify.sketch} without
-    paying full re-sparsification rounds ([t]/[t_scale]/[k] are then
-    ignored; the caller has already charged the sketch's rounds).  [certify] selects the exact
+    paying full re-sparsification rounds ([t] and [k] are then ignored;
+    the caller has already charged the sketch's rounds).  Without [t] the
+    bundle size is {!Lbcc_sparsifier.Sparsify.default_t} at [eps = 1/2].  [certify] selects the exact
     eigen certificate (default for [n <= 400]), power iteration on the
     pencil (default above, tight and [O(n^3)]-free per step), or cheap
     randomized probing.  [phases] relabels the accountant phase nesting for

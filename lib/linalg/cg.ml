@@ -7,10 +7,10 @@ type result = {
 
 (* The loop runs over preallocated workspaces [ap], [r], [z] and in-place
    operators, so per-iteration allocation is zero. *)
-let solve_preconditioned ?x0 ?max_iter ?(tol = 1e-10) ~matvec ~precond ~b () =
+let solve_preconditioned ?max_iter ?(tol = 1e-10) ~matvec ~precond ~b () =
   let n = Vec.dim b in
   let max_iter = match max_iter with Some m -> m | None -> 10 * Stdlib.max n 1 in
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
+  let x = Vec.zeros n in
   let ap = Vec.zeros n and r = Vec.zeros n and z = Vec.zeros n in
   matvec x ap;
   Vec.sub_into b ap r;

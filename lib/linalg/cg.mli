@@ -16,7 +16,6 @@ type result = {
 }
 
 val solve_preconditioned :
-  ?x0:Vec.t ->
   ?max_iter:int ->
   ?tol:float ->
   matvec:(Vec.t -> Vec.t -> unit) ->
@@ -26,5 +25,5 @@ val solve_preconditioned :
   result
 (** Preconditioned CG for an SPD (or PSD with [b] in the range)
     operator; [precond] applies an approximation of [A^+] (a plain copy
-    gives unpreconditioned CG).  Stops when [||r||_2 <= tol * ||b||_2] or
+    gives unpreconditioned CG), started from zero.  Stops when [||r||_2 <= tol * ||b||_2] or
     after [max_iter] iterations (default [10 * dim]). *)

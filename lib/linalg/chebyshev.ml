@@ -50,16 +50,13 @@ let run ?x0 ~matvec ~solve_b ~kappa ~b ~iters ~stop () =
   done;
   { solution = x; iterations = !k; residual_norm = Vec.norm2 r /. bnorm }
 
-let solve ?x0 ?max_iter ~matvec ~solve_b ~kappa ~eps ~b () =
-  let iters =
-    match max_iter with Some m -> m | None -> iterations_bound ~kappa ~eps
-  in
+(* [x0] stays for ROADMAP item 1(a): its verified solve restarts from the
+   current iterate. *)
+(* lbcc-lint: allow typ-dead-option *)
+let solve ?x0 ~matvec ~solve_b ~kappa ~eps ~b () =
+  let iters = iterations_bound ~kappa ~eps in
   run ?x0 ~matvec ~solve_b ~kappa ~b ~iters ~stop:(fun _ -> false) ()
 
-let solve_adaptive ?x0 ?max_iter ~matvec ~solve_b ~kappa ~rtol ~b () =
-  let iters =
-    match max_iter with
-    | Some m -> m
-    | None -> 4 * iterations_bound ~kappa ~eps:rtol
-  in
-  run ?x0 ~matvec ~solve_b ~kappa ~b ~iters ~stop:(fun res -> res <= rtol) ()
+let solve_adaptive ~matvec ~solve_b ~kappa ~rtol ~b =
+  let iters = 4 * iterations_bound ~kappa ~eps:rtol in
+  run ~matvec ~solve_b ~kappa ~b ~iters ~stop:(fun res -> res <= rtol) ()

@@ -22,7 +22,6 @@ val iterations_bound : kappa:float -> eps:float -> int
 
 val solve :
   ?x0:Vec.t ->
-  ?max_iter:int ->
   matvec:(Vec.t -> Vec.t -> unit) ->
   solve_b:(Vec.t -> Vec.t -> unit) ->
   kappa:float ->
@@ -30,20 +29,19 @@ val solve :
   b:Vec.t ->
   unit ->
   result
-(** Runs the fixed Chebyshev recurrence for [iterations_bound] steps (or
-    [max_iter] if given), using [solve_b] as the preconditioner solve.
+(** Runs the fixed Chebyshev recurrence from [x0] (default zero) for
+    [iterations_bound] steps, using [solve_b] as the preconditioner solve.
     No adaptive stopping: the round complexity of the distributed version is
     deterministic given [kappa] and [eps], exactly as in the paper. *)
 
 val solve_adaptive :
-  ?x0:Vec.t ->
-  ?max_iter:int ->
   matvec:(Vec.t -> Vec.t -> unit) ->
   solve_b:(Vec.t -> Vec.t -> unit) ->
   kappa:float ->
   rtol:float ->
   b:Vec.t ->
-  unit ->
   result
-(** Same recurrence but stops as soon as [||b - A y||_2 <= rtol * ||b||_2];
-    used to *measure* iteration counts against the theoretical bound. *)
+(** Same recurrence from zero but stops as soon as
+    [||b - A y||_2 <= rtol * ||b||_2], or after 4 times [iterations_bound]
+    at [eps = rtol]; used to *measure* iteration counts against the
+    theoretical bound. *)

@@ -210,61 +210,3 @@ type factorization = t * int array
 let factorize = lu_factor
 let solve_factored = lu_solve
 let solve_factored_into = lu_solve_into
-
-(* Test-only, checked by "linalg.dense inverse" (test_linalg.ml); slated
-   for deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let inverse m =
-  let n = m.r in
-  let f = lu_factor m in
-  let inv = create n n in
-  for j = 0 to n - 1 do
-    let col = lu_solve f (Vec.basis n j) in
-    for i = 0 to n - 1 do
-      set inv i j col.(i)
-    done
-  done;
-  inv
-
-(* Test-only, checked by "linalg.dense cholesky" (test_linalg.ml); slated
-   for deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let cholesky m =
-  if m.r <> m.c then invalid_arg "Dense.cholesky: not square";
-  let n = m.r in
-  let l = create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to i do
-      let s = ref (get m i j) in
-      for k = 0 to j - 1 do
-        s := !s -. (get l i k *. get l j k)
-      done;
-      if i = j then begin
-        if !s <= 0.0 then failwith "Dense.cholesky: matrix not positive definite";
-        set l i j (sqrt !s)
-      end
-      else set l i j (!s /. get l j j)
-    done
-  done;
-  l
-
-(* Test-only, checked by "linalg.dense cholesky solve" (test_linalg.ml);
-   slated for deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let cholesky_solve l b =
-  let n = rows l in
-  if Array.length b <> n then invalid_arg "Dense.cholesky_solve: dimension mismatch";
-  let y = Array.copy b in
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      y.(i) <- y.(i) -. (get l i j *. y.(j))
-    done;
-    y.(i) <- y.(i) /. get l i i
-  done;
-  for i = n - 1 downto 0 do
-    for j = i + 1 to n - 1 do
-      y.(i) <- y.(i) -. (get l j i *. y.(j))
-    done;
-    y.(i) <- y.(i) /. get l i i
-  done;
-  y

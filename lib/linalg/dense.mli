@@ -62,12 +62,3 @@ val solve_factored_into : factorization -> Vec.t -> Vec.t -> unit
 (** [solve_factored_into f b x] writes the solution into [x] without
     allocating.  [x] must not alias [b] (the permutation gather reads [b]
     while writing [x]). *)
-
-val inverse : t -> t
-
-val cholesky : t -> t
-(** Lower-triangular Cholesky factor of an SPD matrix.
-    @raise Failure if the matrix is not (numerically) positive definite. *)
-
-val cholesky_solve : t -> Vec.t -> Vec.t
-(** [cholesky_solve l b] solves [l l^T x = b] given the factor [l]. *)

@@ -11,7 +11,12 @@ let off_diagonal_norm a =
   done;
   sqrt !acc
 
-let jacobi ?(max_sweeps = 100) ?(tol = 1e-12) a0 =
+(* Sweeps stop once the off-diagonal Frobenius norm is at most [tol] times
+   the matrix's (at least 1), or after [max_sweeps]. *)
+let max_sweeps = 100
+let tol = 1e-12
+
+let jacobi a0 =
   if not (Dense.is_symmetric ~tol:1e-8 a0) then
     invalid_arg "Eigen.jacobi: matrix not symmetric";
   let n = Dense.rows a0 in
@@ -61,7 +66,7 @@ let jacobi ?(max_sweeps = 100) ?(tol = 1e-12) a0 =
   let vecs = Dense.init n n (fun i j -> Dense.get v i order.(j)) in
   (sorted, vecs)
 
-let eigenvalues ?max_sweeps ?tol a = fst (jacobi ?max_sweeps ?tol a)
+let eigenvalues a = fst (jacobi a)
 
 let pseudo_sqrt_inverse ?(rank_tol = 1e-9) a =
   let eigs, v = jacobi a in

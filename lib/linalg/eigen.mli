@@ -5,13 +5,15 @@
     [L_H^{+1/2} L_G L_H^{+1/2}] and read off the true relative condition
     number, rather than trusting the w.h.p. guarantee. *)
 
-val jacobi : ?max_sweeps:int -> ?tol:float -> Dense.t -> Vec.t * Dense.t
+val jacobi : Dense.t -> Vec.t * Dense.t
 (** [jacobi a] returns [(eigenvalues, eigenvectors)] of symmetric [a]:
     column [j] of the returned matrix is the unit eigenvector for
-    [eigenvalues.(j)].  Eigenvalues are sorted ascending.
+    [eigenvalues.(j)].  Eigenvalues are sorted ascending.  Sweeps stop
+    once the off-diagonal Frobenius norm is at most [1e-12] times
+    [max 1 ||a||_F], or after 100 sweeps.
     @raise Invalid_argument if [a] is not symmetric. *)
 
-val eigenvalues : ?max_sweeps:int -> ?tol:float -> Dense.t -> Vec.t
+val eigenvalues : Dense.t -> Vec.t
 (** Eigenvalues only, sorted ascending. *)
 
 val relative_condition : Dense.t -> Dense.t -> float * float

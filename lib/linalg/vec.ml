@@ -115,12 +115,4 @@ let mean_center x =
     Array.map (fun v -> v -. m) x
   end
 
-(* Test-only, checked by "linalg.vec clamp" (test_linalg.ml); slated for
-   deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let clamp ~lo ~hi x =
-  check_dims "clamp" lo x;
-  check_dims "clamp" hi x;
-  Array.init (Array.length x) (fun i -> Float.min hi.(i) (Float.max lo.(i) x.(i)))
-
 let max_elt x = Array.fold_left Float.max neg_infinity x

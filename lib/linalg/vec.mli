@@ -66,7 +66,4 @@ val map2 : (float -> float -> float) -> t -> t -> t
 val mean_center : t -> t
 (** Subtract the mean: projection onto the orthogonal complement of [1]. *)
 
-val clamp : lo:t -> hi:t -> t -> t
-(** Coordinate-wise median of [lo], [x], [hi] (the paper's [MEDIAN]). *)
-
 val max_elt : t -> float

@@ -16,7 +16,11 @@
      classifies seed references out of these, and the phase-flow pass
      classifies broadcast-primitive references;
    - the string-literal labels passed to [with_phase]-family calls, for
-     taxonomy validation on resolved calls rather than source tokens.
+     taxonomy validation on resolved calls rather than source tokens;
+   - for each reference, whether it is the function of an application
+     and which optional arguments that application supplies, and for each
+     binding the optional parameters it declares — the dead-option pass
+     matches the two.
 
    References through [f @@ x] / [x |> f] are unwrapped so
    [with_phase acc "p" @@ fun () -> ...] opens a phase scope exactly like
@@ -34,6 +38,11 @@ type ref_info = {
   name : string;  (** normalized dotted name, aliases resolved *)
   rloc : Location.t;
   phased : bool;  (** occurs under a with_phase scope / ~phases call *)
+  supplied : string list option;
+      (** [Some labels] when the reference is the function of an
+          application: the optional arguments it supplies, a forwarded
+          [?x] included; [None] when the value is used otherwise (passed,
+          stored, aliased), which may supply any of them *)
 }
 
 type node = {
@@ -41,9 +50,11 @@ type node = {
   unit_path : string;
   def_loc : Location.t;
   exported : bool;  (** declared in its unit's interface *)
+  optionals : (string * Location.t) list;
+      (** the optional parameters of the binding's function, in order *)
   mutable refs : ref_info list;  (** in source order *)
   mutable phase_labels : (string * Location.t) list;
-  mutable calls : (node * Location.t * bool) list;  (** resolved, source order *)
+  mutable calls : (node * ref_info) list;  (** resolved, source order *)
 }
 
 type t = {
@@ -79,6 +90,42 @@ let rec head_name aliases (e : Typedtree.expression) =
   | Typedtree.Texp_apply (f, _) -> head_name aliases f
   | _ -> None
 
+(* The optional parameters of a function expression, each at the
+   location of its pattern.  [?(x = d)] is typed as [fun ?*opt* -> let x =
+   match *opt* with ... in body]: the let's pattern is where [x] is
+   written, and the next parameter is inside its body. *)
+let rec optional_params (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_function { arg_label; cases = [ c ]; _ } -> (
+      let here loc =
+        match arg_label with
+        | Asttypes.Optional l -> [ (l, loc) ]
+        | Asttypes.Nolabel | Asttypes.Labelled _ -> []
+      in
+      match (arg_label, c.Typedtree.c_rhs.Typedtree.exp_desc) with
+      | Asttypes.Optional _, Typedtree.Texp_let (_, [ vb ], body)
+        when Typedtree.pat_bound_idents c.Typedtree.c_lhs
+             |> List.exists (fun id -> Ident.name id = "*opt*") ->
+          here vb.Typedtree.vb_pat.Typedtree.pat_loc @ optional_params body
+      | _ -> here c.Typedtree.c_lhs.Typedtree.pat_loc @ optional_params c.Typedtree.c_rhs)
+  | _ -> []
+
+(* The optional arguments an application supplies.  An omitted optional
+   argument of a full application is filled with a [None] the compiler
+   builds at a ghost location; that one supplies nothing. *)
+let supplied_optionals args =
+  List.filter_map
+    (fun (lbl, arg) ->
+      match (lbl, arg) with
+      | Asttypes.Optional l, Some (a : Typedtree.expression) -> (
+          match a.Typedtree.exp_desc with
+          | Typedtree.Texp_construct (_, { Types.cstr_name = "None"; _ }, [])
+            when a.Typedtree.exp_loc.Location.loc_ghost ->
+              None
+          | _ -> Some l)
+      | _ -> None)
+    args
+
 let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
     =
   let aliases = Lint_tast.alias_map unit.structure in
@@ -88,9 +135,9 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
      refers to binders bound before it or in its own [let rec] group. *)
   let binders = Hashtbl.create 64 in
   let created = ref [] in
-  let new_node ~id ~def_loc ~exported =
+  let new_node ?(optionals = []) ~id ~def_loc ~exported () =
     let n =
-      { id; unit_path = unit.path; def_loc; exported; refs = [];
+      { id; unit_path = unit.path; def_loc; exported; optionals; refs = [];
         phase_labels = []; calls = [] }
     in
     created := n :: !created;
@@ -104,7 +151,7 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
         let n =
           new_node
             ~id:(String.concat "." (module_path @ [ "(init)" ]))
-            ~def_loc:Location.none ~exported:false
+            ~def_loc:Location.none ~exported:false ()
         in
         Hashtbl.replace init_nodes module_path n;
         add_init n;
@@ -138,6 +185,7 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
                         ~id:(String.concat "." (module_path @ [ Ident.name id ]))
                         ~def_loc:vb.Typedtree.vb_pat.Typedtree.pat_loc
                         ~exported:(exported (rel @ [ Ident.name id ]))
+                        ~optionals:(optional_params vb.Typedtree.vb_expr) ()
                     in
                     add_node n;
                     collect_body ~node:n vb.Typedtree.vb_expr)
@@ -173,10 +221,20 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
       str.Typedtree.str_items
   and collect_body ~node expr =
     let phase_depth = ref 0 in
+    (* The function identifier of the application being walked, with the
+       optional arguments it supplies; consumed when the walk reaches it. *)
+    let head = ref None in
     let open Tast_iterator in
     let record name loc =
+      let supplied =
+        match !head with
+        | Some (hloc, labels) when hloc = loc ->
+            head := None;
+            Some labels
+        | _ -> None
+      in
       node.refs <-
-        { name; rloc = loc; phased = !phase_depth > 0 } :: node.refs
+        { name; rloc = loc; phased = !phase_depth > 0; supplied } :: node.refs
     in
     let record_phase_label (arg : Typedtree.expression) =
       match arg.Typedtree.exp_desc with
@@ -192,6 +250,10 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
       | Typedtree.Texp_ident (p, _, _) ->
           record (Lint_tast.resolve aliases p) e.Typedtree.exp_loc
       | Typedtree.Texp_apply (f, args) ->
+          (match f.Typedtree.exp_desc with
+          | Typedtree.Texp_ident _ ->
+              head := Some (f.Typedtree.exp_loc, supplied_optionals args)
+          | _ -> ());
           let fname = head_name aliases f in
           let opens_phase =
             match fname with
@@ -372,8 +434,7 @@ let build units =
           | ms ->
               Some
                 (List.filter_map
-                   (fun m ->
-                     if m.id = n.id then None else Some (m, r.rloc, r.phased))
+                   (fun m -> if m.id = n.id then None else Some (m, r))
                    ms))
         n.refs
       |> List.concat
@@ -405,8 +466,8 @@ let witness ?(use_edge = fun _ -> true) ?(stop = fun _ -> false) t ~roots
     if n.id = target then found := Some n
     else if not (stop n) then
       List.iter
-        (fun (m, _, phased) ->
-          if use_edge phased && not (Hashtbl.mem parent m.id) then begin
+        (fun (m, r) ->
+          if use_edge r.phased && not (Hashtbl.mem parent m.id) then begin
             Hashtbl.replace parent m.id (Some n.id);
             Queue.add m queue
           end)
@@ -441,8 +502,8 @@ let reachable ?(use_edge = fun _ -> true) ?(stop = fun _ -> false)
     if stop n then ()
     else
     List.iter
-      (fun (m, _, phased) ->
-        if use_edge phased && not (Hashtbl.mem seen m.id) then begin
+      (fun (m, r) ->
+        if use_edge r.phased && not (Hashtbl.mem seen m.id) then begin
           Hashtbl.replace seen m.id ();
           Queue.add m queue
         end)

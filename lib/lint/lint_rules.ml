@@ -222,6 +222,18 @@ let rules =
       applies = (fun p -> in_dir "lib" p && not (in_dir "lib/lint" p));
     };
     {
+      name = "typ-dead-option";
+      severity = Lint_diag.Warning;
+      doc =
+        "[typed] An optional parameter of a lib/ export that no \
+         application reachable from an executable (bin/, bench/, \
+         perfbench/, examples/) or a module initialiser supplies: every \
+         run takes its default. Make the default a constant; a knob that \
+         a named caller or ROADMAP item needs stays with a waiver saying \
+         so.";
+      applies = (fun p -> in_dir "lib" p && not (in_dir "lib/lint" p));
+    };
+    {
       name = "typ-stale-cmt";
       severity = Lint_diag.Warning;
       doc =

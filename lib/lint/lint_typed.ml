@@ -325,9 +325,62 @@ let dead_exports config (graph : Lint_callgraph.t) =
     (sorted_nodes graph)
 
 (* ------------------------------------------------------------------ *)
+(* Dead options                                                        *)
+
+(* An optional parameter of a live export in [export_scope] is dead when
+   no application reachable from the roots supplies it: every run takes
+   its default.  A forwarded [?x] supplies it, and so does any use of the
+   function other than applying it (passed, stored or aliased), since the
+   walk cannot see which labels the eventual caller sets.  An export that
+   is not reached at all is [typ-dead-export]'s finding, not this one. *)
+let dead_options config (graph : Lint_callgraph.t) =
+  let open Lint_callgraph in
+  let under prefixes n =
+    List.exists (fun p -> Lint_tast.has_dot_prefix ~prefix:p n.id) prefixes
+  in
+  let reached =
+    reachable graph ~roots:(under config.roots) ~extra:graph.inits
+  in
+  let supplied = Hashtbl.create 64 and as_value = Hashtbl.create 64 in
+  List.iter
+    (fun n ->
+      if Hashtbl.mem reached n.id then
+        List.iter
+          (fun (m, r) ->
+            match r.supplied with
+            | None -> Hashtbl.replace as_value m.id ()
+            | Some labels ->
+                List.iter (fun l -> Hashtbl.replace supplied (m.id, l) ()) labels)
+          n.calls)
+    (sorted_nodes graph @ graph.inits);
+  List.concat_map
+    (fun n ->
+      if
+        n.exported && under config.export_scope n
+        && Hashtbl.mem reached n.id
+        && not (Hashtbl.mem as_value n.id)
+      then
+        List.filter_map
+          (fun (label, loc) ->
+            if Hashtbl.mem supplied (n.id, label) then None
+            else
+              Some
+                (mk_diag ~rule:"typ-dead-option" ~file:n.unit_path ~loc
+                   (Printf.sprintf
+                      "optional argument ?%s of public value %s is supplied \
+                       by no application reachable from an entry point \
+                       (bin/, bench/, perfbench/, examples/) or a module \
+                       initialiser; make its default a constant, or waive \
+                       it naming the caller that needs it"
+                      label n.id)))
+          n.optionals
+      else [])
+    (sorted_nodes graph)
+
+(* ------------------------------------------------------------------ *)
 (* Combined                                                            *)
 
-(* Run the four passes over a prebuilt graph.  [suppress_for] memoizes
+(* Run the five passes over a prebuilt graph.  [suppress_for] memoizes
    waiver tables per source file; taint consults it during analysis
    (sanctioned seeds), and the caller applies it again to the final
    diagnostics uniformly. *)
@@ -336,3 +389,4 @@ let analyze ?(config = default_config) graph ~suppress_for =
   @ phase_flow config graph
   @ races graph
   @ dead_exports config graph
+  @ dead_options config graph

@@ -11,30 +11,29 @@ type config = {
   weighting : weighting;
   weight_update : weight_update;
   leverage_mode : leverage_mode;
-  step_scale : float;
-  lewis_eta : float;
-  final_centering : int;
-  max_iterations : int;
-  t1_c : float;
-  delta_target : float;
-  max_centering_per_step : int;
-  verbose : bool;
 }
 
 let default_config =
-  {
-    weighting = Lewis;
-    weight_update = `Recompute;
-    leverage_mode = `Exact;
-    step_scale = 0.5;
-    lewis_eta = 0.05;
-    final_centering = 6;
-    max_iterations = 200_000;
-    t1_c = 1.0;
-    delta_target = 0.5;
-    max_centering_per_step = 30;
-    verbose = false;
-  }
+  { weighting = Lewis; weight_update = `Recompute; leverage_mode = `Exact }
+
+(* The calibrated path-following constants (DESIGN.md, substitution 5). *)
+
+(* Multiplies [1/sqrt(c1)] in the progress step [alpha]. *)
+let step_scale = 0.5
+
+(* Fixed-point accuracy of the Lewis weight recomputation. *)
+let lewis_eta = 0.05
+
+(* Extra centering steps at the end of each phase, at most. *)
+let final_centering = 6
+
+(* Hard cap on progress steps per phase. *)
+let max_iterations = 200_000
+
+(* Centering repeats after a progress step until the centrality measure
+   drops to [delta_target], at most [max_centering_per_step] times. *)
+let delta_target = 0.5
+let max_centering_per_step = 30
 
 type trace = {
   iterations : int;
@@ -101,7 +100,7 @@ let lewis_weights ?accountant ~config ~prng ~problem ~solver ~x ~w_prev () =
   let c0 = float_of_int n /. (2.0 *. float_of_int m) in
   let w0 = Vec.map (fun wi -> Float.max (wi -. c0) 1e-9) w_prev in
   let w, _ =
-    Lewis.fixed_point ~leverage ~p:(p_lewis m) ~w0 ~eta:config.lewis_eta ()
+    Lewis.fixed_point ~leverage ~p:(p_lewis m) ~w0 ~eta:lewis_eta
   in
   Lewis.regularized w ~n ~m
 
@@ -201,7 +200,6 @@ let centering_inexact ?accountant ~config ~prng ~problem ~solver ~t ~cost state 
             let apx, _ =
               Lewis.compute_apx_weights ~leverage ~p:(p_lewis m) ~w0
                 ~eta:(Float.max (Float.exp r -. 1.0) 1e-3)
-                ()
             in
             let z = Vec.map log (Lewis.regularized apx ~n ~m) in
             let mu = eta /. (12.0 *. r) in
@@ -224,7 +222,7 @@ let path_following ?accountant ~config ~prng ~problem ~solver ~x ~w ~t_start
   if t_start <= 0.0 || t_end <= 0.0 then
     invalid_arg "Ipm.path_following: path parameters must be positive";
   let c1 = Float.max 1.0 (Vec.norm1 w) in
-  let alpha = config.step_scale /. sqrt c1 in
+  let alpha = step_scale /. sqrt c1 in
   let state = ref { x; w; delta = 0.0 } in
   let t = ref t_start in
   let iterations = ref 0 and centering_calls = ref 0 in
@@ -245,20 +243,17 @@ let path_following ?accountant ~config ~prng ~problem ~solver ~x ~w ~t_start
         centering_inexact ?accountant ~config ~prng ~problem ~solver ~t ~cost
           !state;
       observe ();
-      if !state.delta <= config.delta_target || !tries >= config.max_centering_per_step
-      then continue_ := false
+      if !state.delta <= delta_target || !tries >= max_centering_per_step then
+        continue_ := false
     done
   in
-  while !t <> t_end && !iterations < config.max_iterations do
+  while !t <> t_end && !iterations < max_iterations do
     incr iterations;
     center_until_good !t;
-    t := median3 ((1.0 -. alpha) *. !t) t_end ((1.0 +. alpha) *. !t);
-    if config.verbose && !iterations mod 50 = 0 then
-      Format.eprintf "  [pf] iter=%d t=%.3e delta=%.3f@." !iterations !t
-        !state.delta
+    t := median3 ((1.0 -. alpha) *. !t) t_end ((1.0 +. alpha) *. !t)
   done;
   let extra =
-    Stdlib.min config.final_centering
+    Stdlib.min final_centering
       (Stdlib.max 1 (int_of_float (Float.ceil (4.0 *. log (1.0 /. Float.min 0.5 eta)))))
   in
   for _ = 1 to extra do
@@ -290,7 +285,7 @@ let initial_weights ?accountant ~config ~prng ~problem ~solver ~x0 () =
       in
       let w, steps =
         Lewis.compute_initial_weights ~leverage_for ~m ~n
-          ~p_target:(p_lewis m) ~eta:config.lewis_eta ()
+          ~p_target:(p_lewis m) ~eta:lewis_eta
       in
       (Lewis.regularized w ~n ~m, steps)
 
@@ -306,14 +301,10 @@ let lp_solve ?accountant ?(config = default_config) ~prng ~problem ~solver ~x0
   (* Auxiliary cost making x0 exactly central at t = 1. *)
   let d = Vec.neg (Vec.mul w (Problem.phi' problem x0)) in
   let logm = log (Float.max m 2.0) in
-  let t1 =
-    config.t1_c /. ((m ** 1.5) *. u *. u *. (logm ** 4.0)) |> Float.max 1e-300
-  in
+  let t1 = 1.0 /. ((m ** 1.5) *. u *. u *. (logm ** 4.0)) |> Float.max 1e-300 in
   let t2 = 2.0 *. m /. eps in
   let eta1 = 1e-2 in
   let eta2 = eps /. (8.0 *. u *. u) in
-  if config.verbose then
-    Format.eprintf "[lp_solve] m=%g U=%.3g t1=%.3e t2=%.3e@." m u t1 t2;
   let x', w', trace1 =
     path_following ?accountant ~config ~prng ~problem ~solver ~x:x0 ~w
       ~t_start:1.0 ~t_end:t1 ~eta:eta1 ~cost:d ()

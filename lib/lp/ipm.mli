@@ -2,7 +2,7 @@
     [CenteringInexact] (Algorithms 9–11; Theorem 1.4).
 
     Weighted path following: each progress step multiplies the path
-    parameter [t] by [(1 ± alpha)] with [alpha = step_scale / sqrt(c1)],
+    parameter [t] by [(1 ± alpha)] with [alpha = 0.5 / sqrt(c1)],
     [c1 = ||w||_1] — so Lewis weights ([||w||_1 <= 2n]) give
     [O(sqrt n log(t_end/t_start))] iterations and the unweighted log
     barrier ([||w||_1 = m]) gives [O(sqrt m ...)]: experiment E10 measures
@@ -29,20 +29,17 @@ type weight_update = [ `Recompute | `Paper ]
 type leverage_mode = [ `Exact | `Jl of float ]
 
 type config = {
-  weighting : weighting;
+  weighting : weighting;  (** experiment E10 compares the two *)
   weight_update : weight_update;
   leverage_mode : leverage_mode;
-  step_scale : float;  (** multiplies [1/sqrt(c1)] in [alpha] *)
-  lewis_eta : float;  (** fixed-point accuracy of weight recomputation *)
-  final_centering : int;  (** extra centering steps at [t_end] *)
-  max_iterations : int;  (** hard cap on progress steps per phase *)
-  t1_c : float;  (** scale of the phase-1 target [t_1] *)
-  delta_target : float;
-      (** repeat centering after each progress step until the centrality
-          measure drops below this *)
-  max_centering_per_step : int;
-  verbose : bool;
+      (** no command sets these two yet; ROADMAP item 6(c) switches on
+          [`Paper] updates and JL leverage *)
 }
+(** The path-following constants are fixed (DESIGN.md, substitution 5):
+    Lewis weights are recomputed to fixed-point accuracy [0.05]; after
+    each progress step, centering repeats until the centrality measure is
+    at most [0.5], at most 30 times; a phase takes at most 200,000
+    progress steps and ends with up to 6 extra centering steps. *)
 
 val default_config : config
 

@@ -13,7 +13,7 @@ type operator = {
   solve_rounds : int;
 }
 
-let of_row_scaled ?(solve_rounds = 1) a d =
+let of_row_scaled a d =
   if Vec.dim d <> Sparse.rows a then
     invalid_arg "Leverage.of_row_scaled: dimension mismatch";
   let apply x = Vec.mul d (Sparse.matvec a x) in
@@ -22,7 +22,8 @@ let of_row_scaled ?(solve_rounds = 1) a d =
   let gram = Sparse.gram a (Vec.mul d d) in
   let factor = lazy (Dense.factorize gram) in
   let solve_normal z = Dense.solve_factored (Lazy.force factor) z in
-  { rows = Sparse.rows a; cols = Sparse.cols a; apply; apply_t; solve_normal; solve_rounds }
+  { rows = Sparse.rows a; cols = Sparse.cols a; apply; apply_t; solve_normal;
+    solve_rounds = 1 }
 
 let exact op =
   Vec.init op.rows (fun i ->

@@ -20,10 +20,11 @@ type operator = {
       (** the [T(n,m)] of Theorem 1.4: rounds charged per normal solve *)
 }
 
-val of_row_scaled : ?solve_rounds:int -> Sparse.t -> Vec.t -> operator
+val of_row_scaled : Sparse.t -> Vec.t -> operator
 (** [of_row_scaled a d] is the operator for [M = diag(d) * a], with the
     normal solves done by dense factorization of the Gram matrix (the
-    reference backend; flow instances override with the Laplacian path). *)
+    reference backend; flow instances override with the Laplacian path),
+    each charged one round. *)
 
 val exact : operator -> Vec.t
 (** Exact leverage scores via [n] normal solves — [O(n)] probes; reference

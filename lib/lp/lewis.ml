@@ -1,13 +1,10 @@
 module Vec = Lbcc_linalg.Vec
 
-type params = {
-  step_scale : float;
-  max_fixed_point_iters : int;
-  leverage_eta : float;
-}
-
-let default_params =
-  { step_scale = 0.25; max_fixed_point_iters = 200; leverage_eta = 0.05 }
+(* Calibrated constants (DESIGN.md, substitution 5).  [step_scale]
+   multiplies the homotopy step [h]; the paper's value is [p^2(4-p)/2^20]
+   per unit of [min(2,p)/sqrt(n log(m e^2/n))]. *)
+let step_scale = 0.25
+let max_fixed_point_iters = 200
 
 (* sigma(W^{1/2 - 1/p} M) given a leverage oracle for row-scaled M. *)
 let scaled_sigma ~leverage ~p w =
@@ -20,12 +17,12 @@ let residual ~leverage ~p w =
   let dev = Vec.map2 (fun wi si -> Float.abs (si -. wi) /. Float.max wi 1e-300) w sigma in
   Vec.max_elt dev
 
-let fixed_point ?(params = default_params) ~leverage ~p ~w0 ~eta () =
+let fixed_point ~leverage ~p ~w0 ~eta =
   let w = ref (Vec.copy w0) in
   let iters = ref 0 in
   let continue_ = ref true in
   let prev_dev = ref infinity in
-  while !continue_ && !iters < params.max_fixed_point_iters do
+  while !continue_ && !iters < max_fixed_point_iters do
     let sigma = scaled_sigma ~leverage ~p !w in
     (* Cohen–Peng contractive update: w <- sigma^{p/2} w^{1-p/2}
        (a contraction in log space with factor |1 - p/2| for p < 4);
@@ -56,7 +53,7 @@ let fixed_point ?(params = default_params) ~leverage ~p ~w0 ~eta () =
   done;
   (!w, !iters)
 
-let compute_apx_weights ?(params = default_params) ~leverage ~p ~w0 ~eta () =
+let compute_apx_weights ~leverage ~p ~w0 ~eta =
   (* Algorithm 7 with the paper's shape: damped step toward the fixed point,
      clamped to a multiplicative trust region around the warm start. *)
   let damping = Float.max 4.0 (8.0 /. p) in
@@ -64,7 +61,7 @@ let compute_apx_weights ?(params = default_params) ~leverage ~p ~w0 ~eta () =
   let t =
     let n = float_of_int (Vec.dim w0) in
     Stdlib.max 2
-      (Stdlib.min params.max_fixed_point_iters
+      (Stdlib.min max_fixed_point_iters
          (int_of_float
             (Float.ceil (4.0 *. ((p /. 2.0) +. (2.0 /. p)) *. log (n /. Float.min 0.5 eta)))))
   in
@@ -84,8 +81,7 @@ let compute_apx_weights ?(params = default_params) ~leverage ~p ~w0 ~eta () =
   done;
   (!w, !iters)
 
-let compute_initial_weights ?(params = default_params) ~leverage_for ~m ~n
-    ~p_target ~eta () =
+let compute_initial_weights ~leverage_for ~m ~n ~p_target ~eta =
   if p_target <= 0.0 || p_target > 2.0 then
     invalid_arg "Lewis.compute_initial_weights: p_target must be in (0, 2]";
   (* p = 2: Lewis weights are exactly the leverage scores. *)
@@ -101,7 +97,7 @@ let compute_initial_weights ?(params = default_params) ~leverage_for ~m ~n
   let denom = sqrt (nf *. log ((mf *. Float.exp 2.0 /. nf) +. Float.exp 1.0)) in
   while !p <> p_target do
     incr steps;
-    let h = params.step_scale *. Float.min 2.0 !p /. denom in
+    let h = step_scale *. Float.min 2.0 !p /. denom in
     let p_new =
       if !p > p_target then Float.max p_target (!p -. h)
       else Float.min p_target (!p +. h)
@@ -110,14 +106,13 @@ let compute_initial_weights ?(params = default_params) ~leverage_for ~m ~n
     let w0 = Vec.map (fun wi -> Float.max wi 1e-300 ** (p_new /. !p)) !w in
     let leverage = leverage_for ~p:p_new in
     let w', _ =
-      fixed_point ~params ~leverage ~p:p_new ~w0 ~eta:(Float.max eta 0.05)
-        ()
+      fixed_point ~leverage ~p:p_new ~w0 ~eta:(Float.max eta 0.05)
     in
     w := w';
     p := p_new
   done;
   let leverage = leverage_for ~p:p_target in
-  let w_final, _ = fixed_point ~params ~leverage ~p:p_target ~w0:!w ~eta () in
+  let w_final, _ = fixed_point ~leverage ~p:p_target ~w0:!w ~eta in
   (w_final, !steps)
 
 let regularized w ~n ~m =

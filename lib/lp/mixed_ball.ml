@@ -12,7 +12,8 @@ type result = {
 
 let sign v = if v > 0.0 then 1.0 else if v < 0.0 then -1.0 else 0.0
 
-let feasible ?(tol = 1e-7) ~l x =
+let feasible ~l x =
+  let tol = 1e-7 in
   let inf = Vec.max_elt (Vec.map2 (fun xi li -> Float.abs xi /. li) x l) in
   Vec.norm2 x +. inf <= 1.0 +. tol
 

@@ -29,5 +29,5 @@ val brute_force : a:Vec.t -> l:Vec.t -> unit -> result
 (** Reference maximizer: dense scan over a fine [t]-grid with local
     refinement; [O(m log m + grid)]. *)
 
-val feasible : ?tol:float -> l:Vec.t -> Vec.t -> bool
-(** Membership in the ball [||x||_2 + ||l^{-1} x||_inf <= 1 + tol]. *)
+val feasible : l:Vec.t -> Vec.t -> bool
+(** Membership in the ball [||x||_2 + ||l^{-1} x||_inf <= 1 + 1e-7]. *)

@@ -69,11 +69,6 @@ type stats = {
   converged : bool;
 }
 
-exception
-  Timeout of { label : string; supersteps : int; rounds : int; phase : string }
-
-type on_timeout = [ `Truncate | `Raise ]
-
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
 
@@ -224,12 +219,10 @@ let deliver buf by_dst ~kend ~tamper k u msg =
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
-let run ?pool ?accountant ?tracer ?(label = "engine")
-    ?(max_supersteps = 1_000_000) ?(on_timeout = `Truncate) ?faults
+let run ?accountant ?(label = "engine") ?(max_supersteps = 1_000_000) ?faults
     ?(tamper = fun ~salt:_ msg -> msg) ~model ~graph ~size_bits ~init ~step ()
     =
-  Lbcc_obs.Trace.span tracer label @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Pool.default () in
+  let pool = Pool.default () in
   let faults = active_faults faults in
   let n = Graph.n graph in
   (* In-neighbor CSR by counting sort keyed (src, dst): each segment lists a
@@ -342,15 +335,7 @@ let run ?pool ?accountant ?tracer ?(label = "engine")
     | None -> ());
     rounds := !rounds + cost
   done;
-  Lbcc_obs.Trace.add tracer ~rounds:!rounds ~bits:!total_bits
-    ~supersteps:!supersteps ~messages:!messages_sent ();
   let converged = not (any_live ()) in
-  if (not converged) && on_timeout = `Raise then begin
-    let phase =
-      match accountant with Some acc -> Rounds.phase_path acc | None -> ""
-    in
-    raise (Timeout { label; supersteps = !supersteps; rounds = !rounds; phase })
-  end;
   ( states,
     {
       supersteps = !supersteps;

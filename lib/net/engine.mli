@@ -7,16 +7,12 @@
     (one outgoing message per vertex per superstep, delivered identically to
     all neighbors) and charges the accountant [ceil(max_bits/B)] rounds per
     superstep, recording the per-superstep maximum message bits alongside.
-    With a [?tracer] the whole run executes inside a span named [label] that
-    receives the run's rounds, aggregate sent bits, supersteps and message
-    count.
 
     Delivery is lossless and crash-free unless a {!Fault.t} is supplied: then
     each (sender, receiver) delivery may be dropped or duplicated and
     vertices may crash-stop mid-run, all reproducibly from the fault seed.
     Termination is reported honestly: [stats.converged] says whether every
-    vertex halted (or crashed) on its own, and [?on_timeout:`Raise] turns the
-    superstep cap into a {!Timeout} instead of a silent truncation.
+    vertex halted (or crashed) on its own before the superstep cap.
 
     Every dist protocol (BFS, SSSP, leader election) runs on this engine
     through {!Tier.run}, under each delivery tier.  The spanner, and the
@@ -41,8 +37,8 @@
 
     {2 Parallel execution}
 
-    The per-vertex step phase runs on a {!Lbcc_util.Pool} (the shared
-    default pool unless [?pool] is given), chunked over vertex ranges.
+    The per-vertex step phase runs on the shared default
+    {!Lbcc_util.Pool}, chunked over vertex ranges.
     Results are bit-identical at every pool size: each vertex assembles its
     own inbox from the previous superstep's message slots in ascending
     sender order (reproducing the historical push-delivery order exactly),
@@ -116,23 +112,10 @@ type stats = {
           live — the states are partial. *)
 }
 
-exception
-  Timeout of { label : string; supersteps : int; rounds : int; phase : string }
-(** Raised instead of returning truncated state when [?on_timeout:`Raise]
-    is selected and [max_supersteps] is exhausted.  [rounds] is the round
-    count charged up to the cap and [phase] the accountant's open-phase
-    path at that moment ([""] without an accountant or open phase), so a
-    timeout pinpoints where in the pipeline the budget died. *)
-
-type on_timeout = [ `Truncate | `Raise ]
-
 val run :
-  ?pool:Lbcc_util.Pool.t ->
   ?accountant:Rounds.t ->
-  ?tracer:Lbcc_obs.Trace.t ->
   ?label:string ->
   ?max_supersteps:int ->
-  ?on_timeout:on_timeout ->
   ?faults:Fault.t ->
   ?tamper:(salt:int -> 'msg -> 'msg) ->
   model:Model.t ->
@@ -153,5 +136,4 @@ val run :
     must be pure (it runs inside the parallel gather) and deterministic in
     [salt].  The default is the identity — a protocol that opts out of
     supplying a transform is immune to payload tampering, not silently
-    corrupted.
-    @raise Timeout when the cap is hit under [?on_timeout:`Raise]. *)
+    corrupted. *)

@@ -10,7 +10,10 @@ type spec = {
   byz_prob : float;
 }
 
+(* No command sets [adversarial_drops], but the faulty rows of the golden
+   fingerprints (test/fp/fp.ml) run with an adversarial budget. *)
 let spec ?(drop_prob = 0.0) ?(duplicate_prob = 0.0) ?(crashes = [])
+    (* lbcc-lint: allow typ-dead-option *)
     ?(adversarial_drops = 0) ?(corrupt_prob = 0.0) ?(byzantine = [])
     ?(byz_prob = 0.0) () =
   {
@@ -130,15 +133,13 @@ let coin salt ~round ~src ~dst ~p =
   p > 0.0 && Prng.first_bernoulli (key salt ~round ~src ~dst) p
 
 (* Coin and per-delivery key material from one stream: the first draw is
-   the decision, the second is the tamper salt handed to the caller. *)
+   the decision, the second is the tamper salt handed to the caller.  Only
+   a tampered verdict allocates (its [Some]). *)
 let coin_with_salt salt ~round ~src ~dst ~p =
   if p <= 0.0 then None
-  else begin
-    let g = Prng.create (key salt ~round ~src ~dst) in
-    if Prng.float g < p then
-      Some (Int64.to_int (Prng.next_int64 g) land max_int)
-    else None
-  end
+  else
+    let k = key salt ~round ~src ~dst in
+    if Prng.first_bernoulli k p then Some (Prng.second_int k) else None
 
 let copies t ~round ~src ~dst =
   if coin t.drop_salt ~round ~src ~dst ~p:t.drop_prob then begin
@@ -168,18 +169,18 @@ let copies t ~round ~src ~dst =
 
 let tamper t ~round ~src ~dst =
   match coin_with_salt t.corrupt_salt ~round ~src ~dst ~p:t.corrupt_prob with
-  | Some salt ->
+  | Some _ as verdict ->
       t.corrupted <- t.corrupted + 1;
-      Some salt
+      verdict
   | None ->
       if is_byzantine t src then
         match coin_with_salt t.byz_salt ~round ~src ~dst ~p:t.byz_prob with
-        | Some salt ->
+        | Some _ as verdict ->
             (* Keyed on (round, src, dst): two receivers of the same
                broadcast draw different salts, so a tampering Byzantine
                sender equivocates by construction. *)
             t.equivocated <- t.equivocated + 1;
-            Some salt
+            verdict
         | None -> None
       else None
 

@@ -83,8 +83,6 @@ let with_phase t name f =
 let with_phase_opt acc name f =
   match acc with Some t -> with_phase t name f | None -> f ()
 
-let phase_path t = String.concat "/" (List.rev t.prefix)
-
 type tree = { label : string; t_rounds : int; t_bits : int; children : tree list }
 
 (* Fold the flat path-labeled breakdown into a forest.  Each node aggregates
@@ -146,16 +144,6 @@ let tree t =
       !order
   in
   build rows
-
-(* Test-only, checked by "net.rounds reset/checkpoint" and "net.rounds
-   reset clears hierarchy" (test_net.ml); slated for deletion with them. *)
-(* lbcc-lint: allow typ-dead-export *)
-let reset t =
-  t.total <- 0;
-  t.total_bits <- 0;
-  Hashtbl.reset t.tally;
-  t.order <- [];
-  t.prefix <- []
 
 let checkpoint t = t.total
 

@@ -74,19 +74,12 @@ val with_phase : t -> string -> (unit -> 'a) -> 'a
 val with_phase_opt : t option -> string -> (unit -> 'a) -> 'a
 (** {!with_phase} through an optional accountant; [None] just runs [f]. *)
 
-val phase_path : t -> string
-(** The currently open phase prefix, ["a/b"] style; [""] at top level. *)
-
 type tree = { label : string; t_rounds : int; t_bits : int; children : tree list }
 
 val tree : t -> tree list
 (** The breakdown folded into a forest by splitting label paths on ['/'].
     An interior node aggregates its subtree (plus any charges made directly
     at its own path); siblings keep first-charge order. *)
-
-val reset : t -> unit
-(** Clears totals, per-label tallies and the phase hierarchy (open phases
-    are forgotten: subsequent charges are unprefixed). *)
 
 val checkpoint : t -> int
 (** Current total, for measuring a subcomputation as a difference. *)

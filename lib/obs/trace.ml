@@ -3,8 +3,7 @@ type span = {
   mutable wall_ns : int;
   mutable rounds : int;
   mutable bits : int;
-  mutable supersteps : int;
-  mutable messages : int;
+  supersteps : int;
   mutable attrs : (string * Json.t) list;
   mutable children : span list; (* reversed; [to_json]/[pp] re-reverse *)
 }
@@ -22,7 +21,6 @@ let fresh_span name =
     rounds = 0;
     bits = 0;
     supersteps = 0;
-    messages = 0;
     attrs = [];
     children = [];
   }
@@ -51,15 +49,13 @@ let span tracer name f =
           t.stack <- (match t.stack with _ :: rest -> rest | [] -> []))
         f
 
-let add tracer ?(rounds = 0) ?(bits = 0) ?(supersteps = 0) ?(messages = 0) () =
+let add tracer ?(rounds = 0) ?(bits = 0) () =
   match tracer with
   | None -> ()
   | Some t ->
       let s = current t in
       s.rounds <- s.rounds + rounds;
-      s.bits <- s.bits + bits;
-      s.supersteps <- s.supersteps + supersteps;
-      s.messages <- s.messages + messages
+      s.bits <- s.bits + bits
 
 let root t = t.root_span
 
@@ -71,7 +67,6 @@ let rec span_to_json s =
       ("rounds", Json.Int s.rounds);
       ("bits", Json.Int s.bits);
       ("supersteps", Json.Int s.supersteps);
-      ("messages", Json.Int s.messages);
       ("attrs", Json.Obj s.attrs);
       ("children", Json.Arr (List.rev_map span_to_json s.children |> List.rev));
     ]
@@ -80,8 +75,8 @@ let to_json t = span_to_json t.root_span
 
 let pp ppf t =
   let rec walk indent s =
-    Format.fprintf ppf "%s%s: rounds=%d bits=%d supersteps=%d wall=%.3fms@,"
-      indent s.name s.rounds s.bits s.supersteps
+    Format.fprintf ppf "%s%s: rounds=%d bits=%d wall=%.3fms@,"
+      indent s.name s.rounds s.bits
       (float_of_int s.wall_ns /. 1e6);
     List.iter (walk (indent ^ "  ")) (List.rev s.children)
   in

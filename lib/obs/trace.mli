@@ -2,8 +2,8 @@
 
     A trace is a tree of spans.  Instrumented layers (the network engine, the
     sparsifier, the Laplacian solver, the IPM) open a span around a phase and
-    record what that phase cost: simulated rounds, broadcast bits, engine
-    supersteps, messages, and wall-clock time.  Wall-clock is measured
+    record what that phase cost: simulated rounds, broadcast bits and
+    wall-clock time.  Wall-clock is measured
     {e inclusively} around the span body.  The numeric counters land on
     whichever span is open when {!add} is called; the accountant's
     [with_phase] adds each phase's inclusive round/bit delta to the phase's
@@ -22,8 +22,9 @@ type span = {
   mutable wall_ns : int;  (** inclusive wall-clock, nanoseconds *)
   mutable rounds : int;  (** inclusive simulated rounds *)
   mutable bits : int;  (** inclusive broadcast bits (per-superstep maxima) *)
-  mutable supersteps : int;
-  mutable messages : int;
+  supersteps : int;
+      (** always [0]: no layer counts supersteps into a span; kept for
+          readers that copy it *)
   mutable attrs : (string * Json.t) list;
       (** free-form annotations for readers that build their own span
           trees; the library records none *)
@@ -38,8 +39,7 @@ val span : t option -> string -> (unit -> 'a) -> 'a
 (** [span tracer name f] runs [f] inside a fresh child span of the current
     span, timing it; exception-safe.  [span None name f] is just [f ()]. *)
 
-val add : t option -> ?rounds:int -> ?bits:int -> ?supersteps:int ->
-  ?messages:int -> unit -> unit
+val add : t option -> ?rounds:int -> ?bits:int -> unit -> unit
 (** Add counters to the currently open span (the root when none is open). *)
 
 val root : t -> span
@@ -47,7 +47,7 @@ val root : t -> span
 
 val to_json : t -> Json.t
 (** The root span as JSON: [{name, wall_ns, rounds, bits, supersteps,
-    messages, attrs, children}], children recursively. *)
+    attrs, children}], children recursively. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented tree, one span per line. *)

@@ -94,8 +94,8 @@ let handle_for t (entry : Fleet.entry) =
       mirror_prepare t h;
       h
 
-let create ?metrics cfg fleet =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let create cfg fleet =
+  let metrics = Metrics.create () in
   let ctx = Ctx.make ~seed:cfg.seed ~metrics () in
   let cache =
     if cfg.cache_capacity > 0 then

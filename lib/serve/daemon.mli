@@ -31,9 +31,9 @@ val default_config : config
 
 type t
 
-val create : ?metrics:Lbcc_obs.Metrics.t -> config -> Fleet.t -> t
-(** A fresh daemon serving [fleet].  Supplies its own metrics registry when
-    none is given; all SLO series live under the ["serve."] prefix. *)
+val create : config -> Fleet.t -> t
+(** A fresh daemon serving [fleet], with its own metrics registry; all SLO
+    series live under the ["serve."] prefix. *)
 
 val handle : t -> client:int -> id:int -> Proto.request -> unit
 (** Process one decoded request from [client].  [Stats]/[Info]/[Shutdown]

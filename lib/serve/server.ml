@@ -60,8 +60,8 @@ let install_drain_signals daemon =
   (* A client that disconnects mid-response must not kill the daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let run ?(install_signals = true) daemon listen_fd =
-  if install_signals then install_drain_signals daemon;
+let run daemon listen_fd =
+  install_drain_signals daemon;
   let conns = ref [] in
   let next_cid = ref 0 in
   let scratch = Bytes.create 65536 in

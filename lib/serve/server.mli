@@ -17,10 +17,10 @@ val bind_listen : endpoint -> Unix.file_descr
 val connect : endpoint -> Unix.file_descr
 (** Client side: a connected stream socket. *)
 
-val run : ?install_signals:bool -> Daemon.t -> Unix.file_descr -> unit
+val run : Daemon.t -> Unix.file_descr -> unit
 (** Serve until shutdown: accept, decode, {!Daemon.handle}, tick, flush.
     Malformed payloads answer [Bad_request] (id 0) and drop the
-    connection.  With [install_signals] (default), SIGTERM and SIGINT
-    request a graceful drain and SIGPIPE is ignored.  Once draining, the
+    connection.  SIGTERM and SIGINT request a graceful drain and SIGPIPE
+    is ignored.  Once draining, the
     loop stops accepting, answers every admitted request, flushes, closes
     all sockets (including [listen_fd]) and returns. *)

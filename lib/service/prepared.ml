@@ -23,7 +23,6 @@ type t = {
   fingerprint : Fingerprint.t;
   key_seed : int; (* the seed the cache key was built with *)
   t_opt : int option;
-  k_opt : int option;
   generation : int; (* number of deltas patched into this handle *)
   acc : Rounds.t; (* cumulative: one prepare/* group, then query/* *)
   prepare_rounds : int;
@@ -38,7 +37,7 @@ let zip3 acc =
     (fun (label, rounds) (_, bits) -> (label, rounds, bits))
     (Rounds.breakdown acc) (Rounds.bits_breakdown acc)
 
-let create ?ctx ?seed ?t ?k graph =
+let create ?ctx ?seed ?t graph =
   let ctx = Ctx.resolve ?ctx ?seed () in
   let n = Graph.n graph in
   let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n) in
@@ -46,8 +45,7 @@ let create ?ctx ?seed ?t ?k graph =
   Metrics.inc ctx.Ctx.metrics "prepared.create";
   let prng = Prng.create ctx.Ctx.seed in
   let solver =
-    Solver.preprocess ~accountant:acc ~phases:[ "prepare" ] ?t ?k ~prng ~graph
-      ()
+    Solver.preprocess ~accountant:acc ~phases:[ "prepare" ] ?t ~prng ~graph ()
   in
   let rounds = Rounds.rounds acc in
   Metrics.observe ctx.Ctx.metrics "prepared.prepare_rounds"
@@ -71,7 +69,6 @@ let create ?ctx ?seed ?t ?k graph =
     fingerprint = Fingerprint.graph graph;
     key_seed = ctx.Ctx.seed;
     t_opt = t;
-    k_opt = k;
     generation = 0;
     acc;
     prepare_rounds = rounds;
@@ -155,14 +152,17 @@ let solve_many ?accountant ?(eps = 1e-8) t bs =
     out
   end
 
-let effective_resistance ?accountant ?(eps = 1e-10) t ~s ~t:target =
+(* [accountant] stays for the front door's one-shot
+   [Lbcc.effective_resistance], which reports the query's rounds. *)
+(* lbcc-lint: allow typ-dead-option *)
+let effective_resistance ?accountant t ~s ~t:target =
   let n = Graph.n t.graph in
   if s < 0 || s >= n || target < 0 || target >= n then
     invalid_arg "Prepared.effective_resistance: vertex out of range";
   let b = Vec.zeros n in
   b.(s) <- b.(s) +. 1.0;
   b.(target) <- b.(target) -. 1.0;
-  let q = solve ?accountant ~eps t ~b in
+  let q = solve ?accountant ~eps:1e-10 t ~b in
   (q.solution.(s) -. q.solution.(target), q)
 
 (* Cached creation ------------------------------------------------------ *)
@@ -178,23 +178,18 @@ let default_capacity () =
 let shared = lazy (Cache.create ~capacity:(default_capacity ()) ())
 let shared_cache () = Lazy.force shared
 
-let key_of_fingerprint ~seed ?t ?k fp =
+let key_of_fingerprint ~seed ?t fp =
   let opt = function Some v -> string_of_int v | None -> "-" in
-  Printf.sprintf "%s|seed=%d|t=%s|k=%s" (Fingerprint.to_hex fp) seed (opt t)
-    (opt k)
+  Printf.sprintf "%s|seed=%d|t=%s" (Fingerprint.to_hex fp) seed (opt t)
 
-let cache_key ~seed ?t ?k g =
-  key_of_fingerprint ~seed ?t ?k (Fingerprint.graph g)
+let own_key t = key_of_fingerprint ~seed:t.key_seed ?t:t.t_opt t.fingerprint
 
-let own_key t =
-  key_of_fingerprint ~seed:t.key_seed ?t:t.t_opt ?k:t.k_opt t.fingerprint
-
-let create_cached ?cache ?ctx ?seed ?t ?k graph =
+let create_cached ?cache ?ctx ?seed graph =
   let cache = match cache with Some c -> c | None -> shared_cache () in
   let ctx = Ctx.resolve ?ctx ?seed () in
-  let key = cache_key ~seed:ctx.Ctx.seed ?t ?k graph in
+  let key = key_of_fingerprint ~seed:ctx.Ctx.seed (Fingerprint.graph graph) in
   let handle, hit =
-    Cache.find_or_add cache key (fun () -> create ~ctx ?t ?k graph)
+    Cache.find_or_add cache key (fun () -> create ~ctx graph)
   in
   if hit then begin
     handle.ctx <- ctx;
@@ -251,7 +246,6 @@ let update ?accountant t delta =
     fingerprint;
     key_seed = t.key_seed;
     t_opt = t.t_opt;
-    k_opt = t.k_opt;
     generation = t.generation + 1;
     acc;
     prepare_rounds = rounds;

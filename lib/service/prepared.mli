@@ -32,12 +32,11 @@ type query_result = {
   bits : int;  (** broadcast bits behind those rounds *)
 }
 
-val create :
-  ?ctx:Ctx.t -> ?seed:int -> ?t:int -> ?k:int -> Graph.t -> t
+val create : ?ctx:Ctx.t -> ?seed:int -> ?t:int -> Graph.t -> t
 (** Run preprocessing (sparsify at [eps_H = 1/2], factor, certify) on the
     graph, charging it once under phase [prepare/*] on the handle's own
-    accountant (traced via [ctx.tracer] when set).  [t]/[k] override the
-    sparsifier's bundle parameters as in {!Lbcc_sparsifier.Sparsify.run}.
+    accountant (traced via [ctx.tracer] when set).  [t] overrides the
+    sparsifier's bundle size as in {!Lbcc_sparsifier.Sparsify.run}.
     @raise Invalid_argument if the graph is not connected. *)
 
 val solve : ?accountant:Rounds.t -> ?eps:float -> t -> b:Vec.t -> query_result
@@ -58,10 +57,9 @@ val solve_many :
     [LBCC_DOMAINS] value. *)
 
 val effective_resistance :
-  ?accountant:Rounds.t -> ?eps:float -> t -> s:int -> t:int ->
-  float * query_result
-(** [R_eff(s,t) = (e_s - e_t)^T L^+ (e_s - e_t)] via one query
-    ([eps] defaults to [1e-10]); returns the resistance together with the
+  ?accountant:Rounds.t -> t -> s:int -> t:int -> float * query_result
+(** [R_eff(s,t) = (e_s - e_t)^T L^+ (e_s - e_t)] via one query at
+    [eps = 1e-10]; returns the resistance together with the
     query's accounting (the round report the legacy front door used to
     discard).
     @raise Invalid_argument when [s] or [t] is out of range. *)
@@ -72,13 +70,11 @@ val create_cached :
   ?cache:t Cache.t ->
   ?ctx:Ctx.t ->
   ?seed:int ->
-  ?t:int ->
-  ?k:int ->
   Graph.t ->
   t * bool
-(** [(handle, hit)].  Looks up the ([graph] fingerprint, [seed], [t], [k])
-    key in [cache] (default: the process-wide {!shared_cache}); on a miss,
-    builds with {!create} and inserts.  On a hit the handle's observability
+(** [(handle, hit)].  Looks up the ([graph] fingerprint, [seed]) key, at
+    the default bundle parameters, in [cache] (default: the process-wide
+    {!shared_cache}); on a miss, builds with {!create} and inserts.  On a hit the handle's observability
     sinks are re-pointed at the caller's [ctx] (tracer and metrics), since
     the cached handle may outlive the run that created it.  Mutating the
     graph changes its fingerprint, so stale handles are never returned. *)

@@ -7,17 +7,13 @@ type result = {
   bundle_sizes : int list;
 }
 
-let run ?k ?t ?t_scale ?iterations ~prng ~graph ~epsilon () =
+let run ?k ?t ~prng ~graph ~epsilon () =
   if epsilon <= 0.0 then invalid_arg "Apriori.run: epsilon must be positive";
   let n = Graph.n graph and m = Graph.m graph in
   if n = 0 then invalid_arg "Apriori.run: empty graph";
   let k = match k with Some k -> k | None -> Sparsify.default_k ~n in
-  let t =
-    match t with Some t -> t | None -> Sparsify.default_t ?t_scale ~n ~epsilon ()
-  in
-  let iterations =
-    match iterations with Some i -> i | None -> Sparsify.default_iterations ~m
-  in
+  let t = match t with Some t -> t | None -> Sparsify.default_t ~n ~epsilon in
+  let iterations = Sparsify.default_iterations ~m in
   let weight = Array.map (fun (e : Graph.edge) -> e.w) (Graph.edges graph) in
   (* E_i as a list of original edge ids currently present. *)
   let current = ref (List.init m Fun.id) in

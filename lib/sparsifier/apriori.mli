@@ -20,8 +20,6 @@ type result = {
 val run :
   ?k:int ->
   ?t:int ->
-  ?t_scale:float ->
-  ?iterations:int ->
   prng:Prng.t ->
   graph:Graph.t ->
   epsilon:float ->

@@ -17,8 +17,11 @@ let default_k ~n = Stdlib.max 1 (Bits.ceil_log2 (Stdlib.max 2 n))
 
 let default_iterations ~m = Stdlib.max 1 (Bits.ceil_log2 (Stdlib.max 2 m))
 
-let default_t ?t_scale ~n ~epsilon () =
-  let t_scale = Option.value ~default:0.05 t_scale in
+(* The calibrated constant of the bundle size (DESIGN.md, substitution 3);
+   the paper's 400 makes every feasible input its own sparsifier. *)
+let t_scale = 0.05
+
+let default_t ~n ~epsilon =
   let logn = float_of_int (Bits.ceil_log2 (Stdlib.max 2 n)) in
   Stdlib.max 1 (int_of_float (Float.ceil (t_scale *. logn *. logn /. (epsilon *. epsilon))))
 
@@ -35,7 +38,7 @@ let has_parallel_edges g =
       Hashtbl.mem seen key || (Hashtbl.add seen key (); false))
     (Graph.edges g)
 
-let run ?accountant ?k ?t ?t_scale ?iterations ~prng ~graph ~epsilon () =
+let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
   if epsilon <= 0.0 then invalid_arg "Sparsify.run: epsilon must be positive";
   let graph = if has_parallel_edges graph then Graph.coalesce graph else graph in
   let n = Graph.n graph and m = Graph.m graph in
@@ -48,10 +51,8 @@ let run ?accountant ?k ?t ?t_scale ?iterations ~prng ~graph ~epsilon () =
   let start_rounds = Rounds.checkpoint acc in
   Rounds.with_phase acc "sparsify" @@ fun () ->
   let k = match k with Some k -> k | None -> default_k ~n in
-  let t = match t with Some t -> t | None -> default_t ?t_scale ~n ~epsilon () in
-  let iterations =
-    match iterations with Some i -> i | None -> default_iterations ~m
-  in
+  let t = match t with Some t -> t | None -> default_t ~n ~epsilon in
+  let iterations = default_iterations ~m in
   (* Mutable per-edge state over original edge ids. *)
   let weight = Array.map (fun (e : Graph.edge) -> e.w) (Graph.edges graph) in
   let p = Array.make m 1.0 in
@@ -175,8 +176,8 @@ type sketch = {
   total_rounds : int;
 }
 
-let sketch ?accountant ?k ?t ?t_scale ~prng ~graph ~epsilon () =
-  let r = run ?accountant ?k ?t ?t_scale ~prng ~graph ~epsilon () in
+let sketch ~prng ~graph ~epsilon () =
+  let r = run ~prng ~graph ~epsilon () in
   {
     base = graph;
     sparsifier = r.sparsifier;
@@ -188,7 +189,7 @@ let sketch ?accountant ?k ?t ?t_scale ~prng ~graph ~epsilon () =
     total_rounds = r.rounds;
   }
 
-let update ?accountant ?k ?t ?t_scale ~prng sk delta =
+let update ?accountant ~prng sk delta =
   let n = Graph.n sk.base in
   if Graph.Delta.is_empty delta then
     {
@@ -273,8 +274,7 @@ let update ?accountant ?k ?t ?t_scale ~prng sk delta =
       else
         let pool = Graph.coalesce (Graph.create ~n (List.rev !hit)) in
         let r =
-          run ~accountant:acc ?k ?t ?t_scale ~prng ~graph:pool
-            ~epsilon:sk.epsilon ()
+          run ~accountant:acc ~prng ~graph:pool ~epsilon:sk.epsilon ()
         in
         Graph.edges r.sparsifier
     in
@@ -288,8 +288,7 @@ let update ?accountant ?k ?t ?t_scale ~prng sk delta =
        check and the fallback are both deterministic. *)
     let sparsifier =
       if Graph.is_connected base' && not (Graph.is_connected sparsifier) then
-        (run ~accountant:acc ?k ?t ?t_scale ~prng ~graph:base'
-           ~epsilon:sk.epsilon ())
+        (run ~accountant:acc ~prng ~graph:base' ~epsilon:sk.epsilon ())
           .sparsifier
       else sparsifier
     in
@@ -309,11 +308,11 @@ let update ?accountant ?k ?t ?t_scale ~prng sk delta =
 (* Test-only, checked by the two "sparsifier.lemma33 resparsify" cases
    (test_sparsifier.ml); slated for deletion with them. *)
 (* lbcc-lint: allow typ-dead-export *)
-let resparsify ?accountant ?k ?t ?t_scale ~prng ~graphs ~epsilon () =
+let resparsify ?accountant ?k ?t ~prng ~graphs ~epsilon () =
   match graphs with
   | [] -> invalid_arg "Sparsify.resparsify: empty graph list"
   | first :: rest ->
       (* Coalesce parallel edges of the union: Laplacians add, so merging
          is spectrally exact, and the spanner assumes simple graphs. *)
       let union = Graph.coalesce (List.fold_left Graph.union first rest) in
-      run ?accountant ?k ?t ?t_scale ~prng ~graph:union ~epsilon ()
+      run ?accountant ?k ?t ~prng ~graph:union ~epsilon ()

@@ -8,10 +8,11 @@
 
     Parameters default to the paper's asymptotic settings
     ([k = ceil(log2 n)], [iterations = ceil(log2 m)]) with the bundle size
-    [t = t_scale * log2(n)^2 / eps^2] exposed through [t_scale]: the paper's
-    constant 400 certifies the w.h.p. guarantee but produces sparsifiers
+    [t = ceil(0.05 * ceil(log2 n)^2 / eps^2)]: the paper's constant 400 in
+    place of [0.05] certifies the w.h.p. guarantee but produces sparsifiers
     denser than any feasible input; experiments certify quality a posteriori
-    with {!Certify} instead (see DESIGN.md, substitution 3). *)
+    with {!Certify} instead (see DESIGN.md, substitution 3).  Callers that
+    need another bundle size pass [t] itself. *)
 
 open Lbcc_util
 module Graph = Lbcc_graph.Graph
@@ -31,14 +32,12 @@ type result = {
 
 val default_k : n:int -> int
 val default_iterations : m:int -> int
-val default_t : ?t_scale:float -> n:int -> epsilon:float -> unit -> int
+val default_t : n:int -> epsilon:float -> int
 
 val run :
   ?accountant:Lbcc_net.Rounds.t ->
   ?k:int ->
   ?t:int ->
-  ?t_scale:float ->
-  ?iterations:int ->
   prng:Prng.t ->
   graph:Graph.t ->
   epsilon:float ->
@@ -79,22 +78,15 @@ type sketch = {
 }
 
 val sketch :
-  ?accountant:Lbcc_net.Rounds.t ->
-  ?k:int ->
-  ?t:int ->
-  ?t_scale:float ->
   prng:Prng.t ->
   graph:Graph.t ->
   epsilon:float ->
   unit ->
   sketch
-(** Build the initial sketch with {!run}. *)
+(** Build the initial sketch with {!run} at the default [k] and [t]. *)
 
 val update :
   ?accountant:Lbcc_net.Rounds.t ->
-  ?k:int ->
-  ?t:int ->
-  ?t_scale:float ->
   prng:Prng.t ->
   sketch ->
   Graph.Delta.t ->
@@ -111,7 +103,6 @@ val resparsify :
   ?accountant:Lbcc_net.Rounds.t ->
   ?k:int ->
   ?t:int ->
-  ?t_scale:float ->
   prng:Lbcc_util.Prng.t ->
   graphs:Graph.t list ->
   epsilon:float ->

@@ -9,11 +9,6 @@ let[@inline] mix z =
 
 let create seed = { state = mix (Int64.of_int seed) }
 
-(* Test-only, checked by "util.prng copy independent" (test_util.ml);
-   slated for deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let copy t = { state = t.state }
-
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
@@ -34,6 +29,13 @@ let first_bernoulli seed p =
   let z = mix (Int64.add (mix (Int64.of_int seed)) golden_gamma) in
   Int64.to_float (Int64.shift_right_logical z 11) *. (1.0 /. 9007199254740992.0)
   < p
+
+(* The second [next_int64] of [create seed] as a nonnegative int, with
+   [first_bernoulli]'s allocation-free arithmetic: two [golden_gamma]
+   steps past the seeded state. *)
+let second_int seed =
+  let state = Int64.add (mix (Int64.of_int seed)) golden_gamma in
+  Int64.to_int (mix (Int64.add state golden_gamma)) land max_int
 
 let int t bound =
   assert (bound > 0);

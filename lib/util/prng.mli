@@ -13,9 +13,6 @@ type t
 val create : int -> t
 (** [create seed] builds a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     (for simulation purposes) independent of the remainder of [t]'s. *)
@@ -36,6 +33,11 @@ val first_bernoulli : int -> float -> bool
 (** [first_bernoulli seed p] is [bernoulli (create seed) p] without
     allocating: a coin from the first draw of a fresh stream, for callers
     that hash coordinates into a one-shot seed. *)
+
+val second_int : int -> int
+(** [second_int seed] is [Int64.to_int (next_int64 g) land max_int] for
+    the second draw of [g = create seed] (the first being the coin of
+    {!first_bernoulli}), without allocating. *)
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller). *)

@@ -68,29 +68,43 @@ let test_fault_rejects_bad_spec () =
     (Invalid_argument "Fault.create: adversarial_drops must be >= 0") (fun () ->
       ignore (Fault.create (Fault.spec ~adversarial_drops:(-1) ())))
 
+(* The engine queries [tamper] once per surviving delivery of a faulty
+   run: the coin and the salt must not build a generator, so only a
+   tampered verdict's [Some] allocates. *)
+let test_fault_tamper_allocation () =
+  let f = Fault.create ~seed:5 (Fault.spec ~corrupt_prob:0.1 ()) in
+  let tampered = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    match Fault.tamper f ~round:(1 + (i / 100)) ~src:(i mod 100) ~dst:(i / 7) with
+    | Some _ -> incr tampered
+    | None -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some deliveries tampered" true
+    (!tampered > 500 && !tampered < 1500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d tampered of 10000" words !tampered)
+    true
+    (words <= float_of_int ((2 * !tampered) + 64))
+
 (* ------------------------------------------------------------------ *)
 (* Engine: honest termination and fault threading                      *)
 
-let never_halt_program g ~max_supersteps ~on_timeout () =
+let never_halt_program g ~max_supersteps () =
   Engine.run ~model:Model.broadcast_congest ~graph:g
     ~size_bits:(fun () -> 1)
     ~init:(fun _ -> ())
     ~step:(fun ~round:_ ~vertex:_ s _ -> (s, Some (), true))
-    ~max_supersteps ~on_timeout ()
+    ~max_supersteps ()
 
 let test_engine_reports_timeout () =
   let g = Gen.ring (Prng.create 1) ~n:4 in
-  let _, stats = never_halt_program g ~max_supersteps:5 ~on_timeout:`Truncate () in
+  let _, stats = never_halt_program g ~max_supersteps:5 () in
   Alcotest.(check bool) "not converged" false stats.Engine.converged;
   Alcotest.(check int) "ran to the cap" 5 stats.Engine.supersteps;
   let r = Bfs.run ~model:Model.broadcast_congest ~graph:g ~source:0 () in
   Alcotest.(check bool) "bfs converges" true r.Bfs.converged
-
-let test_engine_timeout_raises () =
-  let g = Gen.ring (Prng.create 1) ~n:4 in
-  Alcotest.check_raises "timeout raises"
-    (Engine.Timeout { label = "engine"; supersteps = 5; rounds = 5; phase = "" })
-    (fun () -> ignore (never_halt_program g ~max_supersteps:5 ~on_timeout:`Raise ()))
 
 let test_engine_crash_stops_vertex () =
   (* Clique BFS with the source crashed at superstep 1: the wave never
@@ -293,11 +307,12 @@ let suites =
         Alcotest.test_case "crash schedule" `Quick test_fault_crash_schedule;
         Alcotest.test_case "adversarial budget" `Quick test_fault_adversarial_budget;
         Alcotest.test_case "rejects bad spec" `Quick test_fault_rejects_bad_spec;
+        Alcotest.test_case "tamper allocates only its verdict" `Quick
+          test_fault_tamper_allocation;
       ] );
     ( "fault.engine",
       [
         Alcotest.test_case "reports timeout" `Quick test_engine_reports_timeout;
-        Alcotest.test_case "timeout raises on demand" `Quick test_engine_timeout_raises;
         Alcotest.test_case "crash stops a vertex" `Quick test_engine_crash_stops_vertex;
         Alcotest.test_case "lossy runs deterministic" `Quick
           test_engine_drops_are_deterministic;

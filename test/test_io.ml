@@ -59,11 +59,6 @@ let contains ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-let test_graph_to_dot () =
-  let g = Graph.create ~n:2 [ { Graph.u = 0; v = 1; w = 2.5 } ] in
-  let dot = Io.to_dot ~name:"test" g in
-  Alcotest.(check bool) "mentions edge" true (contains ~needle:"0 -- 1" dot)
-
 let test_network_roundtrip () =
   for seed = 1 to 5 do
     let prng = Prng.create seed in
@@ -115,7 +110,6 @@ let suites =
         Alcotest.test_case "file roundtrip" `Quick test_graph_file_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_graph_parse_errors;
         Alcotest.test_case "comments and blanks" `Quick test_graph_comments_and_blanks;
-        Alcotest.test_case "dot export" `Quick test_graph_to_dot;
       ] );
     ( "io.network",
       [

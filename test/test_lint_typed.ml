@@ -164,6 +164,50 @@ let dead_tests =
   ]
 
 (* --------------------------------------------------------------------- *)
+(* Dead options                                                           *)
+
+(* The message names the argument and its function right after
+   "optional argument ". *)
+let option_ids diags =
+  List.map
+    (fun d ->
+      match String.split_on_char ' ' d.Lint_diag.message with
+      | "optional" :: "argument" :: label :: "of" :: "public" :: "value" :: id
+        :: _ ->
+          id ^ " " ^ label
+      | _ -> d.Lint_diag.message)
+    diags
+
+let dead_option_tests =
+  [
+    Alcotest.test_case
+      "typ-dead-option: test-only, unset and dead-forwarded options fire"
+      `Quick (fun () ->
+        let u = type_fixture "dead_option_pos.ml" ~modname:"Dead_option_pos" in
+        let diags = analyze ~config:(dead_config "Dead_option_pos") [ u ] in
+        Alcotest.(check (list string))
+          "three dead options"
+          [ "typ-dead-option"; "typ-dead-option"; "typ-dead-option" ]
+          (rules_fired diags);
+        Alcotest.(check (list string))
+          "the test-only, the unset and the forwarded one"
+          [
+            "Dead_option_pos.Lib.relay ?tol";
+            "Dead_option_pos.Lib.report ?verbose";
+            "Dead_option_pos.Lib.solve ?max_iter";
+          ]
+          (List.sort String.compare (option_ids diags)));
+    Alcotest.test_case
+      "typ-dead-option: forwarding, pipes, values and initialisers supply"
+      `Quick (fun () ->
+        let u = type_fixture "dead_option_neg.ml" ~modname:"Dead_option_neg" in
+        Alcotest.(check (list string))
+          "no diagnostics" []
+          (rules_fired
+             (analyze ~config:(dead_config "Dead_option_neg") [ u ])));
+  ]
+
+(* --------------------------------------------------------------------- *)
 (* Driver satellites: discover dedupe, baseline, SARIF                    *)
 
 let discover_tests =
@@ -330,12 +374,13 @@ let smoke_tests =
                 r.Lint_driver.diags;
               Alcotest.(check int) "errors" 0 (Lint_driver.errors r);
               Alcotest.(check (list string))
-                "no dead exports" []
+                "no dead exports or options" []
                 (List.filter_map
                    (fun d ->
-                     if d.Lint_diag.rule = "typ-dead-export" then
-                       Some (Lint_diag.to_string d)
-                     else None)
+                     match d.Lint_diag.rule with
+                     | "typ-dead-export" | "typ-dead-option" ->
+                         Some (Lint_diag.to_string d)
+                     | _ -> None)
                    r.Lint_driver.diags));
     Alcotest.test_case "missing cmts raise Typed_unavailable" `Quick (fun () ->
         (* The fixture tree has no _build: the typed path must refuse with
@@ -412,7 +457,8 @@ let exe_cmt_tests =
 let suites =
   [
     ( "lint-typed",
-      taint_tests @ race_tests @ phase_tests @ dead_tests @ discover_tests
+      taint_tests @ race_tests @ phase_tests @ dead_tests @ dead_option_tests
+      @ discover_tests
       @ baseline_tests
       @ sarif_tests @ smoke_tests @ exe_cmt_tests );
   ]

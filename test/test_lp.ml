@@ -168,7 +168,7 @@ let test_lewis_p2_is_leverage () =
   let a, d, op = random_operator 5 in
   let sigma = Leverage.exact op in
   let leverage s = leverage_of (a, d) s in
-  let w, _ = Lewis.fixed_point ~leverage ~p:2.0 ~w0:(Vec.ones 60) ~eta:1e-8 () in
+  let w, _ = Lewis.fixed_point ~leverage ~p:2.0 ~w0:(Vec.ones 60) ~eta:1e-8 in
   (* At p=2 the scaling W^{1/2-1/2} = I, so the fixed point is sigma itself. *)
   Array.iteri
     (fun i s ->
@@ -180,7 +180,7 @@ let test_lewis_fixed_point_residual () =
   let a, d, _ = random_operator 6 in
   let leverage s = leverage_of (a, d) s in
   let p = 1.0 -. (1.0 /. log (4.0 *. 60.0)) in
-  let w, iters = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones 60) ~eta:1e-7 () in
+  let w, iters = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones 60) ~eta:1e-7 in
   Alcotest.(check bool) "converged" true (iters < 200);
   Alcotest.(check bool) "residual small" true (Lewis.residual ~leverage ~p w < 1e-5)
 
@@ -188,7 +188,7 @@ let test_lewis_sum_close_to_rank () =
   let a, d, _ = random_operator 7 in
   let leverage s = leverage_of (a, d) s in
   let p = 1.2 in
-  let w, _ = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones 60) ~eta:1e-7 () in
+  let w, _ = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones 60) ~eta:1e-7 in
   (* sum of Lewis weights = n for all p (they are leverage scores of the
      rescaled matrix at the fixed point). *)
   Alcotest.(check bool) "sum ~ n" true (Float.abs (Vec.sum w -. 15.0) < 0.1)
@@ -197,8 +197,8 @@ let test_lewis_apx_stays_in_trust_region () =
   let a, d, _ = random_operator 8 in
   let leverage s = leverage_of (a, d) s in
   let p = 1.5 in
-  let w0, _ = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones 60) ~eta:1e-6 () in
-  let w, _ = Lewis.compute_apx_weights ~leverage ~p ~w0 ~eta:0.1 () in
+  let w0, _ = Lewis.fixed_point ~leverage ~p ~w0:(Vec.ones 60) ~eta:1e-6 in
+  let w, _ = Lewis.compute_apx_weights ~leverage ~p ~w0 ~eta:0.1 in
   let r = Float.min 0.5 (p *. p *. (4.0 -. p) /. 16.0) in
   Array.iteri
     (fun i wi ->
@@ -211,7 +211,7 @@ let test_lewis_initial_weights_homotopy () =
   let leverage_for ~p:_ s = leverage_of (a, d) s in
   let p_target = 1.0 -. (1.0 /. log (4.0 *. 60.0)) in
   let w, steps =
-    Lewis.compute_initial_weights ~leverage_for ~m:60 ~n:15 ~p_target ~eta:1e-5 ()
+    Lewis.compute_initial_weights ~leverage_for ~m:60 ~n:15 ~p_target ~eta:1e-5
   in
   Alcotest.(check bool) "took homotopy steps" true (steps > 1);
   let leverage s = leverage_of (a, d) s in

@@ -48,15 +48,6 @@ let test_rounds_small_message_one_round () =
   Rounds.charge_broadcast acc ~label:"x" ~bits:1;
   Alcotest.(check int) "at least one round" 1 (Rounds.rounds acc)
 
-let test_rounds_reset_checkpoint () =
-  let acc = Rounds.create ~bandwidth:8 in
-  Rounds.charge acc ~label:"x" ~rounds:5;
-  let cp = Rounds.checkpoint acc in
-  Rounds.charge acc ~label:"x" ~rounds:2;
-  Alcotest.(check int) "diff" 2 (Rounds.rounds acc - cp);
-  Rounds.reset acc;
-  Alcotest.(check int) "reset" 0 (Rounds.rounds acc)
-
 let test_rounds_rejects_bad () =
   Alcotest.check_raises "bad bandwidth"
     (Invalid_argument "Rounds.create: bandwidth must be >= 1") (fun () ->
@@ -67,7 +58,9 @@ let sum_snd l = List.fold_left (fun s (_, v) -> s + v) 0 l
 let test_rounds_breakdown_sums () =
   let acc = Rounds.create ~bandwidth:10 in
   Rounds.charge ~bits:7 acc ~label:"b" ~rounds:2;
+  let cp = Rounds.checkpoint acc in
   Rounds.charge_broadcast acc ~label:"a" ~bits:25;
+  Alcotest.(check int) "checkpoint difference" 3 (Rounds.rounds acc - cp);
   Rounds.with_phase acc "p" (fun () ->
       Rounds.charge_vector acc ~label:"v" ~entry_bits:12;
       Rounds.charge_broadcast acc ~label:"a" ~bits:4);
@@ -82,21 +75,6 @@ let test_rounds_breakdown_sums () =
   Alcotest.(check (list string)) "bits breakdown shares the order"
     (List.map fst (Rounds.breakdown acc))
     (List.map fst (Rounds.bits_breakdown acc))
-
-let test_rounds_reset_clears_hierarchy () =
-  let acc = Rounds.create ~bandwidth:8 in
-  Rounds.with_phase acc "outer" (fun () ->
-      Rounds.charge acc ~label:"x" ~rounds:1;
-      Rounds.reset acc;
-      Alcotest.(check int) "totals cleared" 0 (Rounds.rounds acc);
-      Alcotest.(check int) "bits cleared" 0 (Rounds.bits acc);
-      Alcotest.(check (list (pair string int))) "breakdown cleared" []
-        (Rounds.breakdown acc);
-      Alcotest.(check string) "open phase forgotten" "" (Rounds.phase_path acc);
-      Rounds.charge acc ~label:"y" ~rounds:1);
-  Alcotest.(check (list (pair string int))) "post-reset charge unprefixed"
-    [ ("y", 1) ]
-    (Rounds.breakdown acc)
 
 (* Regression: charge_vector once under-counted multi-coordinate exchanges by
    charging entry_bits regardless of how many coordinates each vertex holds;
@@ -386,11 +364,8 @@ let suites =
       [
         Alcotest.test_case "charging" `Quick test_rounds_charging;
         Alcotest.test_case "one round minimum" `Quick test_rounds_small_message_one_round;
-        Alcotest.test_case "reset/checkpoint" `Quick test_rounds_reset_checkpoint;
         Alcotest.test_case "rejects bad bandwidth" `Quick test_rounds_rejects_bad;
         Alcotest.test_case "breakdown sums + order" `Quick test_rounds_breakdown_sums;
-        Alcotest.test_case "reset clears hierarchy" `Quick
-          test_rounds_reset_clears_hierarchy;
         Alcotest.test_case "charge_vector entries" `Quick
           test_rounds_charge_vector_entries;
         Alcotest.test_case "phase tree" `Quick test_rounds_tree;

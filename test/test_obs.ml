@@ -96,7 +96,7 @@ let test_trace_nested_spans () =
     Trace.span tracer "outer" (fun () ->
         Trace.add tracer ~rounds:2 ~bits:10 ();
         Trace.span tracer "inner" (fun () ->
-            Trace.add tracer ~rounds:3 ~bits:5 ~supersteps:7 ();
+            Trace.add tracer ~rounds:3 ~bits:5 ();
             "done")
         )
   in
@@ -115,8 +115,7 @@ let test_trace_nested_spans () =
       match outer.Trace.children with
       | [ inner ] ->
           Alcotest.(check string) "inner name" "inner" inner.Trace.name;
-          Alcotest.(check int) "inner rounds" 3 inner.Trace.rounds;
-          Alcotest.(check int) "inner supersteps" 7 inner.Trace.supersteps
+          Alcotest.(check int) "inner rounds" 3 inner.Trace.rounds
       | l -> Alcotest.fail (Printf.sprintf "%d inner spans" (List.length l)))
   | l -> Alcotest.fail (Printf.sprintf "%d outer spans" (List.length l))
 
@@ -135,7 +134,7 @@ let test_trace_none_is_passthrough () =
 let test_trace_to_json_roundtrips () =
   let tr = Trace.create ~clock:(fun () -> 0.0) () in
   Trace.span (Some tr) "a" (fun () ->
-      Trace.add (Some tr) ~rounds:1 ~messages:4 ();
+      Trace.add (Some tr) ~rounds:1 ();
       Trace.span (Some tr) "b" (fun () -> ()));
   let j = Trace.to_json tr in
   Alcotest.check json_testable "trace json round-trips" j (roundtrip j);

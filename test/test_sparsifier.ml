@@ -9,7 +9,7 @@ let test_defaults () =
   Alcotest.(check int) "k default" 6 (Sparsify.default_k ~n:64);
   Alcotest.(check int) "iterations default" 10 (Sparsify.default_iterations ~m:1000);
   Alcotest.(check bool) "t grows as eps shrinks" true
-    (Sparsify.default_t ~n:64 ~epsilon:0.1 () > Sparsify.default_t ~n:64 ~epsilon:1.0 ())
+    (Sparsify.default_t ~n:64 ~epsilon:0.1 > Sparsify.default_t ~n:64 ~epsilon:1.0)
 
 let test_preserves_connectivity () =
   for seed = 1 to 4 do

@@ -45,13 +45,6 @@ let test_prng_bernoulli () =
   let rate = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "rate near 1/4" true (Float.abs (rate -. 0.25) < 0.01)
 
-let test_prng_copy_independent () =
-  let a = Prng.create 5 in
-  let _ = Prng.next_int64 a in
-  let b = Prng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Prng.next_int64 a)
-    (Prng.next_int64 b)
-
 let test_prng_split_diverges () =
   let a = Prng.create 5 in
   let b = Prng.split a in
@@ -98,6 +91,14 @@ let prop_prng_first_bernoulli =
     QCheck.(pair int (float_bound_inclusive 1.0))
     (fun (seed, p) ->
       Prng.first_bernoulli seed p = Prng.bernoulli (Prng.create seed) p)
+
+(* ... and the tamper salt on this being the draw after it. *)
+let prop_prng_second_int =
+  QCheck.Test.make ~name:"second_int = second draw of a fresh generator"
+    ~count:500 QCheck.int (fun seed ->
+      let g = Prng.create seed in
+      ignore (Prng.next_int64 g : int64);
+      Prng.second_int seed = Int64.to_int (Prng.next_int64 g) land max_int)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -204,12 +205,12 @@ let suites =
         Alcotest.test_case "float range" `Quick test_prng_float_range;
         Alcotest.test_case "float mean" `Quick test_prng_float_mean;
         Alcotest.test_case "bernoulli rate" `Quick test_prng_bernoulli;
-        Alcotest.test_case "copy independent" `Quick test_prng_copy_independent;
         Alcotest.test_case "split diverges" `Quick test_prng_split_diverges;
         Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
         Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         QCheck_alcotest.to_alcotest prop_prng_int_bounds;
         QCheck_alcotest.to_alcotest prop_prng_first_bernoulli;
+        QCheck_alcotest.to_alcotest prop_prng_second_int;
       ] );
     ( "util.stats",
       [
