@@ -107,7 +107,9 @@ let rec optional_params (e : Typedtree.expression) =
         when Typedtree.pat_bound_idents c.Typedtree.c_lhs
              |> List.exists (fun id -> Ident.name id = "*opt*") ->
           here vb.Typedtree.vb_pat.Typedtree.pat_loc @ optional_params body
-      | _ -> here c.Typedtree.c_lhs.Typedtree.pat_loc @ optional_params c.Typedtree.c_rhs)
+      | _ ->
+          here c.Typedtree.c_lhs.Typedtree.pat_loc
+          @ optional_params c.Typedtree.c_rhs)
   | _ -> []
 
 (* The optional arguments an application supplies.  An omitted optional
@@ -135,7 +137,7 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
      refers to binders bound before it or in its own [let rec] group. *)
   let binders = Hashtbl.create 64 in
   let created = ref [] in
-  let new_node ?(optionals = []) ~id ~def_loc ~exported () =
+  let new_node ~id ~def_loc ~exported ~optionals =
     let n =
       { id; unit_path = unit.path; def_loc; exported; optionals; refs = [];
         phase_labels = []; calls = [] }
@@ -151,7 +153,7 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
         let n =
           new_node
             ~id:(String.concat "." (module_path @ [ "(init)" ]))
-            ~def_loc:Location.none ~exported:false ()
+            ~def_loc:Location.none ~exported:false ~optionals:[]
         in
         Hashtbl.replace init_nodes module_path n;
         add_init n;
@@ -185,7 +187,7 @@ let collect_unit ~(unit : Lint_tast.unit_info) ~add_node ~add_init ~add_alias
                         ~id:(String.concat "." (module_path @ [ Ident.name id ]))
                         ~def_loc:vb.Typedtree.vb_pat.Typedtree.pat_loc
                         ~exported:(exported (rel @ [ Ident.name id ]))
-                        ~optionals:(optional_params vb.Typedtree.vb_expr) ()
+                        ~optionals:(optional_params vb.Typedtree.vb_expr)
                     in
                     add_node n;
                     collect_body ~node:n vb.Typedtree.vb_expr)
