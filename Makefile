@@ -92,14 +92,14 @@ fingerprints: build
 	dune exec test/fp/fp_dump.exe > test/fingerprints.expected
 	@echo "fingerprints: regenerated test/fingerprints.expected"
 
-# Scaling smoke: the SCALE experiment capped at a CI-friendly size.  The
-# claims (broadcast-capacity invariant, sweep completion) are asserted by
-# the harness exit code, and the report must validate against the
+# Scaling smoke: the SCALE engine wave over its full sweep, n = 1024 to
+# 8192 (about a second).  The claims (allocation per vertex,
+# broadcast-capacity invariant, sweep completion) are asserted by the
+# harness exit code, and the report must validate against the
 # lbcc-bench/1 schema.
 scale-smoke: build
 	rm -rf _bench_reports && mkdir -p _bench_reports
-	LBCC_SCALE_MAX_N=1024 dune exec bench/main.exe -- SCALE --json \
-	  --out _bench_reports
+	dune exec bench/main.exe -- SCALE --json --out _bench_reports
 	$(CLI) report --validate _bench_reports/BENCH_SCALE.json
 	@echo "scale-smoke: OK"
 

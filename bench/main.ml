@@ -1097,15 +1097,9 @@ let scale_wave ~graph ~acc ~k =
 
 let scale () =
   section "SCALE" "flat-core scaling: rounds/sec, bytes/round, allocation vs n";
-  let max_n =
-    match Sys.getenv_opt "LBCC_SCALE_MAX_N" with
-    | Some s -> ( match int_of_string_opt s with Some v -> v | None -> 8192)
-    | None -> 8192
-  in
   Pool.set_default_domains 1;
-  let ns = List.filter (fun n -> n <= max_n) [ 1024; 2048; 4096; 8192 ] in
-  let ns = if ns = [] then [ max_n ] else ns in
-  (* Part 1: raw superstep throughput of Engine.run, and what its
+  let ns = [ 1024; 2048; 4096; 8192 ] in
+  (* Raw superstep throughput of Engine.run, and what its
      superstep loop allocates.  Setup (states, message slots, delivery
      plan) is amortized out by differencing a long run against a short one
      on the same graph: the per-superstep increment is what the loop itself
@@ -1142,105 +1136,37 @@ let scale () =
         Printf.printf "%6d %9d %12.0f %12.1f %14.2f\n" n rounds rounds_per_sec
           bytes_per_round words_per_superstep;
         ignore (stats : Engine.stats);
-        (n, rounds, rounds_per_sec, bytes_per_round, words_per_superstep, dt))
+        (n, rounds, Rounds.bits acc, rounds_per_sec, bytes_per_round,
+         words_per_superstep, dt))
       ns
   in
-  (* Part 2: the full sparsify -> Laplacian solve -> min-cost flow pipeline
-     at the same sizes.  The CG preconditioner backend and randomized probe
-     certificate keep preprocessing free of dense O(n^3) factorization, so
-     n = 8192 is reachable; accounting is identical to the LU backend. *)
-  Printf.printf "%6s %9s %12s %12s %12s %9s\n" "n" "rounds" "lap-rounds"
-    "rounds/sec" "bytes/round" "seconds";
-  let pipe_rows =
-    List.map
-      (fun n ->
-        let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n) in
-        let g =
-          Gen.erdos_renyi_connected (Prng.create 11) ~n
-            ~p:(12.0 /. float_of_int n) ~w_max:8
-        in
-        let result, dt =
-          time (fun () ->
-              Rounds.with_phase acc "scale" (fun () ->
-                  let s =
-                    Solver.preprocess ~accountant:acc ~prng:(Prng.create 23)
-                      ~graph:g ~t:4 ~k:3 ~certify:(`Probe 16) ~backend:`Cg ()
-                  in
-                  let prng = Prng.create 29 in
-                  let b =
-                    Vec.mean_center
-                      (Vec.init n (fun _ -> Prng.gaussian prng))
-                  in
-                  let r = Solver.solve ~accountant:acc s ~b ~eps:1e-6 in
-                  (* The min-cost-flow tail runs on a fixed-size instance
-                     (the IPM's declared normal-solve cost is n-independent
-                     here), so its rounds are checkpointed out of the
-                     scaling curve but still part of the pipeline total. *)
-                  let laplacian_rounds = Rounds.checkpoint acc in
-                  let net =
-                    Network.random (Prng.create 5) ~n:10 ~density:0.3
-                      ~max_capacity:4 ~max_cost:4
-                  in
-                  let f = Mcmf_lp.solve ~accountant:acc ~prng:(Prng.create 7) net in
-                  ( r.Solver.iterations,
-                    laplacian_rounds,
-                    f.Mcmf_lp.value,
-                    f.Mcmf_lp.cost )))
-        in
-        let iters, lap_rounds, v, c = result in
-        let rounds = Rounds.rounds acc in
-        let bits = Rounds.bits acc in
-        let rounds_per_sec = float_of_int rounds /. dt in
-        let bytes_per_round = float_of_int bits /. 8.0 /. float_of_int rounds in
-        Printf.printf "%6d %9d %12d %12.0f %12.1f %9.1f\n" n rounds lap_rounds
-          rounds_per_sec bytes_per_round dt;
-        (n, rounds, lap_rounds, bits, rounds_per_sec, bytes_per_round, dt,
-         iters, v, c))
-      ns
-  in
-  (* Every charged round fits the model: at bandwidth B a round carries at
-     most n broadcasts of B bits, so total bits <= rounds * n * B. *)
+  (* Every charged round fits the model.  The accountant records each
+     superstep's largest broadcast, and a round carries at most B bits per
+     sender, so total bits <= rounds * B (the n senders' sum, bounded by
+     rounds * n * B, is never recorded). *)
   let worst_fill =
     List.fold_left
-      (fun m (n, rounds, _, bits, _, _, _, _, _, _) ->
-        let capacity =
-          float_of_int rounds *. float_of_int n
-          *. float_of_int (Model.bandwidth ~n)
-        in
+      (fun m (n, rounds, bits, _, _, _, _) ->
+        let capacity = float_of_int rounds *. float_of_int (Model.bandwidth ~n) in
         Float.max m (float_of_int bits /. capacity))
-      0.0 pipe_rows
+      0.0 wave_rows
   in
-  let n_top = List.fold_left (fun m n -> Stdlib.max m n) 0 ns in
+  let n_top = List.fold_left Stdlib.max 0 ns in
   let worst_words_per_vertex =
     List.fold_left
-      (fun m (n, _, _, _, words, _) -> Float.max m (words /. float_of_int n))
+      (fun m (n, _, _, _, _, words, _) -> Float.max m (words /. float_of_int n))
       0.0 wave_rows
   in
   note
     "claims: the wave allocates a bounded number of minor words per vertex\n\
-     per superstep; pipeline bits never exceed the model's per-round\n\
-     broadcast capacity; the sweep reaches the requested top size (8192\n\
-     unless LBCC_SCALE_MAX_N lowers it).\n";
-  let row_json (n, rounds, lap_rounds, bits, rps, bpr, dt, iters, v, c) =
+     per superstep; its bits never exceed the model's per-round broadcast\n\
+     capacity; the sweep reaches n = 8192.\n";
+  let wave_json (n, rounds, bits, rps, bpr, words, dt) =
     Json.Obj
       [
         ("n", Json.Int n);
         ("rounds", Json.Int rounds);
-        ("sparsify_solve_rounds", Json.Int lap_rounds);
         ("bits", Json.Int bits);
-        ("rounds_per_sec", Json.Float rps);
-        ("bytes_per_round", Json.Float bpr);
-        ("seconds", Json.Float dt);
-        ("solve_iterations", Json.Int iters);
-        ("mcmf_value", Json.Int v);
-        ("mcmf_cost", Json.Int c);
-      ]
-  in
-  let wave_json (n, rounds, rps, bpr, words, dt) =
-    Json.Obj
-      [
-        ("n", Json.Int n);
-        ("rounds", Json.Int rounds);
         ("rounds_per_sec", Json.Float rps);
         ("bytes_per_round", Json.Float bpr);
         ("minor_words_per_superstep", Json.Float words);
@@ -1251,23 +1177,21 @@ let scale () =
     ~title:"flat-core scaling: throughput and allocation up to n=8192"
     ~extra:
       [
-        ("max_n", Json.Int max_n);
         ("sizes", Json.Arr (List.map (fun n -> Json.Int n) ns));
         ("wave_supersteps", Json.Int k_long);
         ("wave", Json.Arr (List.map wave_json wave_rows));
-        ("pipeline", Json.Arr (List.map row_json pipe_rows));
       ]
     [
       cl ~direction:Report.Le
         "wave minor words per vertex per superstep (worst n)"
         worst_words_per_vertex 16.0;
       cl ~direction:Report.Le
-        "pipeline bits / model broadcast capacity (worst n)" worst_fill 1.0;
-      cl ~direction:Report.Ge "largest pipeline size completed"
+        "wave bits / model broadcast capacity (worst n)" worst_fill 1.0;
+      cl ~direction:Report.Ge "largest wave size completed"
         (float_of_int
            (List.fold_left
-              (fun m (n, _, _, _, _, _, _, _, _, _) -> Stdlib.max m n)
-              0 pipe_rows))
+              (fun m (n, _, _, _, _, _, _) -> Stdlib.max m n)
+              0 wave_rows))
         (float_of_int n_top);
     ]
 

@@ -79,10 +79,7 @@ let sparsify ?ctx ?(epsilon = 0.5) ?t g =
   let prng = Prng.create seed in
   let r = Lbcc_sparsifier.Sparsify.run ~accountant:acc ?t ~prng ~graph:g ~epsilon () in
   let cert =
-    if n <= 400 then Lbcc_sparsifier.Certify.exact g r.Lbcc_sparsifier.Sparsify.sparsifier
-    else
-      Lbcc_sparsifier.Certify.probe (Prng.split prng) g
-        r.Lbcc_sparsifier.Sparsify.sparsifier ~samples:64
+    Lbcc_sparsifier.Certify.bound prng g r.Lbcc_sparsifier.Sparsify.sparsifier
   in
   let out_deg = Lbcc_sparsifier.Sparsify.out_degrees r in
   let out_degree_max = Array.fold_left Stdlib.max 0 out_deg in

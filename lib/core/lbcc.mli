@@ -61,8 +61,11 @@ type rounds_report = {
 type sparsifier_result = {
   sparsifier : Graph.t;
   epsilon_achieved : float;
-      (** exact spectral certificate (eigensolver) for [n <= 400],
-          probed otherwise *)
+      (** {!Lbcc_sparsifier.Certify.bound}: the exact spectral
+          certificate (eigensolver) for [n <= 400]; above that, power
+          iteration widened by a 1.15 margin — slower (two dense
+          [O(n^3)] factorizations) and conservative: with [H = G] it
+          reports [0.15] *)
   out_degree_max : int;
   rounds : rounds_report;
 }

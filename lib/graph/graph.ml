@@ -1,4 +1,3 @@
-module Sparse = Lbcc_linalg.Sparse
 module Dense = Lbcc_linalg.Dense
 module Vec = Lbcc_linalg.Vec
 
@@ -52,13 +51,6 @@ let sub_edges g ids =
   let edges = List.map (fun id -> g.edges.(id)) ids in
   create ~n:g.n edges
 
-(* Test oracle: "sparsifier.lemma33 resparsify union" (test_sparsifier.ml)
-   certifies Sparsify.resparsify's output against this union. *)
-(* lbcc-lint: allow typ-dead-export *)
-let union a b =
-  if a.n <> b.n then invalid_arg "Graph.union: vertex count mismatch";
-  of_edge_array ~n:a.n (Array.append a.edges b.edges)
-
 let coalesce g =
   let tbl = Hashtbl.create (m g) in
   Array.iter
@@ -76,22 +68,6 @@ let coalesce g =
     |> List.map (fun ((u, v), w) -> { u; v; w })
   in
   create ~n:g.n edges
-
-(* Test-only, checked by "graph.laplacian sparse = dense"
-   (test_graph.ml); slated for deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let laplacian g =
-  let triplets =
-    Array.to_list g.edges
-    |> List.concat_map (fun e ->
-           [
-             (e.u, e.u, e.w);
-             (e.v, e.v, e.w);
-             (e.u, e.v, -.e.w);
-             (e.v, e.u, -.e.w);
-           ])
-  in
-  Sparse.of_triplets ~rows:g.n ~cols:g.n triplets
 
 let laplacian_dense g =
   let d = Dense.create g.n g.n in

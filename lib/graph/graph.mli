@@ -42,18 +42,13 @@ val sub_edges : t -> int list -> t
 (** Subgraph on the same vertex set keeping only the listed edge ids
     (re-indexed). *)
 
-val union : t -> t -> t
-(** Disjoint union of edge sets over the same vertex set. *)
-
 val coalesce : t -> t
 (** Merge parallel edges by summing their weights — spectrally equivalent
     (Laplacians add) and required by consumers that assume simple graphs
     (the spanner algorithm). *)
 
-val laplacian : t -> Lbcc_linalg.Sparse.t
-(** The [n x n] graph Laplacian [L = B^T W B]. *)
-
 val laplacian_dense : t -> Lbcc_linalg.Dense.t
+(** The [n x n] graph Laplacian [L = B^T W B], stored densely. *)
 
 val apply_laplacian : t -> Lbcc_linalg.Vec.t -> Lbcc_linalg.Vec.t
 (** Matrix-free [L x] in [O(m)]. *)

@@ -1,4 +1,4 @@
-(** Plain-text serialization for graphs and DOT export.
+(** Plain-text graph writer (what [lbcc gen] saves).
 
     The format is a DIMACS-flavoured line protocol:
 
@@ -8,17 +8,10 @@
     e <u> <v> <w>
     v}
 
-    Vertices are 0-based; weights are decimal.  Parsing is strict: malformed
-    lines raise with the offending line number. *)
+    Vertices are 0-based; weights are printed with 17 significant digits,
+    so they read back bit-exactly. *)
 
 val graph_to_string : Graph.t -> string
 
-val graph_of_string : string -> Graph.t
-(** @raise Failure on malformed input, [Invalid_argument] on an invalid
-    graph (out-of-range endpoint, self-loop, non-positive weight). *)
-
 val save_graph : string -> Graph.t -> unit
 (** Write to a file path. *)
-
-val load_graph : string -> Graph.t
-(** Read a file written by {!save_graph} (what [lbcc gen] writes). *)

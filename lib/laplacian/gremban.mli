@@ -22,16 +22,14 @@ val is_sdd_nonpositive_offdiag : Dense.t -> bool
 (** Symmetric, diagonally dominant, with all off-diagonal entries [<= 0],
     each to within [1e-9]. *)
 
-val virtual_graph : Dense.t -> Graph.t
-(** The doubled graph whose Laplacian is [L] above.
+val solve : Dense.t -> Vec.t -> Vec.t
+(** Exact solve of [M x = y] through the reduction (reference path).
     @raise Invalid_argument if [is_sdd_nonpositive_offdiag] fails, or if the
     matrix has zero slack everywhere and the reduction would disconnect
     (in that case the input is itself a Laplacian: solve it directly). *)
 
-val solve : Dense.t -> Vec.t -> Vec.t
-(** Exact solve of [M x = y] through the reduction (reference path). *)
-
 val solve_with :
   laplacian_solve:(Graph.t -> Vec.t -> Vec.t) -> Dense.t -> Vec.t -> Vec.t
-(** Same, but delegating the doubled Laplacian system to the given solver —
-    e.g. the Theorem 1.3 solver — as the min-cost-flow pipeline does. *)
+(** Same, but delegating the doubled Laplacian system — on the [2n]-vertex
+    virtual graph whose Laplacian is [L] above — to the given solver, e.g.
+    the Theorem 1.3 solver, as the min-cost-flow pipeline does. *)

@@ -10,8 +10,10 @@
 
     The paper fixes the sparsifier quality at [eps_H = 1/2] so
     [kappa = 3]; with calibrated bundle sizes (DESIGN.md, substitution 3)
-    the achieved [eps_H] is measured and [kappa] set from the certificate,
-    so the error guarantee always holds. *)
+    the achieved [eps_H] is measured and [kappa] set from the certificate
+    {!Lbcc_sparsifier.Certify.bound}.  For [n <= 400] that certificate is
+    exact, so the error guarantee holds; above, it rests on power
+    iteration's 1.15 margin, which nothing checks (ROADMAP item 1). *)
 
 open Lbcc_util
 module Vec = Lbcc_linalg.Vec
@@ -28,54 +30,38 @@ type solve_result = {
 }
 
 type workspace
-(** Per-lane scratch (preconditioner scratch buffers + a centering vector)
-    for reentrant solves: the solver handle itself is immutable, but the
-    default solve path reuses internal buffers, so concurrent solves on one
-    handle must each pass their own [workspace]. *)
+(** Per-lane scratch (fresh solve buffers for the [L_H] factor and a
+    centering vector) for reentrant solves: the solver handle itself is
+    immutable, but the default solve path reuses internal buffers, so
+    concurrent solves on one handle must each pass their own
+    [workspace]. *)
 
 val workspace : t -> workspace
-(** Fresh scratch for [t]; shares the (read-only) factorizations. *)
+(** Fresh scratch for [t]; shares the (read-only) factorization. *)
 
 val preprocess :
   ?accountant:Lbcc_net.Rounds.t ->
   ?phases:string list ->
   ?t:int ->
   ?k:int ->
-  ?certify:[ `Exact | `Power of int | `Probe of int ] ->
-  ?backend:[ `Lu | `Cg ] ->
   ?sparsifier:Graph.t ->
   prng:Prng.t ->
   graph:Graph.t ->
   unit ->
   t
-(** Sparsify, factor [L_H], certify [kappa].  When [sparsifier] is given it
-    is used as [H] directly and the internal sparsification is skipped —
-    the door the incremental-update path uses to rebuild a prepared
-    operator from a patched {!Lbcc_sparsifier.Sparsify.sketch} without
-    paying full re-sparsification rounds ([t] and [k] are then ignored;
-    the caller has already charged the sketch's rounds).  Without [t] the
-    bundle size is {!Lbcc_sparsifier.Sparsify.default_t} at [eps = 1/2].  [certify] selects the exact
-    eigen certificate (default for [n <= 400]), power iteration on the
-    pencil (default above, tight and [O(n^3)]-free per step), or cheap
-    randomized probing.  [phases] relabels the accountant phase nesting for
-    the charges (default [["solve"; "preprocess"]]; the service layer passes
-    [["prepare"]]).
-
-    [backend] selects the vertex-internal preconditioner solve: [`Lu] (the
-    default) factors [L_H] densely once — exact, [O(n^3)] setup, [O(n^2)]
-    memory; [`Cg] answers each preconditioner application by
-    Jacobi-preconditioned CG over the sparse [L_H] to a tolerance far below
-    the outer accuracy — [O(m_H)] memory, the choice for [n] in the
-    thousands (the SCALE bench runs [n = 8192] this way).  Round/bit
-    accounting is identical under either backend: the preconditioner solve
-    is vertex-internal and free in the model; only wall-clock and memory
-    differ.  At that scale the default [`Power] certificate densely factors
-    both Laplacians, but the cheap [`Probe] certificate is no safe
-    substitute: it estimates the pencil's [lambda_max] from random vectors,
-    so it can only underestimate [kappa], and Chebyshev then diverges
-    without an exception.  On logged IPM normal systems of a [|V| = 8]
-    flow, [`Probe 16] certified [kappa = 8.46] where the exact value is
-    [1029] (ROADMAP item 1).
+(** Sparsify, factor [L_H] densely ([O(n^3)] setup, [O(n^2)] memory; the
+    vertex-internal preconditioner solve is free in the model), and
+    certify [kappa] with {!Lbcc_sparsifier.Certify.bound}: exact
+    eigenvalues for [n <= 400], power iteration widened by a 1.15 margin
+    above.  When [sparsifier] is given it is used as [H] directly and the
+    internal sparsification is skipped — the door the incremental-update
+    path uses to rebuild a prepared operator from a patched
+    {!Lbcc_sparsifier.Sparsify.sketch} without paying full
+    re-sparsification rounds ([t] and [k] are then ignored; the caller
+    has already charged the sketch's rounds).  Without [t] the bundle size
+    is {!Lbcc_sparsifier.Sparsify.default_t} at [eps = 1/2].  [phases]
+    relabels the accountant phase nesting for the charges (default
+    [["solve"; "preprocess"]]; the service layer passes [["prepare"]]).
     @raise Invalid_argument if [graph] is not connected. *)
 
 val sparsifier : t -> Graph.t

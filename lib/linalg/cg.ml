@@ -7,9 +7,9 @@ type result = {
 
 (* The loop runs over preallocated workspaces [ap], [r], [z] and in-place
    operators, so per-iteration allocation is zero. *)
-let solve_preconditioned ?max_iter ?(tol = 1e-10) ~matvec ~precond ~b () =
+let solve_preconditioned ?(tol = 1e-10) ~matvec ~precond ~b () =
   let n = Vec.dim b in
-  let max_iter = match max_iter with Some m -> m | None -> 10 * Stdlib.max n 1 in
+  let max_iter = 10 * Stdlib.max n 1 in
   let x = Vec.zeros n in
   let ap = Vec.zeros n and r = Vec.zeros n and z = Vec.zeros n in
   matvec x ap;

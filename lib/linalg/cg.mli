@@ -16,7 +16,6 @@ type result = {
 }
 
 val solve_preconditioned :
-  ?max_iter:int ->
   ?tol:float ->
   matvec:(Vec.t -> Vec.t -> unit) ->
   precond:(Vec.t -> Vec.t -> unit) ->
@@ -25,5 +24,5 @@ val solve_preconditioned :
   result
 (** Preconditioned CG for an SPD (or PSD with [b] in the range)
     operator; [precond] applies an approximation of [A^+] (a plain copy
-    gives unpreconditioned CG), started from zero.  Stops when [||r||_2 <= tol * ||b||_2] or
-    after [max_iter] iterations (default [10 * dim]). *)
+    gives unpreconditioned CG), started from zero.  Stops when
+    [||r||_2 <= tol * ||b||_2] or after [10 * dim] iterations. *)

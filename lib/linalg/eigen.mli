@@ -5,21 +5,13 @@
     [L_H^{+1/2} L_G L_H^{+1/2}] and read off the true relative condition
     number, rather than trusting the w.h.p. guarantee. *)
 
-val jacobi : Dense.t -> Vec.t * Dense.t
-(** [jacobi a] returns [(eigenvalues, eigenvectors)] of symmetric [a]:
-    column [j] of the returned matrix is the unit eigenvector for
-    [eigenvalues.(j)].  Eigenvalues are sorted ascending.  Sweeps stop
-    once the off-diagonal Frobenius norm is at most [1e-12] times
-    [max 1 ||a||_F], or after 100 sweeps.
-    @raise Invalid_argument if [a] is not symmetric. *)
-
-val eigenvalues : Dense.t -> Vec.t
-(** Eigenvalues only, sorted ascending. *)
-
 val relative_condition : Dense.t -> Dense.t -> float * float
 (** [relative_condition a b] for symmetric PSD [a], [b] with the same
     nullspace returns [(lambda_min, lambda_max)] of the pencil [(a, b)]
     restricted to the complement of the common nullspace: the extreme
     generalized eigenvalues [lambda] with [a x = lambda b x].
     This is exactly the quantity bounded by the sparsifier guarantee
-    [(1-eps) L_H <= L_G <= (1+eps) L_H]. *)
+    [(1-eps) L_H <= L_G <= (1+eps) L_H].  Each Jacobi solve stops once
+    the off-diagonal Frobenius norm is at most [1e-12] times
+    [max 1 ||m||_F], or after 100 sweeps.
+    @raise Invalid_argument if [b] is not symmetric. *)

@@ -51,13 +51,6 @@ let scale_into a x dst =
     dst.(i) <- a *. x.(i)
   done
 
-let mul_into x y dst =
-  check_dims "mul_into" x y;
-  check_dims "mul_into" x dst;
-  for i = 0 to Array.length x - 1 do
-    dst.(i) <- x.(i) *. y.(i)
-  done
-
 (* dst <- a*dst + b*z, the Chebyshev direction update.  Rounding matches
    add (scale a dst) (scale b z). *)
 let axpby_into a b z dst =

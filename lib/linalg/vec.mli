@@ -40,9 +40,6 @@ val sub_into : t -> t -> t -> unit
 val scale_into : float -> t -> t -> unit
 (** [scale_into a x dst] performs [dst <- a*x]. *)
 
-val mul_into : t -> t -> t -> unit
-(** [mul_into x y dst] performs [dst <- x .* y] coordinate-wise. *)
-
 val axpby_into : float -> float -> t -> t -> unit
 (** [axpby_into a b z d] performs [d <- a*d + b*z], rounding exactly as
     [add (scale a d) (scale b z)]. *)

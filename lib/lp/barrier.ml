@@ -55,12 +55,3 @@ let ddphi t x =
   | Both { a; b; _ } ->
       let c = safe_dist (cos ((a *. x) +. b)) in
       a *. a /. (c *. c)
-
-(* Test-only, checked by "lp.barrier center interior" (test_lp.ml);
-   slated for deletion with it. *)
-(* lbcc-lint: allow typ-dead-export *)
-let center t =
-  match t.kind with
-  | Lower l -> l +. 1.0
-  | Upper u -> u -. 1.0
-  | Both { lo; hi; _ } -> (lo +. hi) /. 2.0

@@ -23,7 +23,3 @@ val dphi : t -> float -> float
 
 val ddphi : t -> float -> float
 (** Second derivative [phi'']; always positive on the domain. *)
-
-val center : t -> float
-(** The minimizer of the barrier (where [phi' = 0]); for one-sided domains
-    a canonical interior point one unit from the bound. *)

@@ -69,19 +69,6 @@ val centering_inexact :
   centering_state
 (** One Newton step plus weight refresh (Algorithm 11). *)
 
-val initial_weights :
-  ?accountant:Lbcc_net.Rounds.t ->
-  config:config ->
-  prng:Prng.t ->
-  problem:Problem.t ->
-  solver:Problem.normal_solver ->
-  x0:Vec.t ->
-  unit ->
-  Vec.t * int
-(** Regularized initial weights at [x0] (Algorithm 8 homotopy for Lewis
-    weighting, all-ones for the unweighted baseline); returns the homotopy
-    step count. *)
-
 val lp_solve :
   ?accountant:Lbcc_net.Rounds.t ->
   ?config:config ->

@@ -22,14 +22,6 @@ type config = {
   networks : int;  (** required [> 0] when [flows > 0] *)
 }
 
-val zipf_cdf : s:float -> n:int -> float array
-(** Cumulative zipf(s) distribution over ranks [0 .. n-1]
-    (weight ∝ [1/(rank+1)^s]); last entry is exactly 1.
-    @raise Invalid_argument when [n < 1]. *)
-
-val sample_zipf : Lbcc_util.Prng.t -> float array -> int
-(** Draw a rank from a {!zipf_cdf}. *)
-
 val trace : config -> op array array
 (** [trace cfg].(c).(j) is client [c]'s [j]-th operation.  Deterministic:
     each client draws from its own seeded stream. *)

@@ -304,15 +304,3 @@ let update ?accountant ~prng sk delta =
       total_rounds = sk.total_rounds + rounds;
     }
   end
-
-(* Test-only, checked by the two "sparsifier.lemma33 resparsify" cases
-   (test_sparsifier.ml); slated for deletion with them. *)
-(* lbcc-lint: allow typ-dead-export *)
-let resparsify ?accountant ?k ?t ~prng ~graphs ~epsilon () =
-  match graphs with
-  | [] -> invalid_arg "Sparsify.resparsify: empty graph list"
-  | first :: rest ->
-      (* Coalesce parallel edges of the union: Laplacians add, so merging
-         is spectrally exact, and the spanner assumes simple graphs. *)
-      let union = Graph.coalesce (List.fold_left Graph.union first rest) in
-      run ?accountant ?k ?t ~prng ~graph:union ~epsilon ()

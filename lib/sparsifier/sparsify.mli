@@ -98,22 +98,3 @@ val update :
     bit-identical at any domain count.
     @raise Invalid_argument if the delta references an edge id [>= m] of
     [sketch.base]. *)
-
-val resparsify :
-  ?accountant:Lbcc_net.Rounds.t ->
-  ?k:int ->
-  ?t:int ->
-  prng:Lbcc_util.Prng.t ->
-  graphs:Graph.t list ->
-  epsilon:float ->
-  unit ->
-  result
-(** Resparsification (the Kyng–Pachocki–Peng–Sachdeva framework behind
-    Theorem 3.4): sparsify the edge union of several (reweighted)
-    sparsifiers over the same vertex set — e.g. to maintain a sparsifier of
-    a growing graph by periodically re-sparsifying [old sparsifier ∪ new
-    edges].  Errors compose multiplicatively: if each input is a
-    [(1±eps_i)]-sparsifier of its graph and the output a
-    [(1±eps)]-sparsifier of the union, the result approximates the union
-    of the originals within [(1±eps) * prod (1±eps_i)].
-    @raise Invalid_argument on an empty list or mismatched vertex sets. *)

@@ -12,17 +12,14 @@ type summary = {
 val mean : float array -> float
 (** Arithmetic mean; [nan] on the empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance; [0.] for arrays of length [<= 1]. *)
-
 val stddev : float array -> float
-
-val quantile : float array -> float -> float
-(** [quantile xs q] with [q] in [\[0,1\]], linear interpolation between order
-    statistics.  Does not mutate its argument. *)
+(** Square root of the unbiased sample variance; [0.] for arrays of length
+    [<= 1]. *)
 
 val summarize : float array -> summary
-(** Full summary; raises [Invalid_argument] on the empty array. *)
+(** Full summary; the median interpolates linearly between the two middle
+    order statistics of an even count.  Does not mutate its argument;
+    raises [Invalid_argument] on the empty array. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

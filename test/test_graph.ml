@@ -144,13 +144,6 @@ let test_laplacian_kills_constants () =
   let ones = Vec.ones 20 in
   Alcotest.(check (float 1e-9)) "L 1 = 0" 0.0 (Vec.norm2 (Graph.apply_laplacian g ones))
 
-let test_sparse_laplacian_matches_dense () =
-  let prng = Prng.create 6 in
-  let g = Gen.torus prng ~rows:4 ~cols:4 in
-  let d = Sparse.to_dense (Graph.laplacian g) in
-  Alcotest.(check (float 1e-9)) "sparse = dense" 0.0
-    (dense_dist d (Graph.laplacian_dense g))
-
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 
@@ -344,7 +337,6 @@ let suites =
         Alcotest.test_case "L = B^T W B" `Quick test_laplacian_btwb;
         Alcotest.test_case "matrix-free matches" `Quick test_apply_laplacian_matches_dense;
         Alcotest.test_case "kills constants" `Quick test_laplacian_kills_constants;
-        Alcotest.test_case "sparse = dense" `Quick test_sparse_laplacian_matches_dense;
       ] );
     ( "graph.generators",
       [

@@ -3,6 +3,8 @@ module Vec = Lbcc_linalg.Vec
 module Sparse = Lbcc_linalg.Sparse
 module Problem = Lbcc_lp.Problem
 module Ipm = Lbcc_lp.Ipm
+module Lewis = Lbcc_lp.Lewis
+module Leverage = Lbcc_lp.Leverage
 
 (* A small transportation-style LP with a known optimum:
    min c^T x  over  { x in [0,1]^m : sum x_i = budget }.
@@ -85,14 +87,24 @@ let test_iterations_scale_with_c1 () =
     true
     (tr_lewis.Ipm.iterations < tr_unw.Ipm.iterations)
 
+(* The weights [Ipm.lp_solve] starts from under the default config:
+   regularized Lewis weights at [x0] by the Algorithm 8 homotopy to
+   p = 1 - 1/log(4m), at fixed-point accuracy 0.05, with exact leverage
+   scores of the barrier-scaled constraint matrix. *)
+let initial_weights p x0 =
+  let m = Problem.m p and n = Problem.n p in
+  let spp = Vec.map sqrt (Problem.phi'' p x0) in
+  let leverage_for ~p:_ d =
+    Leverage.exact (Leverage.of_row_scaled p.Problem.a (Vec.div d spp))
+  in
+  let p_target = 1.0 -. (1.0 /. log (4.0 *. float_of_int m)) in
+  let w, _ = Lewis.compute_initial_weights ~leverage_for ~m ~n ~p_target ~eta:0.05 in
+  Lewis.regularized w ~n ~m
+
 let test_initial_weights_size_bound () =
   let costs = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
   let p, x0 = knapsack_problem ~costs ~budget:3.0 in
-  let solver = Problem.dense_normal_solver p in
-  let w, _ =
-    Ipm.initial_weights ~config:Ipm.default_config ~prng:(Prng.create 7) ~problem:p
-      ~solver ~x0 ()
-  in
+  let w = initial_weights p x0 in
   (* Size bound: ||g||_1 <= c1 = 3/2 n (plus regularization slack). *)
   Alcotest.(check bool) "size bound" true (Vec.norm1 w <= 1.5 *. 1.0 +. 1.0);
   Array.iter (fun wi -> Alcotest.(check bool) "positive" true (wi > 0.0)) w
@@ -103,7 +115,7 @@ let test_centering_reduces_delta () =
   let solver = Problem.dense_normal_solver p in
   let config = Ipm.default_config in
   let prng = Prng.create 8 in
-  let w, _ = Ipm.initial_weights ~config ~prng ~problem:p ~solver ~x0 () in
+  let w = initial_weights p x0 in
   (* Start slightly off-center and verify repeated centering contracts. *)
   let x_off = Vec.map2 (fun xi hi -> Float.min (xi *. 1.2) (hi *. 0.9)) x0 [| 1.0; 1.0; 1.0 |] in
   let d = Vec.neg (Vec.mul w (Problem.phi' p x0)) in
@@ -144,7 +156,7 @@ let test_paper_weight_update_runs () =
   let solver = Problem.dense_normal_solver p in
   let config = { Ipm.default_config with weight_update = `Paper } in
   let prng = Prng.create 9 in
-  let w, _ = Ipm.initial_weights ~config ~prng ~problem:p ~solver ~x0 () in
+  let w = initial_weights p x0 in
   let d = Vec.neg (Vec.mul w (Problem.phi' p x0)) in
   let state = ref { Ipm.x = x0; w; delta = infinity } in
   for _ = 1 to 3 do

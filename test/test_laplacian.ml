@@ -102,6 +102,26 @@ let test_solver_kappa_certified () =
   Alcotest.(check bool) "kappa >= 1" true (Solver.kappa s >= 1.0);
   Alcotest.(check bool) "kappa finite" true (Float.is_finite (Solver.kappa s))
 
+(* n = 420 is above the exact range, so kappa comes from power iteration
+   with its margin.  On this graph an inner estimate of kappa (2.79
+   against the exact 554) makes Chebyshev diverge to a residual of 7.5e34
+   without raising, so the test checks both the bound and the solve. *)
+let test_solver_above_exact_range () =
+  let g =
+    Gen.erdos_renyi_connected (Prng.create 41) ~n:420 ~p:(24.0 /. 420.0) ~w_max:8
+  in
+  let s = Solver.preprocess ~prng:(Prng.create 5) ~graph:g ~t:1 ~k:3 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "kappa %.1f >= exact 554" (Solver.kappa s))
+    true
+    (Solver.kappa s >= 554.0);
+  let b = zero_sum_b (Prng.create 7) 420 in
+  let r = Solver.solve s ~b ~eps:1e-8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "residual %.3g <= 1e-7" r.Solver.residual)
+    true
+    (r.Solver.residual <= 1e-7)
+
 let test_solver_rounds_accounting () =
   let prng = Prng.create 10 in
   let g = Gen.erdos_renyi_connected prng ~n:24 ~p:0.4 ~w_max:3 in
@@ -176,15 +196,20 @@ let test_gremban_solves_sdd () =
 let test_gremban_virtual_graph_shape () =
   let prng = Prng.create 30 in
   let m = random_sdd prng 6 in
-  let g = Gremban.virtual_graph m in
-  Alcotest.(check int) "doubled vertices" 12 (Graph.n g)
+  let seen = ref 0 in
+  let laplacian_solve g b =
+    seen := Graph.n g;
+    Exact.solve_graph g b
+  in
+  ignore (Gremban.solve_with ~laplacian_solve m (Vec.init 6 float_of_int));
+  Alcotest.(check int) "doubled vertices" 12 !seen
 
 let test_gremban_rejects_pure_laplacian () =
   let g = Gen.ring (Prng.create 31) ~n:5 in
   let l = Graph.laplacian_dense g in
   Alcotest.(check bool) "raises on zero slack" true
     (try
-       ignore (Gremban.virtual_graph l);
+       ignore (Gremban.solve l (Vec.zeros 5));
        false
      with Invalid_argument _ -> true)
 
@@ -229,6 +254,7 @@ let suites =
         Alcotest.test_case "iterations vs precision" `Quick
           test_solver_iterations_grow_with_precision;
         Alcotest.test_case "kappa certified" `Quick test_solver_kappa_certified;
+        Alcotest.test_case "above exact range" `Quick test_solver_above_exact_range;
         Alcotest.test_case "rounds accounting" `Quick test_solver_rounds_accounting;
         Alcotest.test_case "rejects disconnected" `Quick test_solver_rejects_disconnected;
         Alcotest.test_case "grid and barbell" `Slow test_solver_on_grid_and_barbell;

@@ -60,13 +60,6 @@ let test_barrier_rejects_free_line () =
     (Invalid_argument "Barrier.make: at least one bound must be finite") (fun () ->
       ignore (Barrier.make ~lo:neg_infinity ~hi:infinity))
 
-let test_barrier_center_interior () =
-  List.iter
-    (fun (lo, hi) ->
-      let b = Barrier.make ~lo ~hi in
-      Alcotest.(check bool) "center interior" true (Barrier.contains b (Barrier.center b)))
-    [ (0.0, infinity); (neg_infinity, 3.0); (2.0, 9.0) ]
-
 (* ------------------------------------------------------------------ *)
 (* JL                                                                  *)
 
@@ -340,7 +333,6 @@ let suites =
         Alcotest.test_case "trigonometric" `Quick test_barrier_trig;
         Alcotest.test_case "numeric derivatives" `Quick test_barrier_derivatives_numeric;
         Alcotest.test_case "rejects free line" `Quick test_barrier_rejects_free_line;
-        Alcotest.test_case "center interior" `Quick test_barrier_center_interior;
       ] );
     ( "lp.jl",
       [

@@ -89,18 +89,6 @@ let test_certify_scaled () =
   (* L_G = (1/2) L_H: lambda in [0.5, 0.5], eps achieved = 0.5. *)
   Alcotest.(check (float 1e-6)) "eps of doubling" 0.5 c.Certify.epsilon_achieved
 
-let test_certify_probe_within_exact () =
-  let prng = Prng.create 15 in
-  let g = Gen.erdos_renyi_connected prng ~n:32 ~p:0.4 ~w_max:3 in
-  let r = Sparsify.run ~prng:(Prng.create 16) ~graph:g ~epsilon:0.5 ~t:3 ~k:3 () in
-  let exact = Certify.exact g r.Sparsify.sparsifier in
-  let probe = Certify.probe (Prng.create 17) g r.Sparsify.sparsifier ~samples:200 in
-  (* Probing inner-approximates the spectral interval. *)
-  Alcotest.(check bool) "probe lmin >= exact lmin" true
-    (probe.Certify.lambda_min >= exact.Certify.lambda_min -. 1e-9);
-  Alcotest.(check bool) "probe lmax <= exact lmax" true
-    (probe.Certify.lambda_max <= exact.Certify.lambda_max +. 1e-9)
-
 let test_is_sparsifier_predicate () =
   let prng = Prng.create 18 in
   let g = Gen.erdos_renyi_connected prng ~n:20 ~p:0.4 ~w_max:2 in
@@ -193,26 +181,20 @@ let test_power_identity () =
   Alcotest.(check (float 1e-6)) "lmin" 1.0 c.Certify.lambda_min;
   Alcotest.(check (float 1e-6)) "lmax" 1.0 c.Certify.lambda_max
 
-let test_resparsify_union () =
-  let prng = Prng.create 30 in
-  let g1 = Gen.erdos_renyi_connected prng ~n:32 ~p:0.3 ~w_max:2 in
-  let g2 = Gen.erdos_renyi_connected prng ~n:32 ~p:0.3 ~w_max:2 in
-  let r =
-    Sparsify.resparsify ~prng:(Prng.create 31) ~graphs:[ g1; g2 ] ~epsilon:0.5
-      ~t:8 ~k:3 ()
+(* [bound] is exact up to n = 400 and widens 60 power iterations by the
+   1.15 margin above, so H = G reads eps = 0.15 there. *)
+let test_bound_rule () =
+  let g = Gen.erdos_renyi_connected (Prng.create 30) ~n:40 ~p:0.3 ~w_max:4 in
+  let h = Graph.map_weights (fun _ e -> 2.0 *. e.Graph.w) g in
+  Alcotest.(check bool) "exact below 401" true
+    (Certify.bound (Prng.create 1) g h = Certify.exact g h);
+  let g =
+    Gen.erdos_renyi_connected (Prng.create 41) ~n:420 ~p:(24.0 /. 420.0) ~w_max:8
   in
-  let union = Graph.coalesce (Graph.union g1 g2) in
-  Alcotest.(check bool) "connected" true (Graph.is_connected r.Sparsify.sparsifier);
-  let c = Certify.exact union r.Sparsify.sparsifier in
-  Alcotest.(check bool)
-    (Printf.sprintf "quality %.3f" c.Certify.epsilon_achieved)
-    true
-    (c.Certify.epsilon_achieved < 1.0)
-
-let test_resparsify_rejects_empty () =
-  Alcotest.check_raises "empty" (Invalid_argument "Sparsify.resparsify: empty graph list")
-    (fun () ->
-      ignore (Sparsify.resparsify ~prng:(Prng.create 1) ~graphs:[] ~epsilon:0.5 ()))
+  let c = Certify.bound (Prng.create 1) g g in
+  Alcotest.(check (float 1e-9)) "lmin widened" (1.0 /. 1.15) c.Certify.lambda_min;
+  Alcotest.(check (float 1e-9)) "lmax widened" 1.15 c.Certify.lambda_max;
+  Alcotest.(check (float 1e-9)) "eps of the margin" 0.15 c.Certify.epsilon_achieved
 
 let suites =
   [
@@ -231,18 +213,15 @@ let suites =
         Alcotest.test_case "large t good" `Slow test_large_t_gives_good_sparsifier;
         Alcotest.test_case "certify identity" `Quick test_certify_identity;
         Alcotest.test_case "certify scaled" `Quick test_certify_scaled;
-        Alcotest.test_case "probe inner-approximates" `Quick
-          test_certify_probe_within_exact;
         Alcotest.test_case "is_sparsifier" `Quick test_is_sparsifier_predicate;
         Alcotest.test_case "power matches exact" `Quick test_power_matches_exact;
         Alcotest.test_case "power identity" `Quick test_power_identity;
+        Alcotest.test_case "bound rule" `Quick test_bound_rule;
       ] );
     ( "sparsifier.lemma33",
       [
         Alcotest.test_case "adhoc vs apriori sizes" `Slow
           test_adhoc_vs_apriori_distribution;
         Alcotest.test_case "apriori quality" `Slow test_apriori_quality_similar;
-        Alcotest.test_case "resparsify union" `Slow test_resparsify_union;
-        Alcotest.test_case "resparsify rejects empty" `Quick test_resparsify_rejects_empty;
       ] );
   ]

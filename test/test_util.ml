@@ -106,14 +106,19 @@ let prop_prng_second_int =
 let test_stats_mean () = check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |])
 
 let test_stats_variance () =
-  check_float "variance" (14.0 /. 3.0) (Stats.variance [| 1.0; 2.0; 3.0; 6.0 |])
+  (* Unbiased: the squared deviations sum to 14 over n - 1 = 3. *)
+  check_float "stddev" (sqrt (14.0 /. 3.0)) (Stats.stddev [| 1.0; 2.0; 3.0; 6.0 |]);
+  check_float "one sample" 0.0 (Stats.stddev [| 7.0 |])
 
 let test_stats_quantile () =
   let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  check_float "median" 3.0 (Stats.quantile xs 0.5);
-  check_float "min" 1.0 (Stats.quantile xs 0.0);
-  check_float "max" 5.0 (Stats.quantile xs 1.0);
-  check_float "q25" 2.0 (Stats.quantile xs 0.25)
+  let s = Stats.summarize xs in
+  check_float "median" 3.0 s.Stats.median;
+  check_float "min" 1.0 s.Stats.min;
+  check_float "max" 5.0 s.Stats.max;
+  Alcotest.(check (array (float 0.0))) "argument untouched" [| 5.0; 1.0; 3.0; 2.0; 4.0 |] xs;
+  (* An even count interpolates between the two middle order statistics. *)
+  check_float "interpolated median" 2.5 (Stats.summarize [| 4.0; 1.0; 3.0; 2.0 |]).Stats.median
 
 let test_stats_summary () =
   let s = Stats.summarize [| 2.0; 4.0 |] in
