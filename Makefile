@@ -41,6 +41,8 @@ lint-typed: build
 # Fault-injection smoke run: the reliable-broadcast layer must reproduce the
 # lossless outputs under 20% drop + an injected crash, and the raw engine run
 # must still terminate honestly.  Greps assert the recovery, not just exit 0.
+# The certified sparsify run must keep --json and --reliability under
+# --max-retries.
 # Last, an out-of-range --source and a malformed --input network must be
 # usage errors (exit 2).
 smoke: build
@@ -53,6 +55,10 @@ smoke: build
 	$(CLI) dist --algo bfs --reliability none --drop-prob 0.3 --fault-seed 2 \
 	  | grep -q 'converged='
 	$(CLI) sparsify --vertices 48 --max-retries 2 | grep -q 'verdict=ok'
+	$(CLI) sparsify --vertices 48 --max-retries 2 --json | tail -1 \
+	  | grep -q '"metrics"'
+	$(CLI) sparsify --vertices 48 --reliability crash --max-retries 1 \
+	  | grep -q retransmit
 	$(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 2 \
 	  --byz-prob 0.2 --reliability byzantine \
 	  | grep -q 'matches lossless run: true'

@@ -45,6 +45,7 @@ module Json = Lbcc_obs.Json
 module Metrics = Lbcc_obs.Metrics
 module Cache = Lbcc_service.Cache
 module Prepared = Lbcc_service.Prepared
+module Ctx = Lbcc_service.Ctx
 
 let section id title = Printf.printf "\n=== %s: %s ===\n" id title
 
@@ -955,7 +956,7 @@ let batch () =
   let rows =
     List.map
       (fun k ->
-        let p = Prepared.create ~seed:5 g in
+        let p = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) g in
         ignore (Prepared.solve_many ~eps p (rhs k) : Prepared.query_result list);
         let amortized = Prepared.amortized_rounds_per_query p in
         let per_query = Prepared.query_rounds p / k in
@@ -995,7 +996,7 @@ let batch () =
   in
   let run_at d =
     Pool.set_default_domains d;
-    let p = Prepared.create ~seed:5 g in
+    let p = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) g in
     let qs, dt = time (fun () -> Prepared.solve_many ~eps p bs) in
     (fp qs, dt /. float_of_int k_fixed)
   in
@@ -1004,7 +1005,7 @@ let batch () =
   let fp4, t4 = run_at 4 in
   Pool.set_default_domains 1;
   let fp_seq =
-    let p = Prepared.create ~seed:5 g in
+    let p = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) g in
     fp (List.map (fun b -> Prepared.solve ~eps p ~b) bs)
   in
   let identical = fp1 = fp2 && fp2 = fp4 && fp1 = fp_seq in
@@ -1020,7 +1021,9 @@ let batch () =
   let cache = Cache.create ~capacity:4 ~metrics:cache_metrics () in
   let reps = 4 in
   for _ = 1 to reps do
-    ignore (Prepared.create_cached ~cache ~seed:5 g : Prepared.t * bool)
+    ignore
+      (Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:5 ()) g
+        : Prepared.t * bool)
   done;
   let hits = Metrics.counter cache_metrics "cache.hits" in
   let misses = Metrics.counter cache_metrics "cache.misses" in

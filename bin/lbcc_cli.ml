@@ -108,17 +108,9 @@ let json_arg =
            metrics registry as the final line of output (single-line, so \
            $(b,tail -1) extracts it).")
 
-(* The self-healing Resilient wrappers do not thread a tracer (each retry
-   would need its own accountant), so the observability flags apply to the
-   direct path only. *)
-let make_obs ~trace ~json max_retries =
-  if (trace || json) && max_retries <> None then begin
-    prerr_endline "warning: --trace/--json are ignored with --max-retries";
-    (None, None)
-  end
-  else
-    ( (if trace || json then Some (Trace.create ()) else None),
-      if trace || json then Some (Metrics.create ()) else None )
+let make_obs ~trace ~json =
+  if trace || json then (Some (Trace.create ()), Some (Metrics.create ()))
+  else (None, None)
 
 let emit_obs ~trace ~json tracer metrics =
   (match tracer with
@@ -265,23 +257,30 @@ let ctx_reliability_arg =
 let max_retries_arg =
   let arg =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 0
       & info [ "max-retries" ] ~docv:"N"
           ~doc:
-            "Run through the self-healing Resilient wrapper with up to N \
-             retries; prints an ok/degraded/failed verdict and the attempt \
-             log.")
+            "Retry a run that fails its certificate up to N times, each \
+             with a fresh seed split from $(b,--seed).  Every run prints \
+             its ok/degraded/failed verdict and attempt log.")
   in
-  let validate = function
-    | Some n when n < 0 -> Error (`Msg "--max-retries must be >= 0")
-    | v -> Ok v
+  let validate n =
+    if n < 0 then Error (`Msg "--max-retries must be >= 0") else Ok n
   in
   Term.term_result Term.(const validate $ arg)
 
-let pp_outcome name (o : _ Resilient.outcome) =
-  Printf.printf "%s: %s\n%!" name
-    (Format.asprintf "%a" Resilient.pp o)
+(* Every certified run ends here: the verdict and attempt log, the result
+   when there is one, then the observability output (last, so [tail -1]
+   still extracts the JSON line).  A [Failed] verdict — every attempt
+   raised — exits 3, the internal-error code an uncaught exception gets. *)
+let finish name ~trace ~json tracer metrics report (o : _ Resilient.outcome) =
+  Printf.printf "%s: %s\n%!" name (Format.asprintf "%a" Resilient.pp o);
+  Option.iter report o.Resilient.value;
+  emit_obs ~trace ~json tracer metrics;
+  if o.Resilient.verdict = Resilient.Failed then begin
+    Printf.eprintf "lbcc %s: every attempt raised\n" name;
+    exit 3
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
@@ -294,29 +293,15 @@ let sparsify_cmd =
   let run seed n family w_max epsilon t max_retries reliability trace json =
     let g = make_graph family seed n w_max in
     Printf.printf "input: n=%d m=%d\n" (Graph.n g) (Graph.m g);
-    match max_retries with
-    | Some max_retries ->
-        if reliability <> Model.None then
-          prerr_endline "warning: --reliability is ignored with --max-retries";
-        ignore
-          (make_obs ~trace ~json (Some max_retries)
-            : Trace.t option * Metrics.t option);
-        let o = Resilient.sparsify ~seed ~epsilon ?t ~max_retries g in
-        pp_outcome "sparsify" o;
-        Option.iter
-          (fun (r : Lbcc.sparsifier_result) ->
-            Printf.printf "sparsifier: m=%d  certified eps=%.4f  max out-degree=%d\n"
-              (Graph.m r.Lbcc.sparsifier) r.Lbcc.epsilon_achieved r.Lbcc.out_degree_max;
-            pp_rounds r.Lbcc.rounds)
-          o.Resilient.value
-    | None ->
-        let tracer, metrics = make_obs ~trace ~json None in
-        let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
-        let r = Lbcc.sparsify ~ctx ~epsilon ?t g in
-        Printf.printf "sparsifier: m=%d  certified eps=%.4f  max out-degree=%d\n"
-          (Graph.m r.Lbcc.sparsifier) r.Lbcc.epsilon_achieved r.Lbcc.out_degree_max;
-        pp_rounds r.Lbcc.rounds;
-        emit_obs ~trace ~json tracer metrics
+    let tracer, metrics = make_obs ~trace ~json in
+    let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
+    let report (r : Lbcc.sparsifier_result) =
+      Printf.printf "sparsifier: m=%d  certified eps=%.4f  max out-degree=%d\n"
+        (Graph.m r.Lbcc.sparsifier) r.Lbcc.epsilon_achieved r.Lbcc.out_degree_max;
+      pp_rounds r.Lbcc.rounds
+    in
+    finish "sparsify" ~trace ~json tracer metrics report
+      (Resilient.sparsify ~ctx ~epsilon ?t ~max_retries g)
   in
   Cmd.v
     (Cmd.info "sparsify" ~doc:"Spectral sparsification (Theorem 1.2)")
@@ -354,11 +339,11 @@ let solve_cmd =
         r.Lbcc.residual r.Lbcc.iterations r.Lbcc.preprocessing_rounds
         r.Lbcc.solve_rounds
     in
+    let tracer, metrics = make_obs ~trace ~json in
+    let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
     if batch > 1 then begin
-      if max_retries <> None then
+      if max_retries > 0 then
         prerr_endline "warning: --max-retries is ignored with --batch";
-      let tracer, metrics = make_obs ~trace ~json None in
-      let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
       let p, hit = Lbcc.Prepared.create_cached ~ctx g in
       let qs = Lbcc.Prepared.solve_many ~eps p (make_rhs ~seed ~nv batch) in
       let worst =
@@ -381,25 +366,10 @@ let solve_cmd =
         (Lbcc.Prepared.amortized_rounds_per_query p);
       emit_obs ~trace ~json tracer metrics
     end
-    else begin
+    else
       let b = List.hd (make_rhs ~seed ~nv 1) in
-      match max_retries with
-      | Some max_retries ->
-          if reliability <> Model.None then
-            prerr_endline
-              "warning: --reliability is ignored with --max-retries";
-          ignore
-          (make_obs ~trace ~json (Some max_retries)
-            : Trace.t option * Metrics.t option);
-          let o = Resilient.solve_laplacian ~seed ~eps ~max_retries g ~b in
-          pp_outcome "solve" o;
-          Option.iter report o.Resilient.value
-      | None ->
-          let tracer, metrics = make_obs ~trace ~json None in
-          let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
-          report (Lbcc.solve_laplacian ~ctx ~eps g ~b);
-          emit_obs ~trace ~json tracer metrics
-    end
+      finish "solve" ~trace ~json tracer metrics report
+        (Resilient.solve_laplacian ~ctx ~eps ~max_retries g ~b)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Laplacian solving (Theorem 1.3)")
@@ -429,7 +399,7 @@ let prepare_cmd =
     let g = make_graph family seed n w_max in
     let nv = Graph.n g in
     Printf.printf "input: n=%d m=%d\n" nv (Graph.m g);
-    let tracer, metrics = make_obs ~trace ~json None in
+    let tracer, metrics = make_obs ~trace ~json in
     let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics () in
     let handle = ref None in
     for i = 1 to Stdlib.max 1 repeat do
@@ -665,21 +635,10 @@ let flow_cmd =
           Printf.printf "wrote %s\n" path
       | None -> ()
     in
-    match max_retries with
-    | Some max_retries ->
-        if reliability <> Model.None then
-          prerr_endline "warning: --reliability is ignored with --max-retries";
-        ignore
-          (make_obs ~trace ~json (Some max_retries)
-            : Trace.t option * Metrics.t option);
-        let o = Resilient.min_cost_max_flow ~seed ~max_retries net in
-        pp_outcome "flow" o;
-        Option.iter report o.Resilient.value
-    | None ->
-        let tracer, metrics = make_obs ~trace ~json None in
-        let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
-        report (Lbcc.min_cost_max_flow ~ctx net);
-        emit_obs ~trace ~json tracer metrics
+    let tracer, metrics = make_obs ~trace ~json in
+    let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
+    finish "flow" ~trace ~json tracer metrics report
+      (Resilient.min_cost_max_flow ~ctx ~max_retries net)
   in
   Cmd.v
     (Cmd.info "flow" ~doc:"Exact minimum-cost maximum flow (Theorem 1.1)")

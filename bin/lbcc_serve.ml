@@ -149,18 +149,16 @@ let max_queue_arg =
   Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"Q" ~doc:"Admission bound.")
 
 let max_batch_arg =
-  Arg.(value & opt int 16 & info [ "max-batch" ] ~docv:"B" ~doc:"Coalescing cap per batch.")
+  Arg.(
+    value & opt int 16
+    & info [ "max-batch" ] ~docv:"B"
+        ~doc:"Coalescing cap per batch (1: serial dispatch, the baseline mode).")
 
 let window_arg =
   Arg.(
     value & opt int 4
     & info [ "window" ] ~docv:"W"
         ~doc:"Batching window in completed batches (0 dispatches immediately).")
-
-let serial_arg =
-  Arg.(
-    value & flag
-    & info [ "serial" ] ~doc:"Disable coalescing: one request per batch (baseline mode).")
 
 let cache_arg =
   Arg.(
@@ -174,9 +172,9 @@ let no_warm_arg =
     & info [ "no-warm" ] ~doc:"Skip preparing the fleet at startup.")
 
 let daemon_cfg_term =
-  let make fleet_seed max_queue max_batch window serial cache_capacity no_warm =
+  let make fleet_seed max_queue max_batch window cache_capacity no_warm =
     {
-      Daemon.sched = { Sched.max_queue; max_batch; window; coalesce = not serial };
+      Daemon.sched = { Sched.max_queue; max_batch; window };
       seed = fleet_seed;
       cache_capacity;
       prepare_on_load = not no_warm;
@@ -184,7 +182,7 @@ let daemon_cfg_term =
   in
   Term.(
     const make $ seed_arg $ max_queue_arg $ max_batch_arg $ window_arg
-    $ serial_arg $ cache_arg $ no_warm_arg)
+    $ cache_arg $ no_warm_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -197,7 +195,8 @@ let run_serve endpoint fleet_cfg daemon_cfg stats_out =
     (Server.endpoint_to_string endpoint)
     (List.length fleet.Fleet.entries)
     (List.length fleet.Fleet.nets)
-    (if daemon_cfg.Daemon.sched.Sched.coalesce then "coalescing" else "serial");
+    (if daemon_cfg.Daemon.sched.Sched.max_batch > 1 then "coalescing"
+     else "serial");
   Server.run daemon listen_fd;
   let stats = Json.to_string ~pretty:true (Daemon.stats_json daemon) in
   (match stats_out with
@@ -681,7 +680,7 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
   let pid_b =
     fork_daemon
       { Daemon.sched =
-          { sched_coalesced with Sched.max_batch = 1; window = 0; coalesce = false };
+          { sched_coalesced with Sched.max_batch = 1; window = 0 };
         seed = fleet_cfg.Fleet.seed; cache_capacity = 0; prepare_on_load = false }
       fleet_cfg (ep "b")
   in

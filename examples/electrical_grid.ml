@@ -21,6 +21,7 @@ module Vec = Lbcc_linalg.Vec
 module Exact = Lbcc_laplacian.Exact
 module Solver = Lbcc_laplacian.Solver
 module Prepared = Lbcc_service.Prepared
+module Ctx = Lbcc_service.Ctx
 open Lbcc_util
 
 let grid_with_transmission prng ~rows ~cols ~shortcuts =
@@ -66,7 +67,7 @@ let () =
   b.(consumer) <- -1.0;
 
   (* Prepare the operator once (Theorem 1.3 preprocessing). *)
-  let p = Prepared.create ~seed:5 ~t:8 g in
+  let p = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) ~t:8 g in
   let solver = Prepared.solver p in
   Printf.printf "sparsifier: m=%d of %d, certified kappa=%.2f\n"
     (Graph.m (Solver.sparsifier solver))

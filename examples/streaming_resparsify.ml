@@ -27,6 +27,7 @@ module Sparsify = Lbcc_sparsifier.Sparsify
 module Certify = Lbcc_sparsifier.Certify
 module Cache = Lbcc_service.Cache
 module Prepared = Lbcc_service.Prepared
+module Ctx = Lbcc_service.Ctx
 open Lbcc_util
 
 let () =
@@ -49,7 +50,8 @@ let () =
   in
 
   let cache = Cache.create ~capacity:4 () in
-  let h = ref (fst (Prepared.create_cached ~cache ~seed g0)) in
+  let ctx = Ctx.make ~seed () in
+  let h = ref (fst (Prepared.create_cached ~cache ~ctx g0)) in
   let create_rounds = Prepared.preprocessing_rounds !h in
   Printf.printf "prepare: %d rounds (paid once; updates below patch this \
                  handle)\n\n" create_rounds;
@@ -91,7 +93,7 @@ let () =
 
   (* The patched handle sits exactly where a fresh prepare of the mutated
      graph looks: this lookup is a cache hit, not a cold rebuild. *)
-  let _, hit = Prepared.create_cached ~cache ~seed (Prepared.graph !h) in
+  let _, hit = Prepared.create_cached ~cache ~ctx (Prepared.graph !h) in
   Printf.printf
     "\nre-preparing the accumulated graph: cache %s (the patched handle \
      was\nre-keyed under the new fingerprint)\n"

@@ -71,8 +71,7 @@ type sparsifier_result = {
   rounds : rounds_report;
 }
 
-let sparsify ?ctx ?(epsilon = 0.5) ?t g =
-  let c = Ctx.resolve ?ctx () in
+let sparsify ?ctx:(c = Ctx.default) ?(epsilon = 0.5) ?t g =
   let seed = c.Ctx.seed and tracer = c.Ctx.tracer and metrics = c.Ctx.metrics in
   let n = Graph.n g in
   let acc = fresh_accountant ?tracer ~n () in
@@ -107,19 +106,14 @@ type laplacian_result = {
 (* Mirror a handle's one-time preprocessing cost into a per-call accountant
    (label-for-label, so the report's breakdown matches a from-scratch run);
    skipped on cache hits, where preparation was paid by an earlier call. *)
-let mirror_prepare acc p =
-  List.iter
-    (* Replays the handle's label paths verbatim; a phase wrapper here would
-       double-prefix them. *)
-    (* lbcc-lint: allow typ-phase-flow *)
-    (fun (label, rounds, bits) -> Rounds.charge acc ~bits ~label ~rounds)
-    (Prepared.prepare_breakdown p)
-
-let solve_laplacian ?ctx ?(eps = 1e-8) g ~b =
-  let c = Ctx.resolve ?ctx () in
-  let acc = fresh_accountant ?tracer:c.Ctx.tracer ~n:(Graph.n g) () in
+let prepare_cached acc c g =
   let p, hit = Prepared.create_cached ~ctx:c g in
-  if not hit then mirror_prepare acc p;
+  if not hit then Prepared.replay acc (Prepared.prepare_breakdown p);
+  p
+
+let solve_laplacian ?ctx:(c = Ctx.default) ?(eps = 1e-8) g ~b =
+  let acc = fresh_accountant ?tracer:c.Ctx.tracer ~n:(Graph.n g) () in
+  let p = prepare_cached acc c g in
   let q = Prepared.solve ~accountant:acc ~eps p ~b in
   let metrics = c.Ctx.metrics in
   reliability_surcharge acc c.Ctx.reliability;
@@ -145,8 +139,7 @@ type flow_result = {
   rounds : rounds_report;
 }
 
-let min_cost_max_flow ?ctx net =
-  let c = Ctx.resolve ?ctx () in
+let min_cost_max_flow ?ctx:(c = Ctx.default) net =
   let seed = c.Ctx.seed and tracer = c.Ctx.tracer and metrics = c.Ctx.metrics in
   let acc = fresh_accountant ?tracer ~n:net.Network.n () in
   let r = Lbcc_flow.Mcmf_lp.solve ~accountant:acc ~prng:(Prng.create seed) net in
@@ -176,11 +169,9 @@ type resistance_result = {
    counterpart of the daemon's resistance opcode; test_core.ml,
    test_flow.ml and test_service.ml check it. *)
 (* lbcc-lint: allow typ-dead-export *)
-let effective_resistance ?ctx g ~s ~t =
-  let c = Ctx.resolve ?ctx () in
+let effective_resistance ?ctx:(c = Ctx.default) g ~s ~t =
   let acc = fresh_accountant ?tracer:c.Ctx.tracer ~n:(Graph.n g) () in
-  let p, hit = Prepared.create_cached ~ctx:c g in
-  if not hit then mirror_prepare acc p;
+  let p = prepare_cached acc c g in
   let resistance, q = Prepared.effective_resistance ~accountant:acc p ~s ~t in
   let metrics = c.Ctx.metrics in
   reliability_surcharge acc c.Ctx.reliability;

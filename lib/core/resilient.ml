@@ -2,6 +2,7 @@ open Lbcc_util
 module Graph = Lbcc_graph.Graph
 module Network = Lbcc_flow.Network
 module Vec = Lbcc_linalg.Vec
+module Ctx = Lbcc.Ctx
 
 type verdict = Ok | Degraded | Failed
 
@@ -36,9 +37,9 @@ let pp ppf o =
     o.attempts;
   Format.fprintf ppf "@]"
 
-let retry ?(max_retries = 3) ~seed ~run ~accept ~score ~rounds ~detail () =
+let retry ?(max_retries = 3) ~ctx ~run ~accept ~score ~rounds ~detail () =
   if max_retries < 0 then invalid_arg "Resilient.retry: max_retries must be >= 0";
-  let chain = Prng.create seed in
+  let chain = Prng.create ctx.Ctx.seed in
   let fresh_seed () =
     Int64.to_int (Prng.next_int64 (Prng.split chain)) land 0x3FFFFFFF
   in
@@ -51,8 +52,11 @@ let retry ?(max_retries = 3) ~seed ~run ~accept ~score ~rounds ~detail () =
       | Some v -> { value = Some v; verdict = Degraded; attempts = List.rev !attempts }
       | None -> { value = None; verdict = Failed; attempts = List.rev !attempts }
     else begin
-      let attempt_seed = if i = 1 then seed else fresh_seed () in
-      match run ~seed:attempt_seed ~attempt:i with
+      (* Only the seed changes between attempts: tracer, metrics and
+         reliability reach every attempt. *)
+      let ctx = if i = 1 then ctx else { ctx with Ctx.seed = fresh_seed () } in
+      let attempt_seed = ctx.Ctx.seed in
+      match run ~ctx ~attempt:i with
       | v ->
           let ok = accept v in
           record
@@ -88,7 +92,7 @@ let retry ?(max_retries = 3) ~seed ~run ~accept ~score ~rounds ~detail () =
 (* [accept] on the three entry points is the test seam that drives the
    [Failed] verdict. *)
 (* lbcc-lint: allow typ-dead-option *)
-let sparsify ?(seed = 1) ?(epsilon = 0.5) ?t ?max_retries ?accept g =
+let sparsify ?(ctx = Ctx.default) ?(epsilon = 0.5) ?t ?max_retries ?accept g =
   let n = Graph.n g in
   let base_t =
     match t with
@@ -103,11 +107,11 @@ let sparsify ?(seed = 1) ?(epsilon = 0.5) ?t ?max_retries ?accept g =
           Float.is_finite r.Lbcc.epsilon_achieved
           && r.Lbcc.epsilon_achieved <= epsilon
   in
-  retry ?max_retries ~seed
-    ~run:(fun ~seed ~attempt ->
+  retry ?max_retries ~ctx
+    ~run:(fun ~ctx ~attempt ->
       (* Backoff: doubling the bundle size doubles the w.h.p. exponent. *)
       let t = base_t * (1 lsl (attempt - 1)) in
-      Lbcc.sparsify ~ctx:(Lbcc.Ctx.make ~seed ()) ~epsilon ~t g)
+      Lbcc.sparsify ~ctx ~epsilon ~t g)
     ~accept
     ~score:(fun r -> r.Lbcc.epsilon_achieved)
     ~rounds:(fun r -> r.Lbcc.rounds.Lbcc.total)
@@ -117,7 +121,8 @@ let sparsify ?(seed = 1) ?(epsilon = 0.5) ?t ?max_retries ?accept g =
     ()
 
 (* lbcc-lint: allow typ-dead-option *)
-let solve_laplacian ?(seed = 1) ?(eps = 1e-8) ?max_retries ?accept g ~b =
+let solve_laplacian ?(ctx = Ctx.default) ?(eps = 1e-8) ?max_retries ?accept g
+    ~b =
   let accept =
     match accept with
     | Some f -> f
@@ -125,8 +130,8 @@ let solve_laplacian ?(seed = 1) ?(eps = 1e-8) ?max_retries ?accept g ~b =
         fun (r : Lbcc.laplacian_result) ->
           Float.is_finite r.Lbcc.residual && r.Lbcc.residual <= 10.0 *. eps
   in
-  retry ?max_retries ~seed
-    ~run:(fun ~seed ~attempt:_ -> Lbcc.solve_laplacian ~ctx:(Lbcc.Ctx.make ~seed ()) ~eps g ~b)
+  retry ?max_retries ~ctx
+    ~run:(fun ~ctx ~attempt:_ -> Lbcc.solve_laplacian ~ctx ~eps g ~b)
     ~accept
     ~score:(fun r -> r.Lbcc.residual)
     ~rounds:(fun r -> r.Lbcc.preprocessing_rounds + r.Lbcc.solve_rounds)
@@ -135,14 +140,14 @@ let solve_laplacian ?(seed = 1) ?(eps = 1e-8) ?max_retries ?accept g ~b =
     ()
 
 (* lbcc-lint: allow typ-dead-option *)
-let min_cost_max_flow ?(seed = 1) ?max_retries ?accept net =
+let min_cost_max_flow ?(ctx = Ctx.default) ?max_retries ?accept net =
   let accept =
     match accept with
     | Some f -> f
     | None -> fun (r : Lbcc.flow_result) -> r.Lbcc.exact
   in
-  retry ?max_retries ~seed
-    ~run:(fun ~seed ~attempt:_ -> Lbcc.min_cost_max_flow ~ctx:(Lbcc.Ctx.make ~seed ()) net)
+  retry ?max_retries ~ctx
+    ~run:(fun ~ctx ~attempt:_ -> Lbcc.min_cost_max_flow ~ctx net)
     ~accept
     ~score:(fun r -> if r.Lbcc.exact then 0.0 else 1.0)
     ~rounds:(fun r -> r.Lbcc.rounds.Lbcc.total)

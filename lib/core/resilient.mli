@@ -10,17 +10,22 @@
     seed}, and always returns an explicit verdict instead of a silently
     degraded answer.
 
-    Seeds: attempt 1 uses the caller's seed unchanged (so a clean first
-    attempt reproduces the plain API bit-for-bit); attempt [i > 1] draws a
-    fresh seed from a {!Lbcc_util.Prng.split} chain rooted at that same
-    seed — the whole retry trajectory is a deterministic function of one
-    integer.
+    Contexts: each wrapper takes the caller's {!Lbcc.Ctx.t} ([?ctx],
+    default {!Lbcc.Ctx.default}).  Attempt 1 runs under that context
+    unchanged, so a first attempt reproduces the plain API bit-for-bit;
+    attempt [i > 1] runs under the same context with only its seed
+    replaced, by a fresh seed drawn from a {!Lbcc_util.Prng.split} chain
+    rooted at [ctx.seed] — the whole retry trajectory is a deterministic
+    function of one integer.  The tracer, the metrics registry and the
+    reliability tier therefore reach every attempt: each attempt opens its
+    own spans and bumps the same counters.
+
+    Budget: [max_retries] (default 3) retries after the first attempt;
+    a negative budget raises [Invalid_argument].
 
     Backoff: where the algorithm exposes an effort knob, later attempts
     raise it — {!sparsify} doubles the bundle size [t] per retry (the
-    paper's knob for the w.h.p. exponent); the generic {!retry} hands the
-    attempt number to the caller for the same purpose (e.g. doubling a
-    superstep cap). *)
+    paper's knob for the w.h.p. exponent). *)
 
 module Graph = Lbcc_graph.Graph
 module Network = Lbcc_flow.Network
@@ -55,7 +60,7 @@ val pp : Format.formatter -> 'a outcome -> unit
 (** Verdict, attempt count and per-attempt scores (not the value). *)
 
 val sparsify :
-  ?seed:int ->
+  ?ctx:Lbcc.Ctx.t ->
   ?epsilon:float ->
   ?t:int ->
   ?max_retries:int ->
@@ -69,7 +74,7 @@ val sparsify :
     failures). *)
 
 val solve_laplacian :
-  ?seed:int ->
+  ?ctx:Lbcc.Ctx.t ->
   ?eps:float ->
   ?max_retries:int ->
   ?accept:(Lbcc.laplacian_result -> bool) ->
@@ -80,7 +85,7 @@ val solve_laplacian :
     targets [eps] in the energy norm; the factor absorbs the norm gap). *)
 
 val min_cost_max_flow :
-  ?seed:int ->
+  ?ctx:Lbcc.Ctx.t ->
   ?max_retries:int ->
   ?accept:(Lbcc.flow_result -> bool) ->
   Network.t ->

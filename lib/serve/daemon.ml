@@ -77,9 +77,7 @@ let fleet_bandwidth fleet =
    amortization claim divides by. *)
 let mirror_prepare t h =
   Rounds.with_phase t.acc "serve" (fun () ->
-      List.iter
-        (fun (label, rounds, bits) -> Rounds.charge t.acc ~bits ~label ~rounds)
-        (Prepared.prepare_breakdown h))
+      Prepared.replay t.acc (Prepared.prepare_breakdown h))
 
 let handle_for t (entry : Fleet.entry) =
   match t.cache with

@@ -14,10 +14,9 @@ type config = {
   max_queue : int;  (* admission bound: max requests pending at once *)
   max_batch : int;  (* coalescing cap per dispatched batch *)
   window : int;  (* max completed batches a request may wait un-dispatched *)
-  coalesce : bool;  (* false: every batch carries exactly one request *)
 }
 
-let default_config = { max_queue = 256; max_batch = 16; window = 4; coalesce = true }
+let default_config = { max_queue = 256; max_batch = 16; window = 4 }
 
 type 'a item = { payload : 'a; seq : int; admitted_at : int }
 
@@ -119,10 +118,7 @@ let dispatch ?(force = false) t =
     match choice with
     | None -> None
     | Some bin ->
-        let take =
-          if t.cfg.coalesce then min t.cfg.max_batch (Queue.length bin.q)
-          else 1
-        in
+        let take = min t.cfg.max_batch (Queue.length bin.q) in
         let items = ref [] in
         for _ = 1 to take do
           let it = Queue.pop bin.q in

@@ -17,18 +17,18 @@ type config = {
   max_queue : int;
       (** admission bound: requests pending at once; at the bound new
           arrivals are rejected, never queued *)
-  max_batch : int;  (** coalescing cap per dispatched batch *)
+  max_batch : int;
+      (** coalescing cap per dispatched batch; [1] is serial dispatch,
+          every batch carrying exactly one request (the SERVE bench's
+          baseline mode) *)
   window : int;
       (** latency guard: a request that has waited this many completed
           batches forces its bin to dispatch next, so coalescing never
           starves a lonely fingerprint.  [0] disables waiting entirely. *)
-  coalesce : bool;
-      (** [false]: serial dispatch — every batch carries exactly one
-          request (the SERVE bench's baseline mode) *)
 }
 
 val default_config : config
-(** [{ max_queue = 256; max_batch = 16; window = 4; coalesce = true }] *)
+(** [{ max_queue = 256; max_batch = 16; window = 4 }] *)
 
 type 'a t
 

@@ -20,7 +20,3 @@ let default =
 let make ?(seed = default.seed) ?tracer ?metrics
     ?(reliability = default.reliability) () =
   { seed; tracer; metrics; reliability }
-
-let resolve ?ctx ?seed () =
-  let base = match ctx with Some c -> c | None -> default in
-  match seed with Some seed -> { base with seed } | None -> base

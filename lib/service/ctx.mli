@@ -5,7 +5,8 @@
     same three optional labels ([?seed ?tracer ?metrics]) independently —
     and [effective_resistance] forgot two of them.  A [Ctx.t] packages the
     triple once so callers configure a run in one place and pass the same
-    context to every entry point (and to {!Prepared.create}). *)
+    context to every entry point (and to {!Prepared.create} and the
+    [Resilient] wrappers). *)
 
 type t = {
   seed : int;  (** shared randomness for the simulated clique *)
@@ -16,6 +17,10 @@ type t = {
           are surcharged by the tier's round overhead (DESIGN.md §9) *)
 }
 
+val default : t
+(** Seed 1, no tracer, no metrics, raw delivery: what an entry point runs
+    under when it is given no [?ctx]. *)
+
 val make :
   ?seed:int ->
   ?tracer:Lbcc_obs.Trace.t ->
@@ -24,9 +29,3 @@ val make :
   unit ->
   t
 (** Explicit constructor; omitted fields take {!default}'s values. *)
-
-val resolve : ?ctx:t -> ?seed:int -> unit -> t
-(** The context an entry point runs under: [ctx] (or {!default}), with its
-    seed replaced by [seed] when one is given.  [Prepared.create] and
-    [Prepared.create_cached] take a [?seed] beside [?ctx] for seeding one
-    handle without building a context. *)

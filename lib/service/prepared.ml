@@ -37,8 +37,7 @@ let zip3 acc =
     (fun (label, rounds) (_, bits) -> (label, rounds, bits))
     (Rounds.breakdown acc) (Rounds.bits_breakdown acc)
 
-let create ?ctx ?seed ?t graph =
-  let ctx = Ctx.resolve ?ctx ?seed () in
+let create ?(ctx = Ctx.default) ?t graph =
   let n = Graph.n graph in
   let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n) in
   Rounds.set_tracer acc ctx.Ctx.tracer;
@@ -78,21 +77,25 @@ let create ?ctx ?seed ?t graph =
     query_rounds = 0;
   }
 
+(* Charge recorded (label path, rounds, bits) entries onto [accountant]
+   verbatim.  The paths are spelled out in full rather than replayed under a
+   phase, so no duplicate trace span appears when the accountant shares the
+   handle's tracer, and the per-label breakdown matches the handle's. *)
+let replay accountant entries =
+  List.iter
+    (* Full label paths replayed as recorded; a phase wrapper here would
+       double-prefix them (comment above). *)
+    (* lbcc-lint: allow typ-phase-flow *)
+    (fun (label, rounds, bits) -> Rounds.charge accountant ~bits ~label ~rounds)
+    entries
+
 (* Mirror one query's cost onto a caller's accountant as a single aggregate
-   charge.  The full label path is spelled out (rather than opening a
-   "query" phase) so no duplicate trace span appears when the caller's
-   accountant shares the handle's tracer; the per-label breakdown still
-   matches the handle's exactly, because every query-phase charge lives
-   under this one label. *)
+   charge: every query-phase charge lives under this one label. *)
 let mirror accountant (r : Solver.solve_result) =
-  match accountant with
-  | None -> ()
-  | Some a ->
-      (* Full label path spelled out instead of opening a phase — see the
-         comment above this function. *)
-      (* lbcc-lint: allow typ-phase-flow *)
-      Rounds.charge a ~bits:r.Solver.bits ~label:"query/laplacian-matvec"
-        ~rounds:r.Solver.rounds
+  Option.iter
+    (fun a ->
+      replay a [ ("query/laplacian-matvec", r.Solver.rounds, r.Solver.bits) ])
+    accountant
 
 let to_query (r : Solver.solve_result) =
   {
@@ -167,15 +170,7 @@ let effective_resistance ?accountant t ~s ~t:target =
 
 (* Cached creation ------------------------------------------------------ *)
 
-let default_capacity () =
-  match Sys.getenv_opt "LBCC_PREPARED_CACHE" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 0 -> v
-      | _ -> 8)
-  | None -> 8
-
-let shared = lazy (Cache.create ~capacity:(default_capacity ()) ())
+let shared = lazy (Cache.create ~capacity:8 ())
 let shared_cache () = Lazy.force shared
 
 let key_of_fingerprint ~seed ?t fp =
@@ -184,9 +179,8 @@ let key_of_fingerprint ~seed ?t fp =
 
 let own_key t = key_of_fingerprint ~seed:t.key_seed ?t:t.t_opt t.fingerprint
 
-let create_cached ?cache ?ctx ?seed graph =
+let create_cached ?cache ?(ctx = Ctx.default) graph =
   let cache = match cache with Some c -> c | None -> shared_cache () in
-  let ctx = Ctx.resolve ?ctx ?seed () in
   let key = key_of_fingerprint ~seed:ctx.Ctx.seed (Fingerprint.graph graph) in
   let handle, hit =
     Cache.find_or_add cache key (fun () -> create ~ctx graph)
@@ -200,19 +194,6 @@ let create_cached ?cache ?ctx ?seed graph =
   (handle, hit)
 
 (* Incremental updates --------------------------------------------------- *)
-
-(* Mirror a whole breakdown onto a caller's accountant as aggregate charges
-   with the handle's exact label paths (same convention as [mirror]). *)
-let mirror_breakdown accountant entries =
-  match accountant with
-  | None -> ()
-  | Some a ->
-      List.iter
-        (* Same convention as [mirror]: the entries carry their own full label
-         paths. *)
-        (* lbcc-lint: allow typ-phase-flow *)
-        (fun (label, rounds, bits) -> Rounds.charge a ~bits ~label ~rounds)
-        entries
 
 let update ?accountant t delta =
   let ctx = t.ctx in
@@ -237,7 +218,8 @@ let update ?accountant t delta =
   in
   let rounds = Rounds.rounds acc in
   Metrics.observe ctx.Ctx.metrics "prepared.update_rounds" (float_of_int rounds);
-  mirror_breakdown accountant (zip3 acc);
+  let breakdown = zip3 acc in
+  Option.iter (fun a -> replay a breakdown) accountant;
   {
     graph = sketch.Sparsify.base;
     ctx;
@@ -250,7 +232,7 @@ let update ?accountant t delta =
     acc;
     prepare_rounds = rounds;
     prepare_bits = Rounds.bits acc;
-    prepare_breakdown = zip3 acc;
+    prepare_breakdown = breakdown;
     queries = 0;
     query_rounds = 0;
   }

@@ -32,10 +32,11 @@ type query_result = {
   bits : int;  (** broadcast bits behind those rounds *)
 }
 
-val create : ?ctx:Ctx.t -> ?seed:int -> ?t:int -> Graph.t -> t
+val create : ?ctx:Ctx.t -> ?t:int -> Graph.t -> t
 (** Run preprocessing (sparsify at [eps_H = 1/2], factor, certify) on the
     graph, charging it once under phase [prepare/*] on the handle's own
-    accountant (traced via [ctx.tracer] when set).  [t] overrides the
+    accountant (seeded by [ctx.seed], traced via [ctx.tracer] when set;
+    [ctx] defaults to {!Ctx.default}).  [t] overrides the
     sparsifier's bundle size as in {!Lbcc_sparsifier.Sparsify.run}.
     @raise Invalid_argument if the graph is not connected. *)
 
@@ -66,13 +67,8 @@ val effective_resistance :
 
 (** {2 Cached creation} *)
 
-val create_cached :
-  ?cache:t Cache.t ->
-  ?ctx:Ctx.t ->
-  ?seed:int ->
-  Graph.t ->
-  t * bool
-(** [(handle, hit)].  Looks up the ([graph] fingerprint, [seed]) key, at
+val create_cached : ?cache:t Cache.t -> ?ctx:Ctx.t -> Graph.t -> t * bool
+(** [(handle, hit)].  Looks up the ([graph] fingerprint, [ctx.seed]) key, at
     the default bundle parameters, in [cache] (default: the process-wide
     {!shared_cache}); on a miss, builds with {!create} and inserts.  On a hit the handle's observability
     sinks are re-pointed at the caller's [ctx] (tracer and metrics), since
@@ -80,8 +76,7 @@ val create_cached :
     graph changes its fingerprint, so stale handles are never returned. *)
 
 val shared_cache : unit -> t Cache.t
-(** The process-wide handle cache.  Capacity is read once from
-    [LBCC_PREPARED_CACHE] (default 8; 0 disables caching). *)
+(** The process-wide handle cache, holding up to 8 handles. *)
 
 (** {2 Incremental updates} *)
 
@@ -114,7 +109,15 @@ val preprocessing_bits : t -> int
 
 val prepare_breakdown : t -> (string * int * int) list
 (** [(label path, rounds, bits)] per preprocessing charge, first-charge
-    order — what a caller mirrors into its own accountant on a cache miss. *)
+    order — what a caller {!replay}s into its own accountant on a cache
+    miss. *)
+
+val replay : Rounds.t -> (string * int * int) list -> unit
+(** Charge each [(label path, rounds, bits)] entry onto the accountant,
+    in order, as recorded: under an open phase the paths nest beneath it,
+    otherwise the accountant's breakdown gains the entries' labels
+    verbatim.  {!solve}, {!solve_many} and {!update_cached} mirror onto a
+    caller's accountant through it. *)
 
 val queries : t -> int
 (** Number of queries served so far. *)

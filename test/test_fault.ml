@@ -223,7 +223,7 @@ let test_reliable_retransmit_label_charged () =
 
 let test_resilient_sparsify_ok () =
   let g = Gen.erdos_renyi_connected (Prng.create 10) ~n:48 ~p:0.3 ~w_max:8 in
-  let o = Resilient.sparsify ~seed:1 ~epsilon:0.9 g in
+  let o = Resilient.sparsify ~ctx:(Lbcc.Ctx.make ~seed:1 ()) ~epsilon:0.9 g in
   Alcotest.(check string) "ok" "ok" (Resilient.verdict_string o.Resilient.verdict);
   Alcotest.(check bool) "has value" true (o.Resilient.value <> None);
   Alcotest.(check bool) "attempt recorded" true (List.length o.Resilient.attempts >= 1);
@@ -234,6 +234,38 @@ let test_resilient_sparsify_ok () =
       Alcotest.(check bool) "rounds accounted" true (a.Resilient.rounds > 0)
   | [] -> Alcotest.fail "no attempts")
 
+(* Attempt 1 runs under the caller's context unchanged: the same result as
+   the plain entry point bit for bit, with the context's tracer and
+   reliability tier applied to it. *)
+let test_resilient_sparsify_under_caller_ctx () =
+  let g = Gen.erdos_renyi_connected (Prng.create 10) ~n:48 ~p:0.3 ~w_max:8 in
+  let ctx () =
+    Lbcc.Ctx.make ~seed:7 ~tracer:(Lbcc_obs.Trace.create ())
+      ~reliability:Model.Crash_safe ()
+  in
+  let plain = Lbcc.sparsify ~ctx:(ctx ()) ~epsilon:0.9 g in
+  let rctx = ctx () in
+  let o = Resilient.sparsify ~ctx:rctx ~epsilon:0.9 ~max_retries:0 g in
+  Alcotest.(check int) "one attempt" 1 (List.length o.Resilient.attempts);
+  match (o.Resilient.value, rctx.Lbcc.Ctx.tracer) with
+  | Some r, Some tr ->
+      Alcotest.(check bool) "same sparsifier" true
+        (Graph.n r.Lbcc.sparsifier = Graph.n plain.Lbcc.sparsifier
+        && Graph.edges r.Lbcc.sparsifier = Graph.edges plain.Lbcc.sparsifier);
+      Alcotest.(check int64) "same certified eps bits"
+        (Int64.bits_of_float plain.Lbcc.epsilon_achieved)
+        (Int64.bits_of_float r.Lbcc.epsilon_achieved);
+      Alcotest.(check bool) "same rounds report" true
+        (r.Lbcc.rounds = plain.Lbcc.rounds);
+      Alcotest.(check bool) "retransmit label" true
+        (List.mem_assoc "retransmit" r.Lbcc.rounds.Lbcc.breakdown);
+      Alcotest.(check (list string)) "the attempt's sparsify span"
+        [ "sparsify" ]
+        (List.map
+           (fun (sp : Lbcc_obs.Trace.span) -> sp.Lbcc_obs.Trace.name)
+           (Lbcc_obs.Trace.root tr).Lbcc_obs.Trace.children)
+  | _ -> Alcotest.fail "expected a value and a tracer"
+
 let test_resilient_sparsify_recovers_from_bad_certification () =
   let g = Gen.erdos_renyi_connected (Prng.create 11) ~n:40 ~p:0.3 ~w_max:8 in
   (* Inject a failed certification on the first attempt; the wrapper must
@@ -243,7 +275,7 @@ let test_resilient_sparsify_recovers_from_bad_certification () =
     incr calls;
     !calls > 1 && Float.is_finite r.Lbcc.epsilon_achieved
   in
-  let o = Resilient.sparsify ~seed:1 ~epsilon:0.9 ~max_retries:3 ~accept g in
+  let o = Resilient.sparsify ~ctx:(Lbcc.Ctx.make ~seed:1 ()) ~epsilon:0.9 ~max_retries:3 ~accept g in
   Alcotest.(check string) "recovered" "ok" (Resilient.verdict_string o.Resilient.verdict);
   Alcotest.(check int) "two attempts" 2 (List.length o.Resilient.attempts);
   (match o.Resilient.attempts with
@@ -256,7 +288,7 @@ let test_resilient_sparsify_recovers_from_bad_certification () =
 
 let test_resilient_degraded_when_budget_exhausted () =
   let g = Gen.erdos_renyi_connected (Prng.create 12) ~n:32 ~p:0.3 ~w_max:8 in
-  let o = Resilient.sparsify ~seed:1 ~epsilon:0.9 ~max_retries:1
+  let o = Resilient.sparsify ~ctx:(Lbcc.Ctx.make ~seed:1 ()) ~epsilon:0.9 ~max_retries:1
             ~accept:(fun _ -> false) g in
   Alcotest.(check string) "degraded" "degraded"
     (Resilient.verdict_string o.Resilient.verdict);
@@ -269,7 +301,7 @@ let test_resilient_failed_when_all_raise () =
     Graph.create ~n:4 [ { Graph.u = 0; v = 1; w = 1.0 }; { u = 2; v = 3; w = 1.0 } ]
   in
   let b = [| 1.0; -1.0; 0.0; 0.0 |] in
-  let o = Resilient.solve_laplacian ~seed:1 ~max_retries:1 g ~b in
+  let o = Resilient.solve_laplacian ~ctx:(Lbcc.Ctx.make ~seed:1 ()) ~max_retries:1 g ~b in
   Alcotest.(check string) "failed" "failed"
     (Resilient.verdict_string o.Resilient.verdict);
   Alcotest.(check bool) "no value" true (o.Resilient.value = None);
@@ -284,12 +316,12 @@ let test_resilient_solve_and_flow_ok () =
     Lbcc_linalg.Vec.mean_center
       (Lbcc_linalg.Vec.init 24 (fun _ -> Prng.gaussian prng))
   in
-  let o = Resilient.solve_laplacian ~seed:1 ~eps:1e-6 g ~b in
+  let o = Resilient.solve_laplacian ~ctx:(Lbcc.Ctx.make ~seed:1 ()) ~eps:1e-6 g ~b in
   Alcotest.(check string) "solve ok" "ok"
     (Resilient.verdict_string o.Resilient.verdict);
   let net = Lbcc_flow.Network.random (Prng.create 14) ~n:8 ~density:0.3
               ~max_capacity:6 ~max_cost:5 in
-  let o = Resilient.min_cost_max_flow ~seed:1 net in
+  let o = Resilient.min_cost_max_flow ~ctx:(Lbcc.Ctx.make ~seed:1 ()) net in
   Alcotest.(check string) "flow ok" "ok"
     (Resilient.verdict_string o.Resilient.verdict);
   (match o.Resilient.value with
@@ -335,6 +367,8 @@ let suites =
     ( "fault.resilient",
       [
         Alcotest.test_case "sparsify ok" `Quick test_resilient_sparsify_ok;
+        Alcotest.test_case "sparsify under the caller's context" `Quick
+          test_resilient_sparsify_under_caller_ctx;
         Alcotest.test_case "recovers from bad certification" `Quick
           test_resilient_sparsify_recovers_from_bad_certification;
         Alcotest.test_case "degraded on exhausted budget" `Quick

@@ -279,7 +279,7 @@ let zipf_events ~n ~dispatch_every =
          else [ Admit (key, i) ]))
 
 let test_sched_trace_deterministic () =
-  let cfg = { Sched.max_queue = 64; max_batch = 4; window = 2; coalesce = true } in
+  let cfg = { Sched.max_queue = 64; max_batch = 4; window = 2 } in
   let events = zipf_events ~n:120 ~dispatch_every:3 @ [ Dispatch true; Dispatch true ] in
   let r1 = run_trace cfg events in
   let r2 = run_trace cfg events in
@@ -289,7 +289,7 @@ let test_sched_rejects_exact_tail () =
   (* Admission control must reject exactly the over-budget tail: with a
      queue of Q, requests 0..Q-1 enter and Q..N-1 bounce, in order. *)
   let q = 8 and n = 13 in
-  let cfg = { Sched.max_queue = q; max_batch = 4; window = 2; coalesce = true } in
+  let cfg = { Sched.max_queue = q; max_batch = 4; window = 2 } in
   let events = List.init n (fun i -> Admit ("hot", i)) in
   let rejected, _, pending = run_trace cfg events in
   Alcotest.(check (list int)) "exactly the tail rejected"
@@ -298,7 +298,7 @@ let test_sched_rejects_exact_tail () =
   Alcotest.(check int) "queue holds the head" q pending
 
 let test_sched_admits_after_dispatch () =
-  let cfg = { Sched.max_queue = 2; max_batch = 2; window = 0; coalesce = true } in
+  let cfg = { Sched.max_queue = 2; max_batch = 2; window = 0 } in
   let s = Sched.create cfg in
   Alcotest.(check bool) "1 in" true (Sched.admit s ~key:"a" 1);
   Alcotest.(check bool) "2 in" true (Sched.admit s ~key:"a" 2);
@@ -313,7 +313,7 @@ let test_sched_admits_after_dispatch () =
 let test_sched_window_prevents_starvation () =
   (* A lonely fingerprint must dispatch once [window] batches complete,
      even while a hot bin keeps filling. *)
-  let cfg = { Sched.max_queue = 64; max_batch = 2; window = 2; coalesce = true } in
+  let cfg = { Sched.max_queue = 64; max_batch = 2; window = 2 } in
   let s = Sched.create cfg in
   ignore (Sched.admit s ~key:"lonely" 0 : bool);
   let tag = ref 100 in
@@ -336,7 +336,7 @@ let test_sched_window_prevents_starvation () =
   Alcotest.(check string) "lonely bin preempts after window" "lonely" k3
 
 let test_sched_serial_mode () =
-  let cfg = { Sched.max_queue = 16; max_batch = 8; window = 0; coalesce = false } in
+  let cfg = { Sched.max_queue = 16; max_batch = 1; window = 0 } in
   let s = Sched.create cfg in
   List.iter (fun i -> ignore (Sched.admit s ~key:"k" i : bool)) [ 0; 1; 2 ];
   let rec drain acc =
@@ -378,7 +378,7 @@ let test_daemon_drain_answers_everything () =
   let cfg =
     {
       Daemon.default_config with
-      Daemon.sched = { Sched.max_queue = 32; max_batch = 4; window = 8; coalesce = true };
+      Daemon.sched = { Sched.max_queue = 32; max_batch = 4; window = 8 };
     }
   in
   let d = Daemon.create cfg fleet in
@@ -411,7 +411,7 @@ let test_daemon_rejects_over_budget_tail () =
   let cfg =
     {
       Daemon.default_config with
-      Daemon.sched = { Sched.max_queue = 4; max_batch = 4; window = 4; coalesce = true };
+      Daemon.sched = { Sched.max_queue = 4; max_batch = 4; window = 4 };
     }
   in
   let d = Daemon.create cfg fleet in
@@ -577,7 +577,7 @@ let test_daemon_deterministic_across_domains () =
     let cfg =
       {
         Daemon.default_config with
-        Daemon.sched = { Sched.max_queue = 64; max_batch = 4; window = 2; coalesce = true };
+        Daemon.sched = { Sched.max_queue = 64; max_batch = 4; window = 2 };
       }
     in
     let d = Daemon.create cfg fleet in

@@ -78,15 +78,17 @@ let test_cache_zero_capacity () =
 let test_create_cached_fingerprint_keyed () =
   let cache = Cache.create ~capacity:4 () in
   let g = test_graph () in
-  let p1, hit1 = Prepared.create_cached ~cache ~seed:3 g in
+  let p1, hit1 = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:3 ()) g in
   Alcotest.(check bool) "first create misses" false hit1;
   (* A structurally identical rebuild hits even though it is a different
      heap value. *)
-  let p2, hit2 = Prepared.create_cached ~cache ~seed:3 (test_graph ()) in
+  let p2, hit2 =
+    Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:3 ()) (test_graph ())
+  in
   Alcotest.(check bool) "identical graph hits" true hit2;
   Alcotest.(check bool) "same handle returned" true (p1 == p2);
   (* Different seed, different preprocessing: miss. *)
-  let _, hit3 = Prepared.create_cached ~cache ~seed:4 g in
+  let _, hit3 = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:4 ()) g in
   Alcotest.(check bool) "seed is part of the key" false hit3;
   (* Mutating the graph invalidates. *)
   let edges = Array.to_list (Graph.edges g) in
@@ -96,7 +98,8 @@ let test_create_cached_fingerprint_keyed () =
     | [] -> assert false
   in
   let _, hit4 =
-    Prepared.create_cached ~cache ~seed:3 (Graph.create ~n:(Graph.n g) mutated)
+    Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:3 ())
+      (Graph.create ~n:(Graph.n g) mutated)
   in
   Alcotest.(check bool) "mutation invalidates" false hit4
 
@@ -105,7 +108,7 @@ let test_create_cached_fingerprint_keyed () =
 
 let test_prepare_once_query_rounds () =
   let g = test_graph () in
-  let p = Prepared.create ~seed:7 g in
+  let p = Prepared.create ~ctx:(Ctx.make ~seed:7 ()) g in
   let prep = Prepared.preprocessing_rounds p in
   Alcotest.(check bool) "preprocessing charged" true (prep > 0);
   Alcotest.(check int) "no queries yet" 0 (Prepared.queries p);
@@ -149,7 +152,7 @@ let test_prepare_once_query_rounds () =
 
 let test_mirror_accountant_matches () =
   let g = test_graph () in
-  let p = Prepared.create ~seed:7 g in
+  let p = Prepared.create ~ctx:(Ctx.make ~seed:7 ()) g in
   let caller = Rounds.create ~bandwidth:8 in
   let b = List.hd (rhs_batch ~seed:42 ~nv:(Graph.n g) 1) in
   let q = Prepared.solve ~accountant:caller p ~b in
@@ -170,8 +173,8 @@ let solve_many_vs_sequential domains () =
       let g = test_graph ~seed:13 ~n:30 () in
       let k = 8 in
       let bs = rhs_batch ~seed:99 ~nv:(Graph.n g) k in
-      let batch_h = Prepared.create ~seed:5 g in
-      let seq_h = Prepared.create ~seed:5 g in
+      let batch_h = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) g in
+      let seq_h = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) g in
       let batch_acc = Rounds.create ~bandwidth:8
       and seq_acc = Rounds.create ~bandwidth:8 in
       let batched = Prepared.solve_many ~accountant:batch_acc batch_h bs in

@@ -10,6 +10,7 @@ module Sparsify = Lbcc_sparsifier.Sparsify
 module Certify = Lbcc_sparsifier.Certify
 module Fingerprint = Lbcc_service.Fingerprint
 module Prepared = Lbcc_service.Prepared
+module Ctx = Lbcc_service.Ctx
 module Cache = Lbcc_service.Cache
 
 let edge u v w = { Graph.u; v; w }
@@ -272,7 +273,7 @@ let query_rhs n =
 let test_prepared_patch_rekeys_cache () =
   let g = test_graph 13 in
   let cache = Cache.create ~capacity:4 () in
-  let h, hit0 = Prepared.create_cached ~cache ~seed:5 g in
+  let h, hit0 = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:5 ()) g in
   Alcotest.(check bool) "first create is a miss" false hit0;
   let d = delta_stream ~graph:g ~seed:91 4 in
   let h' = Prepared.update_cached ~cache h d in
@@ -286,12 +287,12 @@ let test_prepared_patch_rekeys_cache () =
   Alcotest.(check int) "old key removed, new key added" 1 st.Cache.size;
   (* ...and a fresh prepare of the mutated graph finds the patched handle
      (same key create_cached builds), rather than rebuilding cold. *)
-  let h'', hit = Prepared.create_cached ~cache ~seed:5 g' in
+  let h'', hit = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:5 ()) g' in
   Alcotest.(check bool) "re-prepare of mutated graph hits" true hit;
   Alcotest.(check int) "the hit IS the patched handle" 1
     (Prepared.generation h'');
   (* The pre-mutation key is dead: preparing the old graph misses. *)
-  let _, old_hit = Prepared.create_cached ~cache ~seed:5 g in
+  let _, old_hit = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:5 ()) g in
   Alcotest.(check bool) "old graph key is gone" false old_hit
 
 (* Patch-vs-invalidate equivalence: a patched handle answers queries with
@@ -308,7 +309,7 @@ let test_prepared_patch_vs_invalidate () =
   let run_patched d_count =
     Pool.set_default_domains d_count;
     let cache = Cache.create ~capacity:4 () in
-    let h, _ = Prepared.create_cached ~cache ~seed:5 g in
+    let h, _ = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:5 ()) g in
     let h' = Prepared.update_cached ~cache h d in
     let qs = Prepared.solve_many ~eps h' (query_rhs n) in
     (solutions_render qs, qs)
@@ -320,7 +321,7 @@ let test_prepared_patch_vs_invalidate () =
   Alcotest.(check string) "patched solutions identical at 1/2 domains" r1 r2;
   Alcotest.(check string) "patched solutions identical at 1/4 domains" r1 r4;
   (* The invalidate path: throw the handle away, rebuild cold on g'. *)
-  let cold = Prepared.create ~seed:5 g' in
+  let cold = Prepared.create ~ctx:(Ctx.make ~seed:5 ()) g' in
   let qs_cold = Prepared.solve_many ~eps cold (query_rhs n) in
   List.iter2
     (fun (a : Prepared.query_result) (b : Prepared.query_result) ->
@@ -333,7 +334,7 @@ let test_prepared_patch_vs_invalidate () =
   (* Both paths charge prepare-phase rounds; the patch pays fewer. *)
   Alcotest.(check bool) "update rounds < cold rebuild rounds" true
     (let cache = Cache.create ~capacity:4 () in
-     let h, _ = Prepared.create_cached ~cache ~seed:5 g in
+     let h, _ = Prepared.create_cached ~cache ~ctx:(Ctx.make ~seed:5 ()) g in
      let h' = Prepared.update_cached ~cache h d in
      Prepared.preprocessing_rounds h' < Prepared.preprocessing_rounds cold)
 
