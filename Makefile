@@ -81,9 +81,10 @@ smoke: build
 bench-smoke: build
 	LBCC_DOMAINS=2 dune runtest --force
 	rm -rf _bench_reports && mkdir -p _bench_reports
-	dune exec bench/main.exe -- E1 E5 BYZ PERF BATCH --json --out _bench_reports
+	dune exec bench/main.exe -- E1 E3 E5 BYZ PERF BATCH --json --out _bench_reports
 	$(CLI) report --validate _bench_reports/BENCH_E1.json \
-	  _bench_reports/BENCH_E5.json _bench_reports/BENCH_BYZ.json \
+	  _bench_reports/BENCH_E3.json _bench_reports/BENCH_E5.json \
+	  _bench_reports/BENCH_BYZ.json \
 	  _bench_reports/BENCH_PERF.json _bench_reports/BENCH_BATCH.json
 	@echo "bench-smoke: OK"
 

@@ -506,9 +506,7 @@ let update_cmd =
         Sparsify.run ~prng:(Prng.create seed) ~graph:!sk.Sparsify.base
           ~epsilon ()
       in
-      let cert =
-        Certify.exact !sk.Sparsify.base !sk.Sparsify.sparsifier
-      in
+      let cert = Certify.bound !sk.Sparsify.base !sk.Sparsify.sparsifier in
       (* KPPS composition: each re-sampling generation may multiply the
          error, so judge against the composed budget, not the per-step
          epsilon. *)

@@ -72,7 +72,7 @@ let () =
     h := Prepared.update_cached ~cache !h d;
     let sk = Prepared.sketch !h in
     let eps =
-      (Certify.exact sk.Sparsify.base sk.Sparsify.sparsifier)
+      (Certify.bound sk.Sparsify.base sk.Sparsify.sparsifier)
         .Certify.epsilon_achieved
     in
     let qs = Prepared.solve_many !h query_rhs in

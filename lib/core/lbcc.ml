@@ -77,9 +77,7 @@ let sparsify ?ctx:(c = Ctx.default) ?(epsilon = 0.5) ?t g =
   let acc = fresh_accountant ?tracer ~n () in
   let prng = Prng.create seed in
   let r = Lbcc_sparsifier.Sparsify.run ~accountant:acc ?t ~prng ~graph:g ~epsilon () in
-  let cert =
-    Lbcc_sparsifier.Certify.bound prng g r.Lbcc_sparsifier.Sparsify.sparsifier
-  in
+  let cert = Lbcc_sparsifier.Certify.bound g r.Lbcc_sparsifier.Sparsify.sparsifier in
   let out_deg = Lbcc_sparsifier.Sparsify.out_degrees r in
   let out_degree_max = Array.fold_left Stdlib.max 0 out_deg in
   reliability_surcharge acc c.Ctx.reliability;

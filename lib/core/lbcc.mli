@@ -61,11 +61,9 @@ type rounds_report = {
 type sparsifier_result = {
   sparsifier : Graph.t;
   epsilon_achieved : float;
-      (** {!Lbcc_sparsifier.Certify.bound}: the exact spectral
-          certificate (eigensolver) for [n <= 400]; above that, power
-          iteration widened by a 1.15 margin — slower (two dense
-          [O(n^3)] factorizations) and conservative: with [H = G] it
-          reports [0.15] *)
+      (** {!Lbcc_sparsifier.Certify.bound}: a power-iteration estimate
+          proven by a Cholesky test, one rule at every [n]; with [H = G]
+          it reports about [1e-6] *)
   out_degree_max : int;
   rounds : rounds_report;
 }

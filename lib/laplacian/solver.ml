@@ -66,15 +66,17 @@ let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?k
           .Sparsify.sparsifier
   in
   (* The sparsifier preserves connectivity of the input (each bundle begins
-     with a spanner of the surviving edges), so factoring cannot fail. *)
-  let factor = Exact.factor h in
-  let cert = Certify.bound prng graph h in
+     with a spanner of the surviving edges), so factoring cannot fail.
+     Both steps are vertex-internal: their phases charge no rounds and
+     show up only as trace spans. *)
+  let factor = Rounds.with_phase acc "factor" (fun () -> Exact.factor h) in
+  let cert = Rounds.with_phase acc "certify" (fun () -> Certify.bound graph h) in
   (* Rescale the preconditioner so the pencil (L_G, B) has top eigenvalue
      exactly 1: B := lambda_max * L_H, kappa := lambda_max / lambda_min.
-     (With the paper's eps_H = 1/2 this is the kappa = 3 of Cor. 2.4.) *)
-  let lambda_min = Float.max cert.Certify.lambda_min 1e-12 in
-  let lambda_max = Float.max cert.Certify.lambda_max lambda_min in
-  let kappa = Float.max 1.0 (lambda_max /. lambda_min) *. 1.05 in
+     (With the paper's eps_H = 1/2 this is the kappa = 3 of Cor. 2.4.)
+     The certificate proves 0 < lambda_min <= lambda_max, or raises. *)
+  let lambda_max = cert.Certify.lambda_max in
+  let kappa = lambda_max /. cert.Certify.lambda_min *. 1.05 in
   {
     graph;
     sparsifier = h;

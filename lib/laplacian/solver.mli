@@ -11,9 +11,9 @@
     The paper fixes the sparsifier quality at [eps_H = 1/2] so
     [kappa = 3]; with calibrated bundle sizes (DESIGN.md, substitution 3)
     the achieved [eps_H] is measured and [kappa] set from the certificate
-    {!Lbcc_sparsifier.Certify.bound}.  For [n <= 400] that certificate is
-    exact, so the error guarantee holds; above, it rests on power
-    iteration's 1.15 margin, which nothing checks (ROADMAP item 1). *)
+    {!Lbcc_sparsifier.Certify.bound}.  The certificate is proven in
+    floating point at every [n] (a Cholesky test confirms each side), so
+    the Chebyshev error guarantee holds whenever [preprocess] returns. *)
 
 open Lbcc_util
 module Vec = Lbcc_linalg.Vec
@@ -51,9 +51,10 @@ val preprocess :
   t
 (** Sparsify, factor [L_H] densely ([O(n^3)] setup, [O(n^2)] memory; the
     vertex-internal preconditioner solve is free in the model), and
-    certify [kappa] with {!Lbcc_sparsifier.Certify.bound}: exact
-    eigenvalues for [n <= 400], power iteration widened by a 1.15 margin
-    above.  When [sparsifier] is given it is used as [H] directly and the
+    certify [kappa] with {!Lbcc_sparsifier.Certify.bound}.  Both steps are
+    vertex-internal: they run under zero-round [factor] and [certify]
+    phases, which show up as trace spans and never as breakdown rows.
+    When [sparsifier] is given it is used as [H] directly and the
     internal sparsification is skipped — the door the incremental-update
     path uses to rebuild a prepared operator from a patched
     {!Lbcc_sparsifier.Sparsify.sketch} without paying full
@@ -62,7 +63,9 @@ val preprocess :
     is {!Lbcc_sparsifier.Sparsify.default_t} at [eps = 1/2].  [phases]
     relabels the accountant phase nesting for the charges (default
     [["solve"; "preprocess"]]; the service layer passes [["prepare"]]).
-    @raise Invalid_argument if [graph] is not connected. *)
+    @raise Invalid_argument if [graph] is not connected.
+    @raise Lbcc_sparsifier.Certify.Not_certified if the pencil's bounds
+    cannot be confirmed in floating point. *)
 
 val sparsifier : t -> Graph.t
 val kappa : t -> float

@@ -10,13 +10,6 @@ let get m i j = m.a.((i * m.c) + j)
 let set m i j v = m.a.((i * m.c) + j) <- v
 let add_entry m i j v = m.a.((i * m.c) + j) <- m.a.((i * m.c) + j) +. v
 
-let identity n =
-  let m = create n n in
-  for i = 0 to n - 1 do
-    set m i i 1.0
-  done;
-  m
-
 let init r c f =
   let m = create r c in
   for i = 0 to r - 1 do
@@ -37,31 +30,14 @@ let add x y =
   check_same "add" x y;
   { x with a = Array.init (Array.length x.a) (fun i -> x.a.(i) +. y.a.(i)) }
 
-(* Output rows are independent in matmul/matvec and the update rows of an
-   LU pivot step are independent too, so all three parallelize over row
-   chunks with bit-identical results (each row's arithmetic sequence is
+(* Output rows are independent in matvec and the update rows of an LU
+   pivot step are independent too, so both parallelize over row chunks
+   with bit-identical results (each row's arithmetic sequence is
    unchanged).  Small problems stay sequential. *)
 let parallel_rows ~n ~work_per_row body =
   if n >= 64 && n * work_per_row >= 1 lsl 14 then
     Lbcc_util.Pool.parallel_for (Lbcc_util.Pool.default ()) ~n body
   else body 0 n
-
-let matmul x y =
-  if x.c <> y.r then invalid_arg "Dense.matmul: inner dimension mismatch";
-  let z = create x.r y.c in
-  parallel_rows ~n:x.r ~work_per_row:(x.c * y.c) (fun lo hi ->
-      for i = lo to hi - 1 do
-        for k = 0 to x.c - 1 do
-          let xik = get x i k in
-          (* Exact zero-skip: an optimisation, not a tolerance test. *)
-          (* lbcc-lint: allow det-float-poly-compare *)
-          if xik <> 0.0 then
-            for j = 0 to y.c - 1 do
-              add_entry z i j (xik *. get y k j)
-            done
-        done
-      done);
-  z
 
 let matvec_into m x y =
   if m.c <> Array.length x then invalid_arg "Dense.matvec_into: dimension mismatch";
@@ -99,10 +75,6 @@ let matvec_t m x =
   done;
   y
 
-let diag m =
-  let n = min m.r m.c in
-  Array.init n (fun i -> get m i i)
-
 let of_diag d =
   let n = Array.length d in
   let m = create n n in
@@ -110,12 +82,6 @@ let of_diag d =
     set m i i d.(i)
   done;
   m
-
-let frobenius m = sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 m.a)
-
-let symmetrize m =
-  if m.r <> m.c then invalid_arg "Dense.symmetrize: not square";
-  init m.r m.c (fun i j -> 0.5 *. (get m i j +. get m j i))
 
 let is_symmetric ?(tol = 1e-10) m =
   m.r = m.c
@@ -125,6 +91,49 @@ let is_symmetric ?(tol = 1e-10) m =
     for j = i + 1 to m.c - 1 do
       if Float.abs (get m i j -. get m j i) > tol then ok := false
     done
+  done;
+  !ok
+
+(* Rump, "Verification of positive definiteness" (BIT 46, 2006): if
+   floating-point Cholesky runs to completion on fl(A - cI) with
+   c >= gamma_{k+1} / (1 - gamma_{k+1}) * tr|A| plus an underflow term,
+   then A is positive definite, whatever the evaluation order of the inner
+   products; more precisely lambda_min(A) >= c minus that bound, minus
+   the rounding of the shifted diagonal.  Doubling the bound, with
+   gamma_{k+2} for gamma_{k+1}, covers that rounding and leaves
+   lambda_min(A) > slack.  The factor overwrites the lower triangle row
+   by row (Cholesky-Banachiewicz), so both inner-product operands are
+   contiguous. *)
+let proves_positive_definite ~slack m =
+  if m.r <> m.c then invalid_arg "Dense.proves_positive_definite: not square";
+  let k = m.r and a = m.a in
+  let trace = ref 0.0 and max_diag = ref 0.0 in
+  for i = 0 to k - 1 do
+    let d = Float.abs a.((i * k) + i) in
+    trace := !trace +. d;
+    max_diag := Float.max !max_diag d
+  done;
+  let ku = float_of_int (k + 2) *. epsilon_float /. 2.0 in
+  let gamma = ku /. (1.0 -. ku) in
+  let underflow = 4.0 *. Float.succ 0.0 *. (float_of_int (2 * (k + 1)) +. !max_diag) in
+  let shift = (2.0 *. gamma /. (1.0 -. gamma) *. !trace) +. underflow +. slack in
+  for i = 0 to k - 1 do
+    a.((i * k) + i) <- a.((i * k) + i) -. shift
+  done;
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < k do
+    let bi = !i * k in
+    for j = 0 to !i do
+      let bj = j * k in
+      let s = ref a.(bi + j) in
+      for p = 0 to j - 1 do
+        s := !s -. (a.(bi + p) *. a.(bj + p))
+      done;
+      if j < !i then a.(bi + j) <- !s /. a.(bj + j)
+      else if !s > 0.0 then a.(bi + j) <- sqrt !s
+      else (* also a nan pivot *) ok := false
+    done;
+    incr i
   done;
   !ok
 

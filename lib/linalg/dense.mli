@@ -2,15 +2,14 @@
 
     Sized for the "unlimited internal computation" steps of the simulated
     vertices: factorizations of sparsifier Laplacians ([n] up to a few
-    thousand), reference computations for tests, and the exact spectral
-    certificates of EXPERIMENTS.md. *)
+    thousand), reference computations for tests, and the Cholesky test
+    behind the spectral certificates of EXPERIMENTS.md. *)
 
 type t
 
 val create : int -> int -> t
 (** [create r c] is the zero matrix with [r] rows and [c] columns. *)
 
-val identity : int -> t
 val init : int -> int -> (int -> int -> float) -> t
 
 val rows : t -> int
@@ -24,12 +23,10 @@ val fill : t -> float -> unit
     reallocating per call. *)
 
 val add : t -> t -> t
-val matmul : t -> t -> t
+val matvec : t -> Vec.t -> Vec.t
 (** Row-chunk parallel on the default pool for large operands; per-row
     arithmetic order is fixed, so results are identical at any pool size
-    (as for {!matvec} and {!factorize}). *)
-
-val matvec : t -> Vec.t -> Vec.t
+    (as for {!factorize}). *)
 
 val matvec_into : t -> Vec.t -> Vec.t -> unit
 (** [matvec_into m x y] writes [m x] into [y] without allocating.  [y] must
@@ -38,13 +35,20 @@ val matvec_into : t -> Vec.t -> Vec.t -> unit
 val matvec_t : t -> Vec.t -> Vec.t
 (** [matvec_t a x] is [a^T x]. *)
 
-val diag : t -> Vec.t
 val of_diag : Vec.t -> t
-val frobenius : t -> float
-val symmetrize : t -> t
-(** [(a + a^T) / 2]. *)
-
 val is_symmetric : ?tol:float -> t -> bool
+
+val proves_positive_definite : slack:float -> t -> bool
+(** [proves_positive_definite ~slack m] is [true] only if every symmetric
+    matrix within spectral-norm distance [slack] of the symmetric [m] is
+    positive definite.  It attempts a floating-point
+    Cholesky factorization of [m - c I], where [c] is [slack] plus twice
+    Rump's rounding bound [gamma_(k+2) / (1 - gamma_(k+2)) * tr|m|] for a
+    [k x k] matrix (Rump, "Verification of positive definiteness", BIT 46,
+    2006; he uses [gamma_(k+1)] once), and reports whether every pivot
+    was positive.  [false] proves
+    nothing.  Reads only the lower triangle and overwrites it, and the
+    diagonal, with the attempt; [O(k^3 / 3)]. *)
 
 val solve : t -> Vec.t -> Vec.t
 (** Gaussian elimination with partial pivoting.

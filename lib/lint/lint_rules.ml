@@ -59,9 +59,9 @@ let everywhere _ = true
    label and every non-final segment of a charge label must come from this
    list.  Leaf charge labels are free-form kebab-case. *)
 let phase_vocabulary =
-  [ "prepare"; "query"; "solve"; "preprocess"; "sparsify"; "spanner"; "mcmf";
-    "ipm"; "retransmit"; "byz-echo"; "engine"; "scale"; "serve";
-    "admit"; "coalesce"; "update"; "delta" ]
+  [ "prepare"; "query"; "solve"; "preprocess"; "factor"; "certify"; "sparsify";
+    "spanner"; "mcmf"; "ipm"; "retransmit"; "byz-echo"; "engine"; "scale";
+    "serve"; "admit"; "coalesce"; "update"; "delta" ]
 
 let rules =
   [

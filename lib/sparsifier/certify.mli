@@ -2,39 +2,48 @@
 
     The paper's guarantee (Definition 2.1) is
     [(1-eps) x^T L_H x <= x^T L_G x <= (1+eps) x^T L_H x] for all [x].
-    For moderate [n] we verify this exactly: the extreme generalized
-    eigenvalues of the pencil [(L_G, L_H)] are the tight constants.  For
-    larger instances power iteration approximates them; {!bound} is the
-    one rule the solver and the front door trust. *)
+    {!bound} proves it with one rule at every [n]: estimate the extreme
+    generalized eigenvalues of the pencil [(L_G, L_H)], then confirm each
+    side with a Cholesky attempt whose rounding is bounded.  It is the one
+    certificate the solver and the front door trust. *)
 
-open Lbcc_util
 module Graph = Lbcc_graph.Graph
 
 type certificate = {
-  lambda_min : float;  (** min over [x ⟂ nullspace] of [x^T L_G x / x^T L_H x] *)
-  lambda_max : float;
+  lambda_min : float;
+      (** a positive lower bound on the min over [x ⟂ 1] of
+          [x^T L_G x / x^T L_H x] *)
+  lambda_max : float;  (** an upper bound on the max of the same quotient *)
   epsilon_achieved : float;
-      (** smallest [eps] with [(1-eps) L_H <= L_G <= (1+eps) L_H];
-          [infinity] if [H] fails to dominate the pencil at all *)
+      (** smallest [eps] with [(1-eps) L_H <= L_G <= (1+eps) L_H] that the
+          bounds prove *)
 }
 
-val exact : Graph.t -> Graph.t -> certificate
-(** Dense, eigensolver-backed certificate; [O(n^3)].
-    Both graphs must share the vertex set. *)
+type side = Lambda_min | Lambda_max
 
-val power : Prng.t -> Graph.t -> Graph.t -> iters:int -> certificate
-(** Extremal generalized eigenvalues of [(L_G, L_H)] by power iteration on
-    [L_H^+ L_G] (for [lambda_max]) and [L_G^+ L_H] (for [lambda_min]),
-    using direct factorizations of both Laplacians.  Much faster than
-    {!exact} for [n] in the hundreds-to-thousands, converging to the true
-    extremes as [iters] grows (both graphs must be connected). *)
+exception Not_certified of { side : side; estimate : float; last_tried : float }
+(** The Cholesky test could not confirm [side] (with [lambda_min > 0])
+    even [10^6] times beyond its power-iteration [estimate]: [last_tried]
+    is the last bound tried.  Float64 cannot certify pencils whose weights
+    span about [1e16]. *)
 
-val bound : Prng.t -> Graph.t -> Graph.t -> certificate
-(** The certificate [Solver.preprocess] and [Lbcc.sparsify] use: {!exact}
-    for [n <= 400]; above that {!power} with 60 iterations, its
-    [lambda_min] divided and its [lambda_max] multiplied by a 1.15 margin,
-    because power iteration approaches both extremes from inside.  Above
-    [n = 400] the bound is therefore conservative: with [H = G] it reports
-    [epsilon_achieved = 0.15].  Both graphs must be connected above
-    [n = 400].  Only there does [bound] touch [prng]: it advances it once
-    with [Prng.split] and iterates on the split-off stream. *)
+val bound : Graph.t -> Graph.t -> certificate
+(** [bound g h] proves [lambda_min <= x^T L_G x / x^T L_H x <= lambda_max]
+    for every [x] orthogonal to the all-ones vector.
+    - {b Estimate.} 60 power iterations on [L_H^+ L_G] and [L_G^+ L_H],
+      from a fixed internal seed, give Rayleigh quotients [lmax_hat] and
+      [lmin_hat].  Their quality affects tightness and cost, not
+      soundness.
+    - {b Confirm.} [lambda_max = c] once
+      {!Lbcc_linalg.Dense.proves_positive_definite} accepts the
+      vertex-0-grounded [(n-1) x (n-1)] matrix of [c L_H - L_G], with the
+      error of forming it as slack; [lambda_min = c] once it accepts
+      [L_G - c L_H].  [c] starts at [lmax_hat (1 + 1e-6)] (resp.
+      [lmin_hat / (1 + 1e-6)]) and the relative gap doubles on failure;
+      after a success four bisection steps tighten it.
+    Costs two dense LU factorizations, 120 [O(n^2)] LU solves,
+    and a few [O(n^3 / 3)] Cholesky attempts per side.  Both graphs must
+    share the vertex set and be connected.
+    @raise Not_certified when a side fails 41 attempts (gap [1e-6 * 2^40]).
+    @raise Invalid_argument on a vertex-count mismatch or a disconnected
+    graph. *)

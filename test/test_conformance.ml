@@ -71,7 +71,7 @@ let test_sparsifier_theorem_1_2 () =
           ~prng:(Prng.create (2000 + seed))
           ~graph:g ~epsilon ~t:8 ~k:3 ()
       in
-      let c = Certify.exact g r.Sparsify.sparsifier in
+      let c = Certify.bound g r.Sparsify.sparsifier in
       Alcotest.(check bool)
         (Printf.sprintf "%s seed=%d: certified (1 +- %.1f)" family seed epsilon)
         true

@@ -11,7 +11,14 @@ let degree g v = List.length (Graph.neighbors g v)
 (* Frobenius distance between two square matrices of the same size. *)
 let dense_dist a b =
   let n = Dense.rows a in
-  Dense.frobenius (Dense.init n n (fun i j -> Dense.get a i j -. Dense.get b i j))
+  let sq = ref 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let d = Dense.get a i j -. Dense.get b i j in
+      sq := !sq +. (d *. d)
+    done
+  done;
+  sqrt !sq
 
 let triangle () =
   Graph.create ~n:3

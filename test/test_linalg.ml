@@ -2,7 +2,6 @@ open Lbcc_util
 module Vec = Lbcc_linalg.Vec
 module Dense = Lbcc_linalg.Dense
 module Sparse = Lbcc_linalg.Sparse
-module Eigen = Lbcc_linalg.Eigen
 module Cg = Lbcc_linalg.Cg
 module Chebyshev = Lbcc_linalg.Chebyshev
 
@@ -16,7 +15,14 @@ let of_rows rows =
 (* Frobenius distance between two square matrices of the same size. *)
 let dense_dist a b =
   let n = Dense.rows a in
-  Dense.frobenius (Dense.init n n (fun i j -> Dense.get a i j -. Dense.get b i j))
+  let sq = ref 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let d = Dense.get a i j -. Dense.get b i j in
+      sq := !sq +. (d *. d)
+    done
+  done;
+  sqrt !sq
 
 let random_spd prng n =
   (* A^T A + I is SPD. *)
@@ -28,7 +34,7 @@ let random_spd prng n =
     done;
     !s
   in
-  Dense.add (Dense.init n n ata) (Dense.identity n)
+  Dense.init n n (fun i j -> ata i j +. if i = j then 1.0 else 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Vec                                                                 *)
@@ -81,14 +87,6 @@ let prop_vec_triangle =
 (* ------------------------------------------------------------------ *)
 (* Dense                                                               *)
 
-let test_dense_matmul () =
-  let a = of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let b = of_rows [| [| 5.0; 6.0 |]; [| 7.0; 8.0 |] |] in
-  let c = Dense.matmul a b in
-  let row i = [| Dense.get c i 0; Dense.get c i 1 |] in
-  Alcotest.check vecs "matmul row0" [| 19.0; 22.0 |] (row 0);
-  Alcotest.check vecs "matmul row1" [| 43.0; 50.0 |] (row 1)
-
 let test_dense_matvec_t () =
   let a = of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |]; [| 5.0; 6.0 |] |] in
   let y = [| 1.0; 1.0; 1.0 |] in
@@ -122,12 +120,6 @@ let test_dense_factorize_reuse () =
     Alcotest.(check bool) "factored solve" true
       (Vec.dist2 x (Dense.solve_factored f b) < 1e-6)
   done
-
-let test_dense_symmetrize () =
-  let a = of_rows [| [| 1.0; 4.0 |]; [| 2.0; 3.0 |] |] in
-  let s = Dense.symmetrize a in
-  Alcotest.(check bool) "symmetric" true (Dense.is_symmetric s);
-  Alcotest.(check (float 1e-12)) "avg" 3.0 (Dense.get s 0 1)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse                                                              *)
@@ -179,22 +171,42 @@ let test_sparse_gram () =
   Alcotest.(check (float 1e-8)) "gram" 0.0 (dense_dist g expect)
 
 (* ------------------------------------------------------------------ *)
-(* Eigen                                                               *)
+(* Eigenvalue brackets by the Cholesky test                           *)
 
-(* The exported entry point is the pencil's extreme eigenvalues; against
-   the identity they are the extreme eigenvalues of [a] itself. *)
-let extremes a = Eigen.relative_condition a (Dense.identity (Dense.rows a))
+(* [a - c b] for the pencil [(a, b)], fresh: the test overwrites it. *)
+let pencil_minus a c b =
+  let n = Dense.rows a in
+  Dense.init n n (fun i j -> Dense.get a i j -. (c *. Dense.get b i j))
+
+let proves_pd m = Dense.proves_positive_definite ~slack:0.0 m
+
+(* The extreme generalized eigenvalues of [(a, b)] are [lmin] and [lmax] to
+   relative accuracy [rel]: [a - c b] is proven positive definite just
+   below [lmin] and not just above it, and [c b - a] likewise around
+   [lmax].  A test that is sound never proves an indefinite matrix
+   positive definite, so the "not" halves hold whatever its shift. *)
+let check_brackets ?(rel = 1e-6) a b ~lmin ~lmax =
+  let neg m = Dense.init (Dense.rows m) (Dense.rows m) (fun i j -> -.Dense.get m i j) in
+  Alcotest.(check bool) "proved below lambda_min" true
+    (proves_pd (pencil_minus a (lmin *. (1.0 -. rel)) b));
+  Alcotest.(check bool) "not above lambda_min" false
+    (proves_pd (pencil_minus a (lmin *. (1.0 +. rel)) b));
+  Alcotest.(check bool) "proved above lambda_max" true
+    (proves_pd (neg (pencil_minus a (lmax *. (1.0 +. rel)) b)));
+  Alcotest.(check bool) "not below lambda_max" false
+    (proves_pd (neg (pencil_minus a (lmax *. (1.0 -. rel)) b)))
+
+let identity n = Dense.init n n (fun i j -> if i = j then 1.0 else 0.0)
+
+(* Against the identity they are the extreme eigenvalues of [a] itself. *)
+let check_extremes a = check_brackets a (identity (Dense.rows a))
 
 let test_eigen_diagonal () =
-  let lmin, lmax = extremes (Dense.of_diag [| 3.0; 1.0; 2.0 |]) in
-  Alcotest.(check (float 1e-9)) "lambda_min" 1.0 lmin;
-  Alcotest.(check (float 1e-9)) "lambda_max" 3.0 lmax
+  check_extremes (Dense.of_diag [| 3.0; 1.0; 2.0 |]) ~lmin:1.0 ~lmax:3.0
 
 let test_eigen_known_2x2 () =
   (* [[2,1],[1,2]] has eigenvalues 1 and 3 *)
-  let lmin, lmax = extremes (of_rows [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |]) in
-  Alcotest.(check (float 1e-9)) "lambda1" 1.0 lmin;
-  Alcotest.(check (float 1e-9)) "lambda2" 3.0 lmax
+  check_extremes (of_rows [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |]) ~lmin:1.0 ~lmax:3.0
 
 let test_eigen_reconstruction () =
   (* Q diag(d) Q^T with a Householder reflection Q = I - 2 v v^T / v^T v:
@@ -202,43 +214,53 @@ let test_eigen_reconstruction () =
   let prng = Prng.create 9 in
   let v = Vec.init 8 (fun _ -> Prng.gaussian prng) in
   let vv = Vec.dot v v in
-  let q =
-    Dense.init 8 8 (fun i j ->
-        (if i = j then 1.0 else 0.0) -. (2.0 *. v.(i) *. v.(j) /. vv))
-  in
+  let q i j = (if i = j then 1.0 else 0.0) -. (2.0 *. v.(i) *. v.(j) /. vv) in
   let d = [| 2.5; 0.5; 7.0; 1.5; 3.0; 4.0; 6.5; 1.0 |] in
-  let a = Dense.symmetrize (Dense.matmul q (Dense.matmul (Dense.of_diag d) q)) in
-  let lmin, lmax = extremes a in
-  Alcotest.(check (float 1e-7)) "lambda_min" 0.5 lmin;
-  Alcotest.(check (float 1e-7)) "lambda_max" 7.0 lmax
+  let a =
+    Dense.init 8 8 (fun i j ->
+        let i = Stdlib.max i j and j = Stdlib.min i j in
+        let s = ref 0.0 in
+        for k = 0 to 7 do
+          s := !s +. (q i k *. d.(k) *. q j k)
+        done;
+        !s)
+  in
+  check_extremes a ~lmin:0.5 ~lmax:7.0
 
 let test_eigen_trace_preserved () =
   (* A 2x2 matrix has only its two extreme eigenvalues; they sum to the
-     trace. *)
+     trace and differ by the discriminant's root. *)
   let a = random_spd (Prng.create 10) 2 in
-  let lmin, lmax = extremes a in
-  Alcotest.(check (float 1e-7)) "trace = sum of eigenvalues"
-    (Vec.sum (Dense.diag a)) (lmin +. lmax)
+  let p = Dense.get a 0 0 and q = Dense.get a 1 1 and r = Dense.get a 1 0 in
+  let half = 0.5 *. sqrt (((p -. q) *. (p -. q)) +. (4.0 *. r *. r)) in
+  let lmin = (0.5 *. (p +. q)) -. half and lmax = (0.5 *. (p +. q)) +. half in
+  Alcotest.(check (float 1e-9)) "trace = sum of eigenvalues" (p +. q) (lmin +. lmax);
+  check_extremes a ~lmin ~lmax
 
 let test_eigen_spd_condition_number () =
-  let d = Dense.of_diag [| 2.0; 8.0; 4.0 |] in
-  let lmin, lmax = Eigen.relative_condition d (Dense.identity 3) in
-  Alcotest.(check (float 1e-9)) "kappa = max/min" 4.0 (lmax /. lmin)
+  (* kappa = max/min = 4 *)
+  check_extremes (Dense.of_diag [| 2.0; 8.0; 4.0 |]) ~lmin:2.0 ~lmax:8.0
 
 let test_eigen_relative_condition_identity () =
-  let prng = Prng.create 11 in
-  let a = random_spd prng 6 in
-  let lmin, lmax = Eigen.relative_condition a a in
-  Alcotest.(check (float 1e-6)) "lmin = 1" 1.0 lmin;
-  Alcotest.(check (float 1e-6)) "lmax = 1" 1.0 lmax
+  let a = random_spd (Prng.create 11) 6 in
+  check_brackets a a ~lmin:1.0 ~lmax:1.0
 
 let test_eigen_relative_condition_scaled () =
-  let prng = Prng.create 12 in
-  let a = random_spd prng 6 in
+  let a = random_spd (Prng.create 12) 6 in
   let b = Dense.init 6 6 (fun i j -> 2.0 *. Dense.get a i j) in
-  let lmin, lmax = Eigen.relative_condition a b in
-  Alcotest.(check (float 1e-6)) "lmin = 1/2" 0.5 lmin;
-  Alcotest.(check (float 1e-6)) "lmax = 1/2" 0.5 lmax
+  check_brackets a b ~lmin:0.5 ~lmax:0.5
+
+(* The shift covers rounding, so a matrix whose smallest eigenvalue sits
+   below it is refused although it is positive definite; [slack] widens
+   the shift further. *)
+let test_cholesky_shift () =
+  let tiny = of_rows [| [| 1e-18; 0.0 |]; [| 0.0; 1.0 |] |] in
+  Alcotest.(check bool) "below the rounding bound" false (proves_pd tiny);
+  Alcotest.(check bool) "clear of it" true (proves_pd (identity 2));
+  Alcotest.(check bool) "slack 0.5 < 1" true
+    (Dense.proves_positive_definite ~slack:0.5 (identity 2));
+  Alcotest.(check bool) "slack 1 covers a unit eigenvalue" false
+    (Dense.proves_positive_definite ~slack:1.0 (identity 2))
 
 (* ------------------------------------------------------------------ *)
 (* Cg and Chebyshev                                                    *)
@@ -353,12 +375,11 @@ let suites =
       ] );
     ( "linalg.dense",
       [
-        Alcotest.test_case "matmul" `Quick test_dense_matmul;
         Alcotest.test_case "matvec_t" `Quick test_dense_matvec_t;
         Alcotest.test_case "solve roundtrip" `Quick test_dense_solve_roundtrip;
         Alcotest.test_case "solve singular" `Quick test_dense_solve_singular;
         Alcotest.test_case "factorize reuse" `Quick test_dense_factorize_reuse;
-        Alcotest.test_case "symmetrize" `Quick test_dense_symmetrize;
+        Alcotest.test_case "cholesky shift" `Quick test_cholesky_shift;
       ] );
     ( "linalg.sparse",
       [

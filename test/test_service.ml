@@ -106,6 +106,37 @@ let test_create_cached_fingerprint_keyed () =
 (* ------------------------------------------------------------------ *)
 (* Prepare-once / query-many accounting                                *)
 
+(* The vertex-internal factor and certify steps show up as zero-round
+   children of the prepare span and leave the round breakdown as an
+   untraced run has it. *)
+let test_prepare_spans () =
+  let g = test_graph () in
+  let tracer = Lbcc_obs.Trace.create () in
+  let traced = Prepared.create ~ctx:(Ctx.make ~seed:7 ~tracer ()) g in
+  let plain = Prepared.create ~ctx:(Ctx.make ~seed:7 ()) g in
+  let rec find name (s : Lbcc_obs.Trace.span) =
+    if s.Lbcc_obs.Trace.name = name then Some s
+    else List.find_map (find name) s.Lbcc_obs.Trace.children
+  in
+  let prepare =
+    match find "prepare" (Lbcc_obs.Trace.root tracer) with
+    | Some s -> s
+    | None -> Alcotest.fail "no prepare span"
+  in
+  List.iter
+    (fun name ->
+      match
+        List.find_opt
+          (fun c -> c.Lbcc_obs.Trace.name = name)
+          prepare.Lbcc_obs.Trace.children
+      with
+      | Some s -> Alcotest.(check int) (name ^ " rounds") 0 s.Lbcc_obs.Trace.rounds
+      | None -> Alcotest.failf "no %s child under prepare" name)
+    [ "factor"; "certify" ];
+  Alcotest.(check (list (triple string int int)))
+    "breakdown unchanged by tracing" (Prepared.prepare_breakdown plain)
+    (Prepared.prepare_breakdown traced)
+
 let test_prepare_once_query_rounds () =
   let g = test_graph () in
   let p = Prepared.create ~ctx:(Ctx.make ~seed:7 ()) g in
@@ -269,6 +300,8 @@ let suites =
       ] );
     ( "service.prepared",
       [
+        Alcotest.test_case "prepare factor/certify" `Quick
+          test_prepare_spans;
         Alcotest.test_case "prepare once, query many" `Quick
           test_prepare_once_query_rounds;
         Alcotest.test_case "caller accountant mirror" `Quick
