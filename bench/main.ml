@@ -293,8 +293,7 @@ let e6 () =
   let max_residual_ratio = ref 0.0 and max_preproc_ratio = ref 0.0 in
   List.iter
     (fun n ->
-      (* density shrinks with n to keep the sweep fast; n = 512 exercises
-         the power-iteration certificate (the Jacobi path stops at 400). *)
+      (* density shrinks with n to keep the sweep fast *)
       let p = Float.min 0.3 (96.0 /. float_of_int n) in
       let g = Gen.erdos_renyi_connected (Prng.create n) ~n ~p ~w_max:8 in
       let s = Solver.preprocess ~prng:(Prng.create 23) ~graph:g ~t:8 ~k:3 () in
