@@ -23,7 +23,10 @@ module Fault = Lbcc_net.Fault
 module Bfs = Lbcc_dist.Bfs
 module Sssp = Lbcc_dist.Sssp
 module Leader = Lbcc_dist.Leader
+module Spanner = Lbcc_spanner.Spanner
+module Bundle = Lbcc_sparsifier.Bundle
 module Sparsify = Lbcc_sparsifier.Sparsify
+module Apriori = Lbcc_sparsifier.Apriori
 module Solver = Lbcc_laplacian.Solver
 module Network = Lbcc_flow.Network
 module Mcmf_lp = Lbcc_flow.Mcmf_lp
@@ -47,6 +50,27 @@ let floats a =
     (List.map
        (fun f -> Printf.sprintf "%Lx" (Int64.bits_of_float f))
        (Array.to_list a))
+
+let int_list l = ints (Array.of_list l)
+
+let pairs a =
+  String.concat ","
+    (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) (Array.to_list a))
+
+(* A graph by its edges, weights by bit pattern. *)
+let edges_fp h =
+  Array.to_list (Graph.edges h)
+  |> List.map (fun (e : Graph.edge) ->
+         Printf.sprintf "%d-%d:%Lx" e.Graph.u e.Graph.v
+           (Int64.bits_of_float e.Graph.w))
+  |> String.concat ","
+
+(* The spanner and bundle rows' input: the protocol graph with per-edge
+   survival probabilities drawn from [0.2, 1). *)
+let probabilistic_input seed =
+  let g = graph_of seed in
+  let prng = Prng.create (seed + 300) in
+  (g, Array.init (Graph.m g) (fun _ -> 0.2 +. (0.8 *. Prng.float prng)))
 
 let acct_fp acc =
   let flat kvs =
@@ -185,16 +209,68 @@ let protocols =
               Sparsify.run ~accountant:acc ~prng:(Prng.create (seed + 100))
                 ~graph:g ~epsilon:0.5 ()
             in
-            let h = r.Sparsify.sparsifier in
-            let edges =
-              Array.to_list (Graph.edges h)
-              |> List.map (fun (e : Graph.edge) ->
-                     Printf.sprintf "%d-%d:%Lx" e.Graph.u e.Graph.v
-                       (Int64.bits_of_float e.Graph.w))
-            in
-            Printf.sprintf "%s|%s|%d|%d" (String.concat "," edges)
+            Printf.sprintf "%s|%s|%d|%d" (edges_fp r.Sparsify.sparsifier)
               (ints (Sparsify.out_degrees r))
               r.Sparsify.rounds r.Sparsify.final_sampled) );
+    ( "spanner",
+      (* Lemma 3.1 with probabilistic edges at k = 3. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let graph, p = probabilistic_input seed in
+            let r =
+              Spanner.run ~accountant:acc ~prng:(Prng.create (seed + 400))
+                ~graph ~p ~k:3 ()
+            in
+            let clusters =
+              Array.map (Option.value ~default:(-1)) r.Spanner.clusters
+            in
+            Printf.sprintf "%s|%s|%s|%s|%d|%d|%b" (int_list r.Spanner.fplus)
+              (int_list r.Spanner.fminus) (pairs r.Spanner.orientation)
+              (ints clusters) r.Spanner.rounds r.Spanner.supersteps
+              r.Spanner.views_agree) );
+    ( "bundle",
+      (* Algorithm 3: a t = 3 bundle of the spanner row's spanners. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let graph, p = probabilistic_input seed in
+            let b =
+              Bundle.run ~accountant:acc ~prng:(Prng.create (seed + 400))
+                ~graph ~p ~k:3 ~t:3 ()
+            in
+            let orientation =
+              List.sort compare b.Bundle.orientations
+              |> List.map (fun (_, from_, to_) -> (from_, to_))
+            in
+            Printf.sprintf "%s|%s|%s" (int_list b.Bundle.bundle)
+              (int_list b.Bundle.rejected)
+              (pairs (Array.of_list orientation))) );
+    ( "sparsifier t=2",
+      (* The small bundle size the prepare workload runs, at n = 64. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let g =
+              Gen.erdos_renyi_connected (Prng.create seed) ~n:64 ~p:0.3
+                ~w_max:8
+            in
+            let r =
+              Sparsify.run ~accountant:acc ~prng:(Prng.create (seed + 100))
+                ~graph:g ~epsilon:0.5 ~t:2 ()
+            in
+            Printf.sprintf "%s|%s|%s|%s|%d|%d" (edges_fp r.Sparsify.sparsifier)
+              (pairs r.Sparsify.orientation) (ints r.Sparsify.edge_origin) (int_list r.Sparsify.bundle_sizes)
+              r.Sparsify.rounds r.Sparsify.final_sampled) );
+    ( "apriori",
+      (* Algorithm 4 as experiment E4 runs it. *)
+      fun seed ->
+        let g =
+          Gen.erdos_renyi_connected (Prng.create seed) ~n:36 ~p:0.5 ~w_max:1
+        in
+        let r =
+          Apriori.run ~prng:(Prng.create (700 + seed)) ~graph:g ~epsilon:0.5
+            ~t:2 ~k:3 ()
+        in
+        Printf.sprintf "%s|%s|%s" (edges_fp r.Apriori.sparsifier)
+          (ints r.Apriori.edge_origin) (int_list r.Apriori.bundle_sizes) );
     ( "laplacian solve",
       (* Theorem 1.3 on the sparsifier row's graph: preprocessing, the
          certified kappa and one high-accuracy Chebyshev solve. *)
