@@ -51,6 +51,14 @@ let sub_edges g ids =
   let edges = List.map (fun id -> g.edges.(id)) ids in
   create ~n:g.n edges
 
+let has_parallel_edges g =
+  let seen = Hashtbl.create (2 * m g) in
+  Array.exists
+    (fun e ->
+      let key = (Stdlib.min e.u e.v, Stdlib.max e.u e.v) in
+      Hashtbl.mem seen key || (Hashtbl.add seen key (); false))
+    g.edges
+
 let coalesce g =
   let tbl = Hashtbl.create (m g) in
   Array.iter

@@ -42,6 +42,9 @@ val sub_edges : t -> int list -> t
 (** Subgraph on the same vertex set keeping only the listed edge ids
     (re-indexed). *)
 
+val has_parallel_edges : t -> bool
+(** Whether two edges join the same pair of vertices. *)
+
 val coalesce : t -> t
 (** Merge parallel edges by summing their weights — spectrally equivalent
     (Laplacians add) and required by consumers that assume simple graphs

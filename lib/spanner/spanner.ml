@@ -31,81 +31,123 @@ let msg_bits ~n = function
   | Connect_ok { w; _ } -> Payload.size [ Tag 5; Vertex_id n; Vertex_id n; Weight w ]
   | Connect_fail _ -> Payload.size [ Tag 5; Vertex_id n ]
 
-(* Per-vertex local state.  Everything a vertex learns about its incident
-   edges is keyed by edge id; the discipline is that [v] writes only its own
-   record and reads only its own record plus received broadcasts. *)
+(* The edge state one run of the sparsifier pipeline shares; see the
+   interface. *)
+type state = {
+  graph : Graph.t;
+  weight : float array;
+  p : float array;
+  live : bool array;
+  tail : int array;
+}
+
+let state ~graph ~p =
+  let m = Graph.m graph in
+  if Array.length p <> m then invalid_arg "Spanner.run: p has wrong length";
+  Array.iter
+    (fun pe ->
+      if pe < 0.0 || pe > 1.0 then
+        invalid_arg "Spanner.run: probability out of range")
+    p;
+  if Graph.has_parallel_edges graph then
+    invalid_arg "Spanner.run: parallel edges not supported";
+  {
+    graph;
+    weight = Array.map (fun (e : Graph.edge) -> e.w) (Graph.edges graph);
+    p = Array.copy p;
+    live = Array.make m true;
+    tail = Array.make m (-1);
+  }
+
+(* Per-vertex local state.  What a vertex knows about an incident edge
+   lives in the [sim]'s per-slot arrays: slot [2e] is [e]'s endpoint [u],
+   slot [2e + 1] its endpoint [v], so the other endpoint's slot of the same
+   edge is [s lxor 1].  The discipline is that [v] writes only its own
+   slots and reads only its own slots plus received broadcasts. *)
 type vertex = {
   id : int;
   mutable cluster : int option;
   mutable marked : bool;
   mutable w_threshold : float;
-  fplus : (int, unit) Hashtbl.t;
-  fminus : (int, unit) Hashtbl.t;
-  neighbor_cluster : (int, int option) Hashtbl.t;
-  neighbor_marked : (int, bool) Hashtbl.t;
-  neighbor_w : (int, float) Hashtbl.t;
   mark_prng : Prng.t;
   connect_prng : Prng.t;
 }
 
+(* A vertex's classification of an incident edge. *)
+type view = Untried | Accepted | Rejected
+
 type sim = {
-  graph : Graph.t;
+  st : state;
   n : int;
-  p : float array;
   verts : vertex array;
-  edge_of : (int * int, int) Hashtbl.t; (* (min u v, max u v) -> edge id *)
+  view : view array;
+  nb_cluster : int array; (* neighbour's announced cluster, -1 for none *)
+  nb_marked : bool array;
+  nb_w : float array; (* neighbour's join weight, neg_infinity until heard *)
   acc : Rounds.t;
   mutable stage : string; (* label for the accountant's per-phase breakdown *)
   mutable supersteps : int;
-  mutable orientation : (int, int * int) Hashtbl.t;
-      (* edge id -> (from, to): first adder wins *)
   mutable consistent : bool;
 }
 
-let in_fplus vx e = Hashtbl.mem vx.fplus e
-let in_fminus vx e = Hashtbl.mem vx.fminus e
+let edge_of_slot s = s lsr 1
 
-let add_fplus sim vx ~from_ ~to_ e =
-  if in_fminus vx e then sim.consistent <- false
-  else if not (in_fplus vx e) then begin
-    Hashtbl.replace vx.fplus e ();
-    if not (Hashtbl.mem sim.orientation e) then
-      Hashtbl.replace sim.orientation e (from_, to_)
-  end
+(* [f u s] for every live edge of [v], with [u] the other endpoint and [s]
+   [v]'s slot.  Adjacency lists are consed in edge-id order, so skipping
+   dead edges yields exactly the list of the subgraph of live edges. *)
+let iter_live sim v f =
+  List.iter
+    (fun (u, e) ->
+      if sim.st.live.(e) then
+        f u (if (Graph.edge sim.st.graph e).u = v then 2 * e else (2 * e) + 1))
+    (Graph.neighbors sim.st.graph v)
 
-let add_fminus sim vx e =
-  if in_fplus vx e then sim.consistent <- false
-  else Hashtbl.replace vx.fminus e ()
+(* The first vertex to accept an edge sets its orientation tail, once for
+   the whole state. *)
+let add_fplus sim ~from_ s =
+  match sim.view.(s) with
+  | Rejected -> sim.consistent <- false
+  | Accepted -> ()
+  | Untried ->
+      sim.view.(s) <- Accepted;
+      let e = edge_of_slot s in
+      if sim.st.tail.(e) < 0 then sim.st.tail.(e) <- from_
 
-(* Effective existence probability of an edge from [vx]'s point of view:
-   accepted edges exist with certainty; rejected edges are never candidates;
-   untried edges carry their input probability. *)
-let p_eff sim vx e = if in_fplus vx e then 1.0 else sim.p.(e)
+let add_fminus sim s =
+  match sim.view.(s) with
+  | Accepted -> sim.consistent <- false
+  | Untried | Rejected -> sim.view.(s) <- Rejected
+
+(* Effective existence probability of an edge from its slot owner's point
+   of view: accepted edges exist with certainty; rejected edges are never
+   candidates; untried edges carry their survival probability. *)
+let p_eff sim s =
+  if sim.view.(s) = Accepted then 1.0 else sim.st.p.(edge_of_slot s)
 
 (* The paper's Connect(N, p): try candidates ascending by (weight, id of the
    other endpoint); the first accepted candidate wins, all earlier ones are
-   rejected.  Candidates are given as (other endpoint, edge id). *)
+   rejected.  Candidates are given as (other endpoint, own slot). *)
 let connect sim vx candidates =
   let weighted =
-    List.map (fun (u, e) -> ((Graph.edge sim.graph e).w, u, e)) candidates
+    List.map (fun (u, s) -> (sim.st.weight.(edge_of_slot s), u, s)) candidates
   in
-  let compare_cand (w1, u1, e1) (w2, u2, e2) =
+  let compare_cand (w1, u1, s1) (w2, u2, s2) =
     let c = Float.compare w1 w2 in
     if c <> 0 then c
     else
       let c = Int.compare u1 u2 in
-      if c <> 0 then c else Int.compare e1 e2
+      if c <> 0 then c else Int.compare s1 s2
   in
   let sorted = List.sort compare_cand weighted in
   let rec go = function
     | [] -> None
-    | (w, u, e) :: rest ->
-        if Prng.float vx.connect_prng < p_eff sim vx e then begin
-          add_fplus sim vx ~from_:vx.id ~to_:u e;
-          Some (u, e, w)
+    | (w, u, s) :: rest ->
+        if Prng.float vx.connect_prng < p_eff sim s then begin
+          add_fplus sim ~from_:vx.id s;
+          Some (u, s, w)
         end
         else begin
-          add_fminus sim vx e;
+          add_fminus sim s;
           go rest
         end
   in
@@ -115,7 +157,8 @@ let connect sim vx candidates =
 (* Superstep drivers                                                   *)
 
 (* One synchronous broadcast superstep: each vertex sends at most one
-   message to all its graph neighbors; the step costs the largest message. *)
+   message to all its live neighbours; the step costs the largest message.
+   [receive] gets the receiver's slot of the edge the message came over. *)
 let superstep sim (outgoing : msg option array) receive =
   let any = Array.exists Option.is_some outgoing in
   if any then begin
@@ -132,9 +175,8 @@ let superstep sim (outgoing : msg option array) receive =
       match outgoing.(v) with
       | None -> ()
       | Some m ->
-          List.iter
-            (fun (u, e) -> receive ~receiver:sim.verts.(u) ~sender:v ~edge:e m)
-            (Graph.neighbors sim.graph v)
+          iter_live sim v (fun u s ->
+              receive ~receiver:sim.verts.(u) ~sender:v ~slot:(s lxor 1) m)
     done
   end
 
@@ -158,76 +200,80 @@ let drain_queues sim (queues : msg list array) receive =
 (* ------------------------------------------------------------------ *)
 (* Receivers                                                           *)
 
-let receive_phase_info ~receiver ~sender:_ ~edge = function
+let receive_phase_info sim ~receiver:_ ~sender:_ ~slot = function
   | Phase_info { cluster; marked } ->
-      Hashtbl.replace receiver.neighbor_cluster edge cluster;
-      Hashtbl.replace receiver.neighbor_marked edge marked
+      sim.nb_cluster.(slot) <- Option.value ~default:(-1) cluster;
+      sim.nb_marked.(slot) <- marked
   | _ -> ()
 
 (* Step 2 deduction rules.  [receiver] is [u], the message came from [v]
-   over [edge]; [u] reacts only if it could have been in [v]'s candidate
-   set: [u] is in a marked cluster and the edge is not already deleted. *)
-let receive_join sim ~receiver ~sender ~edge msg =
+   over the edge of [slot]; [u] reacts only if it could have been in [v]'s
+   candidate set: [u] is in a marked cluster and the edge is not already
+   deleted. *)
+let receive_join sim ~receiver ~sender ~slot msg =
   (match msg with
-  | Join { w; _ } -> Hashtbl.replace receiver.neighbor_w edge w
-  | Join_none -> Hashtbl.replace receiver.neighbor_w edge infinity
+  | Join { w; _ } -> sim.nb_w.(slot) <- w
+  | Join_none -> sim.nb_w.(slot) <- infinity
   | _ -> ());
   let u = receiver in
-  let eligible = u.cluster <> None && u.marked && not (in_fminus u edge) in
+  let eligible = u.cluster <> None && u.marked && sim.view.(slot) <> Rejected in
   if eligible then begin
     match msg with
     | Join { via; w; _ } ->
-        if via = u.id then add_fplus sim u ~from_:sender ~to_:u.id edge
+        if via = u.id then add_fplus sim ~from_:sender slot
         else begin
-          let we = (Graph.edge sim.graph edge).w in
-          if w > we || (w = we && via > u.id) then add_fminus sim u edge
+          let we = sim.st.weight.(edge_of_slot slot) in
+          if w > we || (w = we && via > u.id) then add_fminus sim slot
         end
-    | Join_none -> add_fminus sim u edge
+    | Join_none -> add_fminus sim slot
     | _ -> ()
   end
 
 (* Step 3 / step 4 deduction.  The message names the target cluster; [u]
    reacts if it belongs to that cluster, the edge is not deleted, and the
    edge met the sender's candidate condition ([weight_filter]). *)
-let receive_connect sim ~weight_filtered ~receiver ~sender ~edge msg =
+let receive_connect sim ~weight_filtered ~receiver ~sender ~slot msg =
   let u = receiver in
   let concerns cluster = u.cluster = Some cluster in
-  let we = (Graph.edge sim.graph edge).w in
+  let we = sim.st.weight.(edge_of_slot slot) in
   let candidate () =
-    (not (in_fminus u edge))
-    &&
-    if weight_filtered then
-      match Hashtbl.find_opt u.neighbor_w edge with
-      | Some wv -> we < wv
-      | None -> false
-    else true
+    sim.view.(slot) <> Rejected && ((not weight_filtered) || we < sim.nb_w.(slot))
   in
   match msg with
   | Connect_ok { cluster; via; w } when concerns cluster && candidate () ->
-      if via = u.id then add_fplus sim u ~from_:sender ~to_:u.id edge
-      else if w > we || (w = we && via > u.id) then add_fminus sim u edge
+      if via = u.id then add_fplus sim ~from_:sender slot
+      else if w > we || (w = we && via > u.id) then add_fminus sim slot
   | Connect_fail { cluster } when concerns cluster && candidate () ->
-      add_fminus sim u edge
+      add_fminus sim slot
   | Connect_ok _ | Connect_fail _ | Phase_info _ | Join _ | Join_none -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The algorithm                                                       *)
 
-(* Live (non-deleted) incident edges of [v] whose other endpoint's cluster
-   satisfies [select]. *)
+(* Live, undeleted incident edges of [v] whose other endpoint's cluster
+   satisfies [select], grouped by that cluster in ascending cluster order.
+   Connect sorts each group itself, so only the group order matters. *)
 let candidates_by_cluster sim vx ~select =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (u, e) ->
-      if not (in_fminus vx e) then
-        match Hashtbl.find_opt vx.neighbor_cluster e with
-        | Some (Some x) when select ~cluster:x ~other:u ~edge:e ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt groups x) in
-            Hashtbl.replace groups x ((u, e) :: prev)
-        | _ -> ())
-    (Graph.neighbors sim.graph vx.id);
-  (* Keys are distinct cluster ids, so key order alone fixes the output. *)
-  Tbl.sorted_bindings ~compare:Int.compare groups
+  let found = ref [] in
+  iter_live sim vx.id (fun u s ->
+      let x = sim.nb_cluster.(s) in
+      if sim.view.(s) <> Rejected && x >= 0 && select ~cluster:x ~slot:s then
+        found := (x, (u, s)) :: !found);
+  List.fold_right
+    (fun (x, c) groups ->
+      match groups with
+      | (x', members) :: rest when x' = x -> (x, c :: members) :: rest
+      | _ -> (x, [ c ]) :: groups)
+    (List.stable_sort (fun (x1, _) (x2, _) -> Int.compare x1 x2) !found)
+    []
+
+(* Whether [cluster] is below [vx]'s own cluster ([lower]) or above it:
+   the split that keeps an edge between two clusters from being decided
+   from both sides in one substep. *)
+let on_side ~lower vx cluster =
+  match vx.cluster with
+  | Some own -> if lower then cluster < own else cluster > own
+  | None -> false
 
 let phase_info_broadcast sim =
   let outgoing =
@@ -235,8 +281,7 @@ let phase_info_broadcast sim =
       (fun vx -> Some (Phase_info { cluster = vx.cluster; marked = vx.marked }))
       sim.verts
   in
-  superstep sim outgoing (fun ~receiver ~sender ~edge m ->
-      receive_phase_info ~receiver ~sender ~edge m)
+  superstep sim outgoing (receive_phase_info sim)
 
 (* Step 3 substep (and the three step-4 substeps): every qualifying vertex
    runs Connect against each cluster selected by [select], queues one
@@ -251,38 +296,24 @@ let connect_stage sim ~participates ~select ~weight_filtered =
           List.map
             (fun (x, members) ->
               match connect sim vx members with
-              | Some (via, _e, w) -> Connect_ok { cluster = x; via; w }
+              | Some (via, _s, w) -> Connect_ok { cluster = x; via; w }
               | None -> Connect_fail { cluster = x })
             groups
         in
         queues.(vx.id) <- msgs
       end)
     sim.verts;
-  drain_queues sim queues (fun ~receiver ~sender ~edge m ->
-      receive_connect sim ~weight_filtered ~receiver ~sender ~edge m)
+  drain_queues sim queues (receive_connect sim ~weight_filtered)
 
-let run ?accountant ~prng ~graph ~p ~k () =
-  let n = Graph.n graph in
+let run_on ?accountant ~prng ~k st =
+  let graph = st.graph in
+  let n = Graph.n graph and m = Graph.m graph in
   if k < 1 then invalid_arg "Spanner.run: k must be >= 1";
-  if Array.length p <> Graph.m graph then
-    invalid_arg "Spanner.run: p has wrong length";
-  Array.iter
-    (fun pe ->
-      if pe < 0.0 || pe > 1.0 then invalid_arg "Spanner.run: probability out of range")
-    p;
   let acc =
     match accountant with
     | Some a -> a
     | None -> Rounds.create ~bandwidth:(Model.bandwidth ~n)
   in
-  let edge_of = Hashtbl.create (Graph.m graph) in
-  Array.iteri
-    (fun e (ed : Graph.edge) ->
-      let key = (Stdlib.min ed.u ed.v, Stdlib.max ed.u ed.v) in
-      if Hashtbl.mem edge_of key then
-        invalid_arg "Spanner.run: parallel edges not supported";
-      Hashtbl.add edge_of key e)
-    (Graph.edges graph);
   let verts =
     Array.init n (fun v ->
         {
@@ -290,26 +321,22 @@ let run ?accountant ~prng ~graph ~p ~k () =
           cluster = Some v;
           marked = false;
           w_threshold = infinity;
-          fplus = Hashtbl.create 8;
-          fminus = Hashtbl.create 8;
-          neighbor_cluster = Hashtbl.create 8;
-          neighbor_marked = Hashtbl.create 8;
-          neighbor_w = Hashtbl.create 8;
           mark_prng = Prng.split prng;
           connect_prng = Prng.split prng;
         })
   in
   let sim =
     {
-      graph;
+      st;
       n;
-      p;
       verts;
-      edge_of;
+      view = Array.make (2 * m) Untried;
+      nb_cluster = Array.make (2 * m) (-1);
+      nb_marked = Array.make (2 * m) false;
+      nb_w = Array.make (2 * m) neg_infinity;
       acc;
       stage = "spanner";
       supersteps = 0;
-      orientation = Hashtbl.create 64;
       consistent = true;
     }
   in
@@ -321,20 +348,16 @@ let run ?accountant ~prng ~graph ~p ~k () =
     (* Step 1: centers mark; the mark propagates down the cluster tree
        (1-bit messages along F+ tree edges), charged at the deepest tree. *)
     let mark_draw = Array.map (fun vx -> Prng.float vx.mark_prng) verts in
-    let cluster_marked = Hashtbl.create 16 in
-    Array.iter
-      (fun vx ->
-        match vx.cluster with
-        | Some c when c = vx.id ->
-            Hashtbl.replace cluster_marked c (mark_draw.(vx.id) < mark_probability)
-        | Some _ | None -> ())
-      verts;
+    let center_marked =
+      Array.init n (fun v ->
+          verts.(v).cluster = Some v && mark_draw.(v) < mark_probability)
+    in
     let max_depth = ref 0 in
     Array.iter
       (fun vx ->
         match vx.cluster with
         | Some c ->
-            vx.marked <- Option.value ~default:false (Hashtbl.find_opt cluster_marked c);
+            vx.marked <- center_marked.(c);
             max_depth := Stdlib.max !max_depth depth.(vx.id)
         | None -> vx.marked <- false)
       verts;
@@ -354,26 +377,16 @@ let run ?accountant ~prng ~graph ~p ~k () =
         (fun vx ->
           match vx.cluster with
           | Some _ when not vx.marked ->
-              let candidates =
-                List.filter
-                  (fun (_, e) ->
-                    (not (in_fminus vx e))
-                    && Option.value ~default:false (Hashtbl.find_opt vx.neighbor_marked e)
-                    && Option.value ~default:None (Hashtbl.find_opt vx.neighbor_cluster e)
-                       <> None)
-                  (Graph.neighbors graph vx.id)
-              in
-              (match connect sim vx candidates with
-              | Some (via, e, w) ->
+              let candidates = ref [] in
+              iter_live sim vx.id (fun u s ->
+                  if sim.view.(s) <> Rejected && sim.nb_marked.(s)
+                     && sim.nb_cluster.(s) >= 0
+                  then candidates := (u, s) :: !candidates);
+              (match connect sim vx !candidates with
+              | Some (via, s, w) ->
                   vx.w_threshold <- w;
-                  let target =
-                    match Hashtbl.find_opt vx.neighbor_cluster e with
-                    | Some (Some x) -> x
-                    | Some None | None ->
-                        failwith
-                          "Spanner.connect: chosen edge lost its cluster label"
-                  in
-                  joins.(vx.id) <- Some (target, e);
+                  let target = sim.nb_cluster.(s) in
+                  joins.(vx.id) <- Some (target, edge_of_slot s);
                   Some (Join { cluster = target; via; w })
               | None ->
                   vx.w_threshold <- infinity;
@@ -381,27 +394,21 @@ let run ?accountant ~prng ~graph ~p ~k () =
           | Some _ | None -> None)
         verts
     in
-    superstep sim outgoing (fun ~receiver ~sender ~edge m ->
-        receive_join sim ~receiver ~sender ~edge m);
+    superstep sim outgoing (receive_join sim);
 
     (* Step 3.1 / 3.2: connections between unmarked clusters, split by
        cluster-id order so no edge is decided from both sides at once. *)
     let unmarked_clustered vx = vx.cluster <> None && not vx.marked in
-    let select_lower vx ~cluster ~other:_ ~edge =
-      (match vx.cluster with Some own -> cluster < own | None -> false)
-      && (not (Option.value ~default:false (Hashtbl.find_opt vx.neighbor_marked edge)))
-      && (Graph.edge graph edge).w < vx.w_threshold
-    in
-    let select_higher vx ~cluster ~other:_ ~edge =
-      (match vx.cluster with Some own -> cluster > own | None -> false)
-      && (not (Option.value ~default:false (Hashtbl.find_opt vx.neighbor_marked edge)))
-      && (Graph.edge graph edge).w < vx.w_threshold
+    let select ~lower vx ~cluster ~slot =
+      on_side ~lower vx cluster
+      && (not sim.nb_marked.(slot))
+      && st.weight.(edge_of_slot slot) < vx.w_threshold
     in
     sim.stage <- "spanner/unmarked-connect";
-    connect_stage sim ~participates:unmarked_clustered ~select:select_lower
-      ~weight_filtered:true;
-    connect_stage sim ~participates:unmarked_clustered ~select:select_higher
-      ~weight_filtered:true;
+    connect_stage sim ~participates:unmarked_clustered
+      ~select:(select ~lower:true) ~weight_filtered:true;
+    connect_stage sim ~participates:unmarked_clustered
+      ~select:(select ~lower:false) ~weight_filtered:true;
 
     (* Phase epilogue: cluster updates become effective. *)
     Array.iter
@@ -425,43 +432,32 @@ let run ?accountant ~prng ~graph ~p ~k () =
   phase_info_broadcast sim;
   let unclustered vx = vx.cluster = None in
   let clustered vx = vx.cluster <> None in
-  let select_any _vx ~cluster:_ ~other:_ ~edge:_ = true in
-  let select_lower vx ~cluster ~other:_ ~edge:_ =
-    match vx.cluster with Some own -> cluster < own | None -> false
-  in
-  let select_higher vx ~cluster ~other:_ ~edge:_ =
-    match vx.cluster with Some own -> cluster > own | None -> false
-  in
+  let select_any _vx ~cluster:_ ~slot:_ = true in
+  let select ~lower vx ~cluster ~slot:_ = on_side ~lower vx cluster in
   sim.stage <- "spanner/final-connect";
   connect_stage sim ~participates:unclustered ~select:select_any
     ~weight_filtered:false;
-  connect_stage sim ~participates:clustered ~select:select_lower
+  connect_stage sim ~participates:clustered ~select:(select ~lower:true)
     ~weight_filtered:false;
-  connect_stage sim ~participates:clustered ~select:select_higher
+  connect_stage sim ~participates:clustered ~select:(select ~lower:false)
     ~weight_filtered:false;
 
   (* Collect results and check that the two endpoints of every tried edge
      agree on its classification (the implicit-communication guarantee). *)
-  let m = Graph.m graph in
   let fplus = ref [] and fminus = ref [] in
   let agree = ref sim.consistent in
   for e = m - 1 downto 0 do
-    let ed = Graph.edge graph e in
-    let pu = in_fplus verts.(ed.u) e and pv = in_fplus verts.(ed.v) e in
-    let mu = in_fminus verts.(ed.u) e and mv = in_fminus verts.(ed.v) e in
-    if pu <> pv || mu <> mv then agree := false;
-    if pu || pv then fplus := e :: !fplus
-    else if mu || mv then fminus := e :: !fminus
+    let vu = sim.view.(2 * e) and vv = sim.view.((2 * e) + 1) in
+    if vu <> vv then agree := false;
+    if vu = Accepted || vv = Accepted then fplus := e :: !fplus
+    else if vu = Rejected || vv = Rejected then fminus := e :: !fminus
   done;
   let orientation =
     Array.of_list
       (List.map
          (fun e ->
-           match Hashtbl.find_opt sim.orientation e with
-           | Some o -> o
-           | None ->
-               let ed = Graph.edge graph e in
-               (ed.u, ed.v))
+           let from_ = st.tail.(e) in
+           (from_, Graph.other_endpoint (Graph.edge graph e) from_))
          !fplus)
   in
   {
@@ -473,6 +469,10 @@ let run ?accountant ~prng ~graph ~p ~k () =
     supersteps = sim.supersteps;
     views_agree = !agree;
   }
+
+let run ~prng ~graph ~p ~k () =
+  if k < 1 then invalid_arg "Spanner.run: k must be >= 1";
+  run_on ~prng ~k (state ~graph ~p)
 
 let out_degrees graph (result : result) =
   let deg = Array.make (Graph.n graph) 0 in

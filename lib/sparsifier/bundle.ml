@@ -1,48 +1,22 @@
-module Graph = Lbcc_graph.Graph
 module Spanner = Lbcc_spanner.Spanner
 
-type result = {
-  bundle : int list;
-  rejected : int list;
-  orientations : (int * int * int) list;
-  rounds : int;
-}
+type result = { bundle : int list; rejected : int list }
 
-let run ?accountant ~prng ~graph ~p ~k ~t () =
+let run ?accountant ~prng ~k ~t (st : Spanner.state) =
   if t < 1 then invalid_arg "Bundle.run: t must be >= 1";
-  let m = Graph.m graph in
-  if Array.length p <> m then invalid_arg "Bundle.run: p has wrong length";
-  let alive = Array.make m true in
-  let bundle = ref [] and rejected = ref [] and orientations = ref [] in
-  let rounds = ref 0 in
+  let bundle = ref [] and rejected = ref [] in
   for _i = 1 to t do
-    (* Restrict to edges not yet decided by earlier spanners of the bundle. *)
-    let ids =
-      List.filter (fun e -> alive.(e)) (List.init m Fun.id)
-    in
-    let sub = Graph.sub_edges graph ids in
-    let idx = Array.of_list ids in
-    let sub_p = Array.map (fun e -> p.(e)) idx in
-    let r = Spanner.run ?accountant ~prng ~graph:sub ~p:sub_p ~k () in
-    rounds := !rounds + r.Spanner.rounds;
-    List.iteri
-      (fun pos e ->
-        let orig = idx.(e) in
-        alive.(orig) <- false;
-        bundle := orig :: !bundle;
-        let from_, to_ = r.Spanner.orientation.(pos) in
-        orientations := (orig, from_, to_) :: !orientations)
-      r.Spanner.fplus;
+    (* Each spanner sees only the edges earlier spanners left undecided. *)
+    let r = Spanner.run_on ?accountant ~prng ~k st in
     List.iter
       (fun e ->
-        let orig = idx.(e) in
-        alive.(orig) <- false;
-        rejected := orig :: !rejected)
-      r.Spanner.fminus
+        st.live.(e) <- false;
+        st.p.(e) <- 1.0)
+      r.Spanner.fplus;
+    List.iter (fun e -> st.live.(e) <- false) r.Spanner.fminus;
+    bundle := r.Spanner.fplus :: !bundle;
+    rejected := r.Spanner.fminus :: !rejected
   done;
-  {
-    bundle = List.sort Int.compare !bundle;
-    rejected = List.sort Int.compare !rejected;
-    orientations = !orientations;
-    rounds = !rounds;
-  }
+  let bundle = List.sort Int.compare (List.concat !bundle) in
+  List.iter (fun e -> st.live.(e) <- true) bundle;
+  { bundle; rejected = List.sort Int.compare (List.concat !rejected) }

@@ -3,6 +3,7 @@ module Graph = Lbcc_graph.Graph
 module Rounds = Lbcc_net.Rounds
 module Model = Lbcc_net.Model
 module Payload = Lbcc_net.Payload
+module Spanner = Lbcc_spanner.Spanner
 
 type result = {
   sparsifier : Graph.t;
@@ -30,17 +31,9 @@ let default_t ~n ~epsilon =
    graphs.  Coalesce only when parallel edges are actually present, so the
    static pipeline's behaviour on simple inputs stays bit-identical;
    [edge_origin] then refers to the coalesced graph's edge ids. *)
-let has_parallel_edges g =
-  let seen = Hashtbl.create (2 * Graph.m g) in
-  Array.exists
-    (fun (e : Graph.edge) ->
-      let key = (Stdlib.min e.u e.v, Stdlib.max e.u e.v) in
-      Hashtbl.mem seen key || (Hashtbl.add seen key (); false))
-    (Graph.edges g)
-
 let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
   if epsilon <= 0.0 then invalid_arg "Sparsify.run: epsilon must be positive";
-  let graph = if has_parallel_edges graph then Graph.coalesce graph else graph in
+  let graph = if Graph.has_parallel_edges graph then Graph.coalesce graph else graph in
   let n = Graph.n graph and m = Graph.m graph in
   if n = 0 then invalid_arg "Sparsify.run: empty graph";
   let acc =
@@ -53,50 +46,24 @@ let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
   let k = match k with Some k -> k | None -> default_k ~n in
   let t = match t with Some t -> t | None -> default_t ~n ~epsilon in
   let iterations = default_iterations ~m in
-  (* Mutable per-edge state over original edge ids. *)
-  let weight = Array.map (fun (e : Graph.edge) -> e.w) (Graph.edges graph) in
-  let p = Array.make m 1.0 in
-  let alive = Array.make m true in
+  (* One edge state over the input's edge ids for the whole run: a dead
+     edge was sampled out of existence. *)
+  let st = Spanner.state ~graph ~p:(Array.make m 1.0) in
   let in_last_bundle = Array.make m false in
-  let orientation_tbl = Hashtbl.create 64 in
   let bundle_sizes = ref [] in
   for _i = 1 to iterations do
-    let ids = List.filter (fun e -> alive.(e)) (List.init m Fun.id) in
-    let idx = Array.of_list ids in
-    let edges =
-      Array.map
-        (fun e ->
-          let ed = Graph.edge graph e in
-          { ed with Graph.w = weight.(e) })
-        idx
-    in
-    let sub = Graph.of_edge_array ~n edges in
-    let sub_p = Array.map (fun e -> p.(e)) idx in
-    let b = Bundle.run ?accountant:(Some acc) ~prng ~graph:sub ~p:sub_p ~k ~t () in
+    let b = Bundle.run ~accountant:acc ~prng ~k ~t st in
     Array.fill in_last_bundle 0 m false;
-    List.iter
-      (fun e ->
-        let orig = idx.(e) in
-        in_last_bundle.(orig) <- true;
-        p.(orig) <- 1.0)
-      b.Bundle.bundle;
-    List.iter
-      (fun (e, from_, to_) ->
-        let orig = idx.(e) in
-        if not (Hashtbl.mem orientation_tbl orig) then
-          Hashtbl.replace orientation_tbl orig (from_, to_))
-      b.Bundle.orientations;
-    List.iter (fun e -> alive.(idx.(e)) <- false) b.Bundle.rejected;
+    List.iter (fun e -> in_last_bundle.(e) <- true) b.Bundle.bundle;
     bundle_sizes := List.length b.Bundle.bundle :: !bundle_sizes;
     (* Surviving non-bundle edges: quarter the probability, quadruple the
        weight (lines 8-10 of Algorithm 5). *)
-    Array.iter
-      (fun orig ->
-        if alive.(orig) && not (in_last_bundle.(orig)) then begin
-          p.(orig) <- p.(orig) /. 4.0;
-          weight.(orig) <- weight.(orig) *. 4.0
-        end)
-      idx
+    for e = 0 to m - 1 do
+      if st.live.(e) && not in_last_bundle.(e) then begin
+        st.p.(e) <- st.p.(e) /. 4.0;
+        st.weight.(e) <- st.weight.(e) *. 4.0
+      end
+    done
   done;
   (* Final step (lines 11-15): keep the last bundle; sample each remaining
      probabilistic edge at its lower-id endpoint and broadcast additions. *)
@@ -104,18 +71,17 @@ let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
   let final_sampled = ref 0 in
   let adds_per_vertex = Array.make n 0 in
   for e = m - 1 downto 0 do
-    if alive.(e) then begin
+    if st.live.(e) then begin
       if in_last_bundle.(e) then kept := e :: !kept
       else begin
         let ed = Graph.edge graph e in
-        let lower = Stdlib.min ed.u ed.v and higher = Stdlib.max ed.u ed.v in
-        if Prng.bernoulli prng p.(e) then begin
+        let lower = Stdlib.min ed.u ed.v in
+        if Prng.bernoulli prng st.p.(e) then begin
           kept := e :: !kept;
           incr final_sampled;
           adds_per_vertex.(lower) <- adds_per_vertex.(lower) + 1;
           (* Orientation of sampled leftovers: towards the higher id. *)
-          if not (Hashtbl.mem orientation_tbl e) then
-            Hashtbl.replace orientation_tbl e (lower, higher)
+          if st.tail.(e) < 0 then st.tail.(e) <- lower
         end
       end
     end
@@ -124,29 +90,26 @@ let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
      leftover edges one per superstep; lockstep cost is the longest list. *)
   let max_adds = Array.fold_left Stdlib.max 0 adds_per_vertex in
   let msg_bits =
-    Payload.size [ Vertex_id n; Vertex_id n; Weight (Array.fold_left Float.max 1.0 weight) ]
+    Payload.size
+      [ Vertex_id n; Vertex_id n; Weight (Array.fold_left Float.max 1.0 st.weight) ]
   in
   for _ = 1 to max_adds do
     Rounds.charge_broadcast acc ~label:"sparsifier-final-sampling" ~bits:msg_bits
   done;
-  let kept = !kept in
-  let edge_origin = Array.of_list kept in
-  let edges =
-    Array.map
-      (fun e ->
-        let ed = Graph.edge graph e in
-        { ed with Graph.w = weight.(e) })
-      edge_origin
+  (* Every kept edge has a tail: the bundle edges entered F+, and the
+     sampled leftovers were just given one. *)
+  let edge_origin = Array.of_list !kept in
+  let sparsifier =
+    Graph.of_edge_array ~n
+      (Array.map
+         (fun e -> { (Graph.edge graph e) with Graph.w = st.weight.(e) })
+         edge_origin)
   in
-  let sparsifier = Graph.of_edge_array ~n edges in
   let orientation =
     Array.map
       (fun e ->
-        match Hashtbl.find_opt orientation_tbl e with
-        | Some o -> o
-        | None ->
-            let ed = Graph.edge graph e in
-            (Stdlib.min ed.u ed.v, Stdlib.max ed.u ed.v))
+        let from_ = st.tail.(e) in
+        (from_, Graph.other_endpoint (Graph.edge graph e) from_))
       edge_origin
   in
   {

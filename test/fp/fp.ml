@@ -218,8 +218,8 @@ let protocols =
         with_acct (fun acc ->
             let graph, p = probabilistic_input seed in
             let r =
-              Spanner.run ~accountant:acc ~prng:(Prng.create (seed + 400))
-                ~graph ~p ~k:3 ()
+              Spanner.run_on ~accountant:acc ~prng:(Prng.create (seed + 400))
+                ~k:3 (Spanner.state ~graph ~p)
             in
             let clusters =
               Array.map (Option.value ~default:(-1)) r.Spanner.clusters
@@ -233,13 +233,17 @@ let protocols =
       fun seed ->
         with_acct (fun acc ->
             let graph, p = probabilistic_input seed in
+            let st = Spanner.state ~graph ~p in
             let b =
-              Bundle.run ~accountant:acc ~prng:(Prng.create (seed + 400))
-                ~graph ~p ~k:3 ~t:3 ()
+              Bundle.run ~accountant:acc ~prng:(Prng.create (seed + 400)) ~k:3
+                ~t:3 st
             in
             let orientation =
-              List.sort compare b.Bundle.orientations
-              |> List.map (fun (_, from_, to_) -> (from_, to_))
+              List.map
+                (fun e ->
+                  let from_ = st.Spanner.tail.(e) in
+                  (from_, Graph.other_endpoint (Graph.edge graph e) from_))
+                b.Bundle.bundle
             in
             Printf.sprintf "%s|%s|%s" (int_list b.Bundle.bundle)
               (int_list b.Bundle.rejected)

@@ -9,6 +9,7 @@ let run_spanner ?(seed = 1) ~graph ~p ~k () =
   Spanner.run ~prng:(Prng.create seed) ~graph ~p ~k ()
 
 let ones_p g = Array.make (Graph.m g) 1.0
+let ones_state g = Spanner.state ~graph:g ~p:(ones_p g)
 
 (* With p ≡ 1 the algorithm is Baswana–Sen: nothing is ever rejected. *)
 let test_deterministic_no_rejections () =
@@ -211,8 +212,8 @@ let test_phase_breakdown_labels () =
   let acc =
     Lbcc_net.Rounds.create ~bandwidth:(Lbcc_net.Model.bandwidth ~n:24)
   in
-  let _ = Spanner.run ~accountant:acc ~prng:(Prng.create 11) ~graph:g
-      ~p:(ones_p g) ~k:3 () in
+  let _ = Spanner.run_on ~accountant:acc ~prng:(Prng.create 11) ~k:3
+      (ones_state g) in
   let breakdown = Lbcc_net.Rounds.breakdown acc in
   List.iter
     (fun label ->
@@ -227,7 +228,7 @@ let test_bundle_partitions () =
   let prng = Prng.create 46 in
   let g = Gen.erdos_renyi_connected prng ~n:32 ~p:0.5 ~w_max:3 in
   let p = ones_p g in
-  let b = Bundle.run ~prng:(Prng.create 8) ~graph:g ~p ~k:3 ~t:3 () in
+  let b = Bundle.run ~prng:(Prng.create 8) ~k:3 ~t:3 (Spanner.state ~graph:g ~p) in
   (* With p = 1 nothing is rejected and bundle edges are distinct. *)
   Alcotest.(check (list int)) "no rejections" [] b.Bundle.rejected;
   let sorted = List.sort_uniq compare b.Bundle.bundle in
@@ -237,7 +238,7 @@ let test_bundle_partitions () =
 let test_bundle_preserves_connectivity () =
   let prng = Prng.create 47 in
   let g = Gen.erdos_renyi_connected prng ~n:32 ~p:0.5 ~w_max:3 in
-  let b = Bundle.run ~prng:(Prng.create 9) ~graph:g ~p:(ones_p g) ~k:3 ~t:2 () in
+  let b = Bundle.run ~prng:(Prng.create 9) ~k:3 ~t:2 (ones_state g) in
   Alcotest.(check bool) "bundle spans" true
     (Graph.is_connected (Graph.sub_edges g b.Bundle.bundle))
 
@@ -245,7 +246,7 @@ let test_bundle_first_spanner_stretch () =
   let prng = Prng.create 48 in
   let g = Gen.erdos_renyi_connected prng ~n:32 ~p:0.5 ~w_max:3 in
   let k = 3 in
-  let b = Bundle.run ~prng:(Prng.create 10) ~graph:g ~p:(ones_p g) ~k ~t:2 () in
+  let b = Bundle.run ~prng:(Prng.create 10) ~k ~t:2 (ones_state g) in
   (* The union is at least as good as a single spanner. *)
   let s = Paths.stretch g (Graph.sub_edges g b.Bundle.bundle) in
   Alcotest.(check bool) "bundle stretch" true (s <= float_of_int ((2 * k) - 1) +. 1e-9)
@@ -253,8 +254,8 @@ let test_bundle_first_spanner_stretch () =
 let test_bundle_grows_with_t () =
   let prng = Prng.create 49 in
   let g = Gen.erdos_renyi_connected prng ~n:48 ~p:0.7 ~w_max:1 in
-  let b1 = Bundle.run ~prng:(Prng.create 11) ~graph:g ~p:(ones_p g) ~k:4 ~t:1 () in
-  let b3 = Bundle.run ~prng:(Prng.create 11) ~graph:g ~p:(ones_p g) ~k:4 ~t:3 () in
+  let b1 = Bundle.run ~prng:(Prng.create 11) ~k:4 ~t:1 (ones_state g) in
+  let b3 = Bundle.run ~prng:(Prng.create 11) ~k:4 ~t:3 (ones_state g) in
   Alcotest.(check bool) "more spanners, more edges" true
     (List.length b3.Bundle.bundle > List.length b1.Bundle.bundle)
 
