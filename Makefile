@@ -43,7 +43,8 @@ lint-typed: build
 # must still terminate honestly.  Greps assert the recovery, not just exit 0.
 # The certified sparsify run must keep --json and --reliability under
 # --max-retries.
-# Last, an out-of-range --source and a malformed --input network must be
+# Last, an out-of-range --source, a malformed --input network, NaN or
+# out-of-range numeric options and a size the generator rejects must be
 # usage errors (exit 2).
 smoke: build
 	$(CLI) dist --algo bfs --vertices 24 --drop-prob 0.2 --crash 23@30 \
@@ -70,21 +71,29 @@ smoke: build
 	$(CLI) dist --algo bfs --source 999 >/dev/null 2>&1; test $$? -eq 2
 	f=$$(mktemp) && printf 'p mcmf 2 1 0 1\na 0 1 x 1\n' > $$f; \
 	  $(CLI) flow --input $$f >/dev/null 2>&1; s=$$?; rm -f $$f; test $$s -eq 2
+	$(CLI) spanner --edge-prob nan >/dev/null 2>&1; test $$? -eq 2
+	$(CLI) sparsify --epsilon nan >/dev/null 2>&1; test $$? -eq 2
+	$(CLI) solve --eps nan >/dev/null 2>&1; test $$? -eq 2
+	$(CLI) sparsify --vertices 2 >/dev/null 2>&1; test $$? -eq 2
 	@echo "smoke: OK"
 
 # Benchmark smoke: the whole unit suite re-run on a 2-domain worker pool
 # (any sequential/parallel divergence fails the determinism suite), then
-# fast experiments plus the multicore PERF profile emitting machine-readable
-# reports; each BENCH_<EXP>.json must parse and validate against the
-# lbcc-bench/1 schema (the harness itself exits nonzero if any claim leaves
-# its bound — for PERF that includes outputs differing across pool sizes).
+# fast experiments (E2, E4 and E15 gate the spanner round ratio, the
+# Lemma 3.3 equal means and the k ablation) plus the multicore PERF
+# profile emitting machine-readable reports; each BENCH_<EXP>.json must
+# parse and validate against the lbcc-bench/1 schema (the harness itself
+# exits nonzero if any claim leaves its bound — for PERF that includes
+# outputs differing across pool sizes).
 bench-smoke: build
 	LBCC_DOMAINS=2 dune runtest --force
 	rm -rf _bench_reports && mkdir -p _bench_reports
-	dune exec bench/main.exe -- E1 E3 E5 BYZ PERF BATCH --json --out _bench_reports
+	dune exec bench/main.exe -- E1 E2 E3 E4 E5 E15 BYZ PERF BATCH --json \
+	  --out _bench_reports
 	$(CLI) report --validate _bench_reports/BENCH_E1.json \
-	  _bench_reports/BENCH_E3.json _bench_reports/BENCH_E5.json \
-	  _bench_reports/BENCH_BYZ.json \
+	  _bench_reports/BENCH_E2.json _bench_reports/BENCH_E3.json \
+	  _bench_reports/BENCH_E4.json _bench_reports/BENCH_E5.json \
+	  _bench_reports/BENCH_E15.json _bench_reports/BENCH_BYZ.json \
 	  _bench_reports/BENCH_PERF.json _bench_reports/BENCH_BATCH.json
 	@echo "bench-smoke: OK"
 

@@ -33,6 +33,28 @@ module Report = Lbcc_obs.Report
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 
+(* Numeric converters: a value outside the range, NaN included, is a
+   usage error (exit 2), not a run that fails or reports nonsense. *)
+let checked base ~ok ~expected =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg ("expected " ^ expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let probability =
+  checked Arg.float ~ok:(fun p -> p >= 0.0 && p <= 1.0)
+    ~expected:"a probability in [0, 1]"
+
+let positive_float =
+  checked Arg.float ~ok:(fun x -> x > 0.0 && Float.is_finite x)
+    ~expected:"a positive finite number"
+
+let positive_int =
+  checked Arg.int ~ok:(fun k -> k >= 1) ~expected:"an integer >= 1"
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
@@ -59,7 +81,9 @@ let with_domains term =
   Term.(const (fun () r -> r) $ setup_term $ term)
 
 let n_arg =
-  Arg.(value & opt int 64 & info [ "n"; "vertices" ] ~docv:"N" ~doc:"Number of vertices.")
+  Arg.(
+    value & opt positive_int 64
+    & info [ "n"; "vertices" ] ~docv:"N" ~doc:"Number of vertices.")
 
 let family_arg =
   let families = [ ("er", `Er); ("grid", `Grid); ("complete", `Complete);
@@ -73,19 +97,26 @@ let family_arg =
 let w_max_arg =
   Arg.(value & opt int 8 & info [ "w-max" ] ~docv:"W" ~doc:"Maximum edge weight.")
 
+(* A size or weight the generator rejects is bad input, not a crash. *)
 let make_graph family seed n w_max =
   let prng = Prng.create seed in
-  match family with
-  | `Er -> Gen.erdos_renyi_connected prng ~n ~p:0.3 ~w_max
-  | `Grid ->
-      let side = Stdlib.max 2 (int_of_float (sqrt (float_of_int n))) in
-      Gen.grid prng ~rows:side ~cols:side ~w_max
-  | `Complete -> Gen.complete prng ~n ~w_max
-  | `Torus ->
-      let side = Stdlib.max 3 (int_of_float (sqrt (float_of_int n))) in
-      Gen.torus prng ~rows:side ~cols:side ~w_max
-  | `Geometric -> Gen.random_geometric prng ~n ~radius:0.3 ~w_max
-  | `Barbell -> Gen.barbell prng ~clique:(Stdlib.max 2 (n / 3)) ~path:(Stdlib.max 1 (n / 3)) ~w_max
+  try
+    match family with
+    | `Er -> Gen.erdos_renyi_connected prng ~n ~p:0.3 ~w_max
+    | `Grid ->
+        let side = Stdlib.max 2 (int_of_float (sqrt (float_of_int n))) in
+        Gen.grid prng ~rows:side ~cols:side ~w_max
+    | `Complete -> Gen.complete prng ~n ~w_max
+    | `Torus ->
+        let side = Stdlib.max 3 (int_of_float (sqrt (float_of_int n))) in
+        Gen.torus prng ~rows:side ~cols:side ~w_max
+    | `Geometric -> Gen.random_geometric prng ~n ~radius:0.3 ~w_max
+    | `Barbell ->
+        Gen.barbell prng ~clique:(Stdlib.max 2 (n / 3))
+          ~path:(Stdlib.max 1 (n / 3)) ~w_max
+  with Invalid_argument msg ->
+    Printf.eprintf "lbcc: %s\n" msg;
+    exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags (sparsify / solve / flow)                       *)
@@ -287,9 +318,15 @@ let finish name ~trace ~json tracer metrics report (o : _ Resilient.outcome) =
 
 let sparsify_cmd =
   let epsilon =
-    Arg.(value & opt float 0.5 & info [ "epsilon" ] ~doc:"Target spectral error.")
+    Arg.(
+      value & opt positive_float 0.5
+      & info [ "epsilon" ] ~doc:"Target spectral error.")
   in
-  let t = Arg.(value & opt (some int) None & info [ "t"; "bundle" ] ~doc:"Bundle size override.") in
+  let t =
+    Arg.(
+      value & opt (some positive_int) None
+      & info [ "t"; "bundle" ] ~doc:"Bundle size override.")
+  in
   let run seed n family w_max epsilon t max_retries reliability trace json =
     let g = make_graph family seed n w_max in
     Printf.printf "input: n=%d m=%d\n" (Graph.n g) (Graph.m g);
@@ -318,7 +355,9 @@ let make_rhs ~seed ~nv k =
       Vec.mean_center (Vec.init nv (fun _ -> Prng.gaussian prng)))
 
 let solve_cmd =
-  let eps = Arg.(value & opt float 1e-8 & info [ "eps" ] ~doc:"Solution accuracy.") in
+  let eps =
+    Arg.(value & opt positive_float 1e-8 & info [ "eps" ] ~doc:"Solution accuracy.")
+  in
   let batch =
     Arg.(
       value & opt int 1
@@ -473,7 +512,7 @@ let update_cmd =
   in
   let epsilon =
     Arg.(
-      value & opt float 0.5
+      value & opt positive_float 0.5
       & info [ "epsilon" ] ~doc:"Sketch target spectral error.")
   in
   let run seed n family w_max steps ops epsilon json =
@@ -557,9 +596,15 @@ let update_cmd =
          $ epsilon $ json_arg))
 
 let spanner_cmd =
-  let k = Arg.(value & opt int 3 & info [ "k"; "stretch" ] ~doc:"Stretch parameter (2k-1).") in
+  let k =
+    Arg.(
+      value & opt positive_int 3
+      & info [ "k"; "stretch" ] ~doc:"Stretch parameter (2k-1).")
+  in
   let edge_prob =
-    Arg.(value & opt float 1.0 & info [ "edge-prob" ] ~doc:"Edge survival probability.")
+    Arg.(
+      value & opt probability 1.0
+      & info [ "edge-prob" ] ~doc:"Edge survival probability.")
   in
   let run seed n family w_max k edge_prob =
     let g = make_graph family seed n w_max in
@@ -672,17 +717,9 @@ let dist_cmd =
       & info [ "source" ] ~docv:"V" ~doc:"Source vertex for bfs/sssp.")
   in
   let patience_arg =
-    let positive =
-      let parse s =
-        match int_of_string_opt s with
-        | Some k when k >= 1 -> Ok k
-        | _ -> Error (`Msg "expected an integer >= 1")
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(
       value
-      & opt (some positive) None
+      & opt (some positive_int) None
       & info [ "patience" ] ~docv:"K"
           ~doc:
             "Reliable broadcast suspects a neighbor crashed after K silent \

@@ -95,7 +95,7 @@ let workspace t =
   { h_scratch = Exact.clone_scratch t.factor; centered = Vec.zeros (Graph.n t.graph) }
 
 let solve ?accountant ?(phases = [ "solve" ]) ?workspace t ~b ~eps =
-  if eps <= 0.0 then invalid_arg "Solver.solve: eps must be positive";
+  if not (eps > 0.0) then invalid_arg "Solver.solve: eps must be positive";
   let ws =
     match workspace with
     | Some w ->

@@ -85,4 +85,5 @@ val solve :
     accountant phase nesting (default [["solve"]]; the service layer passes
     [["query"]]).  Pass a distinct [workspace] per lane to run concurrent
     solves on one handle; results are identical either way (the iteration
-    count is a function of [(kappa, eps)] alone). *)
+    count is a function of [(kappa, eps)] alone).
+    @raise Invalid_argument if [eps] is not positive (NaN included). *)

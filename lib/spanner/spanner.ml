@@ -46,7 +46,7 @@ let state ~graph ~p =
   if Array.length p <> m then invalid_arg "Spanner.run: p has wrong length";
   Array.iter
     (fun pe ->
-      if pe < 0.0 || pe > 1.0 then
+      if not (pe >= 0.0 && pe <= 1.0) then
         invalid_arg "Spanner.run: probability out of range")
     p;
   if Graph.has_parallel_edges graph then

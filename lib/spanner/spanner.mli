@@ -77,7 +77,7 @@ val run :
 (** [run ~prng ~graph ~p ~k ()] with [p.(e)] the survival probability of edge
     [e] and stretch parameter [k >= 1]: {!run_on} over a fresh {!state}.
     @raise Invalid_argument if [p] has the wrong length, a probability is
-    outside [\[0,1\]], [k < 1], or [graph] has parallel edges. *)
+    outside [\[0,1\]] or NaN, [k < 1], or [graph] has parallel edges. *)
 
 val out_degrees : Graph.t -> result -> int array
 (** Out-degree per vertex under the result's orientation. *)

@@ -9,7 +9,7 @@ type result = {
 }
 
 let run ?k ?t ~prng ~graph ~epsilon () =
-  if epsilon <= 0.0 then invalid_arg "Apriori.run: epsilon must be positive";
+  if not (epsilon > 0.0) then invalid_arg "Apriori.run: epsilon must be positive";
   let n = Graph.n graph and m = Graph.m graph in
   if n = 0 then invalid_arg "Apriori.run: empty graph";
   let k = match k with Some k -> k | None -> Sparsify.default_k ~n in

@@ -32,7 +32,7 @@ let default_t ~n ~epsilon =
    static pipeline's behaviour on simple inputs stays bit-identical;
    [edge_origin] then refers to the coalesced graph's edge ids. *)
 let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
-  if epsilon <= 0.0 then invalid_arg "Sparsify.run: epsilon must be positive";
+  if not (epsilon > 0.0) then invalid_arg "Sparsify.run: epsilon must be positive";
   let graph = if Graph.has_parallel_edges graph then Graph.coalesce graph else graph in
   let n = Graph.n graph and m = Graph.m graph in
   if n = 0 then invalid_arg "Sparsify.run: empty graph";

@@ -47,7 +47,8 @@ val run :
     insert duplicated an endpoint pair) is coalesced first; [edge_origin]
     then refers to the coalesced graph's edge ids.  Simple inputs are
     untouched, bit-identically.
-    @raise Invalid_argument on non-positive [epsilon] or an empty graph. *)
+    @raise Invalid_argument on an [epsilon] that is not positive (NaN
+    included) or an empty graph. *)
 
 val out_degrees : result -> int array
 (** Out-degree profile of the orientation, indexed by vertex. *)

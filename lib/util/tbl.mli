@@ -5,8 +5,7 @@
     (lbcc-lint rule [det-unordered-hashtbl]); these helpers impose a total
     key order instead.  O(n log n) over the bindings — meant for result
     assembly and diagnostics, not the superstep hot loop (only
-    [Byzantine]'s echo rounds and the spanner's driver still sort
-    there). *)
+    [Byzantine]'s echo rounds still sort there). *)
 
 val sorted_bindings :
   compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list

@@ -139,6 +139,15 @@ let test_solver_rejects_disconnected () =
     (Invalid_argument "Solver.preprocess: graph must be connected") (fun () ->
       ignore (solver_for g))
 
+let test_solver_rejects_nan_eps () =
+  let prng = Prng.create 12 in
+  let g = Gen.erdos_renyi_connected prng ~n:16 ~p:0.4 ~w_max:4 in
+  let s = solver_for g in
+  let b = zero_sum_b prng 16 in
+  Alcotest.check_raises "NaN eps"
+    (Invalid_argument "Solver.solve: eps must be positive") (fun () ->
+      ignore (Solver.solve s ~b ~eps:Float.nan))
+
 let test_solver_on_grid_and_barbell () =
   List.iter
     (fun g ->
@@ -257,6 +266,7 @@ let suites =
         Alcotest.test_case "above exact range" `Quick test_solver_above_exact_range;
         Alcotest.test_case "rounds accounting" `Quick test_solver_rounds_accounting;
         Alcotest.test_case "rejects disconnected" `Quick test_solver_rejects_disconnected;
+        Alcotest.test_case "rejects NaN eps" `Quick test_solver_rejects_nan_eps;
         Alcotest.test_case "grid and barbell" `Slow test_solver_on_grid_and_barbell;
       ] );
     ( "laplacian.gremban",

@@ -169,6 +169,14 @@ let test_rejects_bad_inputs () =
     (Invalid_argument "Spanner.run: p has wrong length") (fun () ->
       ignore (run_spanner ~graph:g ~p:[| 1.0 |] ~k:2 ()))
 
+let test_rejects_nan_probability () =
+  let g = Gen.ring (Prng.create 45) ~n:5 in
+  let p = ones_p g in
+  p.(0) <- Float.nan;
+  Alcotest.check_raises "NaN probability"
+    (Invalid_argument "Spanner.run: probability out of range") (fun () ->
+      ignore (run_spanner ~graph:g ~p ~k:2 ()))
+
 (* Marginal probability: among edges that were tried (landed in F), the
    fraction accepted should track p. *)
 let test_acceptance_rate_tracks_p () =
@@ -259,6 +267,65 @@ let test_bundle_grows_with_t () =
   Alcotest.(check bool) "more spanners, more edges" true
     (List.length b3.Bundle.bundle > List.length b1.Bundle.bundle)
 
+(* The reference for a bundle over a live mask: [t] public [Spanner.run]
+   calls, each on the subgraph of the edges earlier calls left undecided,
+   with ids mapped back.  Returns the bundle, the rejected edges, the
+   orientation tail per input edge and whether every call's views
+   agreed. *)
+let subgraph_bundle ~prng ~graph ~p ~k ~t =
+  let m = Graph.m graph in
+  let undecided = Array.make m true and tail = Array.make m (-1) in
+  let bundle = ref [] and rejected = ref [] and agree = ref true in
+  for _ = 1 to t do
+    let ids = List.filter (fun e -> undecided.(e)) (List.init m Fun.id) in
+    let idx = Array.of_list ids in
+    let r =
+      Spanner.run ~prng ~graph:(Graph.sub_edges graph ids)
+        ~p:(Array.map (fun e -> p.(e)) idx) ~k ()
+    in
+    agree := !agree && r.Spanner.views_agree;
+    List.iteri
+      (fun pos e ->
+        undecided.(idx.(e)) <- false;
+        bundle := idx.(e) :: !bundle;
+        tail.(idx.(e)) <- fst r.Spanner.orientation.(pos))
+      r.Spanner.fplus;
+    List.iter
+      (fun e ->
+        undecided.(idx.(e)) <- false;
+        rejected := idx.(e) :: !rejected)
+      r.Spanner.fminus
+  done;
+  (List.sort compare !bundle, List.sort compare !rejected, tail, !agree)
+
+(* A live mask means the same as a subgraph: the bundle over the edge
+   state equals the subgraph reference edge for edge, orientation
+   included. *)
+let prop_live_mask_is_subgraph =
+  QCheck.Test.make ~count:40 ~name:"bundle over a live mask = subgraph bundle"
+    QCheck.(
+      quad (int_range 1 10_000) (int_range 0 3) (int_range 1 4) (int_range 1 3))
+    (fun (seed, p_kind, k, t) ->
+      let draw = Prng.create seed in
+      let graph =
+        Gen.erdos_renyi_connected draw ~n:(8 + (seed mod 25)) ~p:0.3 ~w_max:4
+      in
+      let p =
+        Array.init (Graph.m graph) (fun _ ->
+            match p_kind with
+            | 0 -> 0.0
+            | 1 -> 0.1
+            | 2 -> 1.0 -. Prng.float draw
+            | _ -> 1.0)
+      in
+      let st = Spanner.state ~graph ~p in
+      let b = Bundle.run ~prng:(Prng.create (seed + 1)) ~k ~t st in
+      let bundle, rejected, tail, agree =
+        subgraph_bundle ~prng:(Prng.create (seed + 1)) ~graph ~p ~k ~t
+      in
+      agree && b.Bundle.bundle = bundle && b.Bundle.rejected = rejected
+      && st.Spanner.tail = tail)
+
 let suites =
   [
     ( "spanner.deterministic",
@@ -271,6 +338,8 @@ let suites =
         Alcotest.test_case "out-degree" `Quick test_out_degree_bounded;
         Alcotest.test_case "rounds charged" `Quick test_rounds_charged;
         Alcotest.test_case "rejects bad inputs" `Quick test_rejects_bad_inputs;
+        Alcotest.test_case "rejects NaN probability" `Quick
+          test_rejects_nan_probability;
         Alcotest.test_case "cluster ids valid" `Quick test_cluster_ids_are_vertices;
         Alcotest.test_case "k=1 singleton clusters" `Quick test_k1_singleton_clusters;
         Alcotest.test_case "phase breakdown labels" `Quick test_phase_breakdown_labels;
@@ -289,5 +358,6 @@ let suites =
         Alcotest.test_case "connectivity" `Quick test_bundle_preserves_connectivity;
         Alcotest.test_case "stretch" `Quick test_bundle_first_spanner_stretch;
         Alcotest.test_case "grows with t" `Quick test_bundle_grows_with_t;
+        QCheck_alcotest.to_alcotest prop_live_mask_is_subgraph;
       ] );
   ]

@@ -271,6 +271,15 @@ let test_bound_refuses_weight_spread () =
         c.Certify.lambda_min c.Certify.lambda_max
   | exception Certify.Not_certified _ -> ()
 
+let test_rejects_nan_epsilon () =
+  let g = Gen.erdos_renyi_connected (Prng.create 24) ~n:12 ~p:0.5 ~w_max:2 in
+  Alcotest.check_raises "sparsify"
+    (Invalid_argument "Sparsify.run: epsilon must be positive") (fun () ->
+      ignore (Sparsify.run ~prng:(Prng.create 1) ~graph:g ~epsilon:Float.nan ~t:1 ()));
+  Alcotest.check_raises "apriori"
+    (Invalid_argument "Apriori.run: epsilon must be positive") (fun () ->
+      ignore (Apriori.run ~prng:(Prng.create 1) ~graph:g ~epsilon:Float.nan ~t:1 ()))
+
 let suites =
   [
     ( "sparsifier.basic",
@@ -281,6 +290,7 @@ let suites =
         Alcotest.test_case "edge origin" `Quick test_edge_origin_valid;
         Alcotest.test_case "out-degree" `Quick test_out_degree_bound;
         Alcotest.test_case "rounds" `Quick test_rounds_positive_and_scaling;
+        Alcotest.test_case "rejects NaN epsilon" `Quick test_rejects_nan_epsilon;
       ] );
     ( "sparsifier.quality",
       [
