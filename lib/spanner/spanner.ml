@@ -470,9 +470,7 @@ let run_on ?accountant ~prng ~k st =
     views_agree = !agree;
   }
 
-let run ~prng ~graph ~p ~k () =
-  if k < 1 then invalid_arg "Spanner.run: k must be >= 1";
-  run_on ~prng ~k (state ~graph ~p)
+let run ~prng ~graph ~p ~k () = run_on ~prng ~k (state ~graph ~p)
 
 let out_degrees graph (result : result) =
   let deg = Array.make (Graph.n graph) 0 in
