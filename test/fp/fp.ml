@@ -34,8 +34,8 @@ module Vec = Lbcc_linalg.Vec
 
 let seeds = List.init 10 (fun i -> i + 1)
 
-let graph_of seed =
-  Gen.erdos_renyi_connected (Prng.create seed) ~n:40 ~p:0.15 ~w_max:8
+let graph_of ?(w_max = 8) seed =
+  Gen.erdos_renyi_connected (Prng.create seed) ~n:40 ~p:0.15 ~w_max
 
 let faults_of seed =
   Fault.create ~seed
@@ -67,8 +67,8 @@ let edges_fp h =
 
 (* The spanner and bundle rows' input: the protocol graph with per-edge
    survival probabilities drawn from [0.2, 1). *)
-let probabilistic_input seed =
-  let g = graph_of seed in
+let probabilistic_input ?w_max seed =
+  let g = graph_of ?w_max seed in
   let prng = Prng.create (seed + 300) in
   (g, Array.init (Graph.m g) (fun _ -> 0.2 +. (0.8 *. Prng.float prng)))
 
@@ -82,6 +82,17 @@ let with_acct f =
   let acc = Rounds.create ~bandwidth:16 in
   let fp = f acc in
   fp ^ "|" ^ acct_fp acc
+
+let spanner_fp ?w_max seed acc =
+  let graph, p = probabilistic_input ?w_max seed in
+  let r =
+    Spanner.run_on ~accountant:acc ~prng:(Prng.create (seed + 400)) ~k:3
+      (Spanner.state ~graph ~p)
+  in
+  let clusters = Array.map (Option.value ~default:(-1)) r.Spanner.clusters in
+  Printf.sprintf "%s|%s|%s|%s|%d|%d|%b" (int_list r.Spanner.fplus)
+    (int_list r.Spanner.fminus) (pairs r.Spanner.orientation) (ints clusters)
+    r.Spanner.rounds r.Spanner.supersteps r.Spanner.views_agree
 
 (* protocol name, fingerprint of one full run. *)
 let protocols =
@@ -214,20 +225,12 @@ let protocols =
               r.Sparsify.rounds r.Sparsify.final_sampled) );
     ( "spanner",
       (* Lemma 3.1 with probabilistic edges at k = 3. *)
-      fun seed ->
-        with_acct (fun acc ->
-            let graph, p = probabilistic_input seed in
-            let r =
-              Spanner.run_on ~accountant:acc ~prng:(Prng.create (seed + 400))
-                ~k:3 (Spanner.state ~graph ~p)
-            in
-            let clusters =
-              Array.map (Option.value ~default:(-1)) r.Spanner.clusters
-            in
-            Printf.sprintf "%s|%s|%s|%s|%d|%d|%b" (int_list r.Spanner.fplus)
-              (int_list r.Spanner.fminus) (pairs r.Spanner.orientation)
-              (ints clusters) r.Spanner.rounds r.Spanner.supersteps
-              r.Spanner.views_agree) );
+      fun seed -> with_acct (spanner_fp seed) );
+    ( "spanner wide weights",
+      (* The spanner row at weights up to 2^40.  Join and Connect_ok
+         messages carry a weight, so here they differ in size, and a
+         stage's charge per queue position shows in the rounds. *)
+      fun seed -> with_acct (spanner_fp ~w_max:(1 lsl 40) seed) );
     ( "bundle",
       (* Algorithm 3: a t = 3 bundle of the spanner row's spanners. *)
       fun seed ->
