@@ -85,7 +85,9 @@ type sim = {
   nb_marked : bool array;
   nb_w : float array; (* neighbour's join weight, neg_infinity until heard *)
   acc : Rounds.t;
-  mutable stage : string; (* label for the accountant's per-phase breakdown *)
+  widest : int array;
+      (* per stage queue position, the largest message so far; a queue
+         holds at most one message per cluster, so at most n *)
   mutable supersteps : int;
   mutable consistent : bool;
 }
@@ -154,47 +156,50 @@ let connect sim vx candidates =
   go sorted
 
 (* ------------------------------------------------------------------ *)
-(* Superstep drivers                                                   *)
+(* The stage driver                                                    *)
 
-(* One synchronous broadcast superstep: each vertex sends at most one
-   message to all its live neighbours; the step costs the largest message.
-   [receive] gets the receiver's slot of the edge the message came over. *)
-let superstep sim (outgoing : msg option array) receive =
-  let any = Array.exists Option.is_some outgoing in
-  if any then begin
-    sim.supersteps <- sim.supersteps + 1;
-    let max_bits = ref 1 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some m -> max_bits := Stdlib.max !max_bits (msg_bits ~n:sim.n m))
-      outgoing;
-    Rounds.charge_broadcast sim.acc ~label:sim.stage ~bits:!max_bits;
-    (* Deliver: receivers process broadcasts in sender order. *)
-    for v = 0 to sim.n - 1 do
-      match outgoing.(v) with
-      | None -> ()
-      | Some m ->
-          iter_live sim v (fun u s ->
-              receive ~receiver:sim.verts.(u) ~sender:v ~slot:(s lxor 1) m)
-    done
-  end
+let rec deliver receive ~receiver ~sender ~slot = function
+  | [] -> ()
+  | m :: rest ->
+      receive ~receiver ~sender ~slot m;
+      deliver receive ~receiver ~sender ~slot rest
 
-(* Drain per-vertex message queues, one broadcast per vertex per superstep. *)
-let drain_queues sim (queues : msg list array) receive =
-  let pending () = Array.exists (fun q -> q <> []) queues in
-  while pending () do
-    let outgoing =
-      Array.map
-        (function
-          | [] -> None
-          | m :: _ -> Some m)
-        queues
-    in
-    Array.iteri
-      (fun v q -> match q with [] -> () | _ :: rest -> queues.(v) <- rest)
-      queues;
-    superstep sim outgoing receive
+(* One stage: [messages vx] is the queue of broadcasts [vx] sends in the
+   stage, asked of every vertex in id order before anything is
+   delivered.  Queue position [j] goes out in the stage's [j]-th
+   superstep, which costs the largest [j]-th message.  [receive] gets the
+   receiver's slot of the edge a message came over.
+
+   Delivery is one pass, sender by sender, each sender's whole queue over
+   each of its live edges.  That equals delivering superstep by superstep
+   because a receiver writes only its own slot of the edge a message came
+   over, and within one stage a slot hears at most one message that
+   concerns it: the sender's single message for the receiver's cluster
+   (in the phase-info and join stages, the sender's only message). *)
+let stage sim ~label ~receive messages =
+  let queues = Array.map messages sim.verts in
+  let positions = ref 0 in
+  let rec widen j = function
+    | [] -> positions := Stdlib.max !positions j
+    | m :: rest ->
+        sim.widest.(j) <- Stdlib.max sim.widest.(j) (msg_bits ~n:sim.n m);
+        widen (j + 1) rest
+  in
+  for v = 0 to sim.n - 1 do
+    widen 0 queues.(v)
+  done;
+  for j = 0 to !positions - 1 do
+    Rounds.charge_broadcast sim.acc ~label ~bits:sim.widest.(j);
+    sim.widest.(j) <- 0
+  done;
+  sim.supersteps <- sim.supersteps + !positions;
+  for v = 0 to sim.n - 1 do
+    match queues.(v) with
+    | [] -> ()
+    | msgs ->
+        iter_live sim v (fun u s ->
+            deliver receive ~receiver:sim.verts.(u) ~sender:v ~slot:(s lxor 1)
+              msgs)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -275,35 +280,23 @@ let on_side ~lower vx cluster =
   | Some own -> if lower then cluster < own else cluster > own
   | None -> false
 
-let phase_info_broadcast sim =
-  let outgoing =
-    Array.map
-      (fun vx -> Some (Phase_info { cluster = vx.cluster; marked = vx.marked }))
-      sim.verts
-  in
-  superstep sim outgoing (receive_phase_info sim)
+let phase_info_stage sim =
+  stage sim ~label:"spanner/phase-info" ~receive:(receive_phase_info sim)
+    (fun vx -> [ Phase_info { cluster = vx.cluster; marked = vx.marked } ])
 
 (* Step 3 substep (and the three step-4 substeps): every qualifying vertex
-   runs Connect against each cluster selected by [select], queues one
-   message per tried cluster, and all queues drain synchronously. *)
-let connect_stage sim ~participates ~select ~weight_filtered =
-  let queues = Array.make sim.n [] in
-  Array.iter
-    (fun vx ->
-      if participates vx then begin
-        let groups = candidates_by_cluster sim vx ~select:(select vx) in
-        let msgs =
-          List.map
-            (fun (x, members) ->
-              match connect sim vx members with
-              | Some (via, _s, w) -> Connect_ok { cluster = x; via; w }
-              | None -> Connect_fail { cluster = x })
-            groups
-        in
-        queues.(vx.id) <- msgs
-      end)
-    sim.verts;
-  drain_queues sim queues (receive_connect sim ~weight_filtered)
+   runs Connect against each cluster selected by [select] and queues one
+   message per tried cluster. *)
+let connect_stage sim ~label ~participates ~select ~weight_filtered =
+  stage sim ~label ~receive:(receive_connect sim ~weight_filtered) (fun vx ->
+      if participates vx then
+        List.map
+          (fun (x, members) ->
+            match connect sim vx members with
+            | Some (via, _s, w) -> Connect_ok { cluster = x; via; w }
+            | None -> Connect_fail { cluster = x })
+          (candidates_by_cluster sim vx ~select:(select vx))
+      else [])
 
 let run_on ?accountant ~prng ~k st =
   let graph = st.graph in
@@ -335,7 +328,7 @@ let run_on ?accountant ~prng ~k st =
       nb_marked = Array.make (2 * m) false;
       nb_w = Array.make (2 * m) neg_infinity;
       acc;
-      stage = "spanner";
+      widest = Array.make n 0;
       supersteps = 0;
       consistent = true;
     }
@@ -366,35 +359,28 @@ let run_on ?accountant ~prng ~k st =
 
     (* Everyone announces (cluster, marked) so neighbors can build their
        candidate sets for this phase. *)
-    sim.stage <- "spanner/phase-info";
-    phase_info_broadcast sim;
+    phase_info_stage sim;
 
     (* Step 2: unmarked-cluster vertices try to join a marked cluster. *)
-    sim.stage <- "spanner/join-marked";
     let joins = Array.make n None in
-    let outgoing =
-      Array.map
-        (fun vx ->
-          match vx.cluster with
-          | Some _ when not vx.marked ->
-              let candidates = ref [] in
-              iter_live sim vx.id (fun u s ->
-                  if sim.view.(s) <> Rejected && sim.nb_marked.(s)
-                     && sim.nb_cluster.(s) >= 0
-                  then candidates := (u, s) :: !candidates);
-              (match connect sim vx !candidates with
-              | Some (via, s, w) ->
-                  vx.w_threshold <- w;
-                  let target = sim.nb_cluster.(s) in
-                  joins.(vx.id) <- Some (target, edge_of_slot s);
-                  Some (Join { cluster = target; via; w })
-              | None ->
-                  vx.w_threshold <- infinity;
-                  Some Join_none)
-          | Some _ | None -> None)
-        verts
-    in
-    superstep sim outgoing (receive_join sim);
+    stage sim ~label:"spanner/join-marked" ~receive:(receive_join sim) (fun vx ->
+        match vx.cluster with
+        | Some _ when not vx.marked ->
+            let candidates = ref [] in
+            iter_live sim vx.id (fun u s ->
+                if sim.view.(s) <> Rejected && sim.nb_marked.(s)
+                   && sim.nb_cluster.(s) >= 0
+                then candidates := (u, s) :: !candidates);
+            (match connect sim vx !candidates with
+            | Some (via, s, w) ->
+                vx.w_threshold <- w;
+                let target = sim.nb_cluster.(s) in
+                joins.(vx.id) <- Some (target, edge_of_slot s);
+                [ Join { cluster = target; via; w } ]
+            | None ->
+                vx.w_threshold <- infinity;
+                [ Join_none ])
+        | Some _ | None -> []);
 
     (* Step 3.1 / 3.2: connections between unmarked clusters, split by
        cluster-id order so no edge is decided from both sides at once. *)
@@ -404,10 +390,10 @@ let run_on ?accountant ~prng ~k st =
       && (not sim.nb_marked.(slot))
       && st.weight.(edge_of_slot slot) < vx.w_threshold
     in
-    sim.stage <- "spanner/unmarked-connect";
-    connect_stage sim ~participates:unmarked_clustered
+    let label = "spanner/unmarked-connect" in
+    connect_stage sim ~label ~participates:unmarked_clustered
       ~select:(select ~lower:true) ~weight_filtered:true;
-    connect_stage sim ~participates:unmarked_clustered
+    connect_stage sim ~label ~participates:unmarked_clustered
       ~select:(select ~lower:false) ~weight_filtered:true;
 
     (* Phase epilogue: cluster updates become effective. *)
@@ -428,18 +414,17 @@ let run_on ?accountant ~prng ~k st =
   (* Step 4: connect to the remaining clusters R_k.  A fresh announcement
      of final clusters (nobody is marked anymore: selection is by id). *)
   Array.iter (fun vx -> vx.marked <- false) verts;
-  sim.stage <- "spanner/phase-info";
-  phase_info_broadcast sim;
+  phase_info_stage sim;
   let unclustered vx = vx.cluster = None in
   let clustered vx = vx.cluster <> None in
   let select_any _vx ~cluster:_ ~slot:_ = true in
   let select ~lower vx ~cluster ~slot:_ = on_side ~lower vx cluster in
-  sim.stage <- "spanner/final-connect";
-  connect_stage sim ~participates:unclustered ~select:select_any
+  let label = "spanner/final-connect" in
+  connect_stage sim ~label ~participates:unclustered ~select:select_any
     ~weight_filtered:false;
-  connect_stage sim ~participates:clustered ~select:(select ~lower:true)
+  connect_stage sim ~label ~participates:clustered ~select:(select ~lower:true)
     ~weight_filtered:false;
-  connect_stage sim ~participates:clustered ~select:(select ~lower:false)
+  connect_stage sim ~label ~participates:clustered ~select:(select ~lower:false)
     ~weight_filtered:false;
 
   (* Collect results and check that the two endpoints of every tried edge
