@@ -1,6 +1,7 @@
 CLI := ./_build/default/bin/lbcc_cli.exe
 LINT := ./_build/default/bin/lbcc_lint.exe
 SERVE := ./_build/default/bin/lbcc_serve.exe
+SPANNER_DEMO := ./_build/default/examples/spanner_demo.exe
 
 # Warnings are errors by default (the configuration CI enforces); set
 # LBCC_DEV=1 for a forgiving edit-compile loop where warnings only print.
@@ -43,9 +44,17 @@ lint-typed: build
 # must still terminate honestly.  Greps assert the recovery, not just exit 0.
 # The certified sparsify run must keep --json and --reliability under
 # --max-retries.
+# Every spanner line of `lbcc spanner` at p = 0.5 and of the spanner demo
+# (four graph families, p = 1 and p < 1) must report its Lemma 3.1
+# stretch within the 2k-1 bound, with both endpoints' views agreeing.
 # Last, an out-of-range --source, a malformed --input network, NaN or
 # out-of-range numeric options and a size the generator rejects must be
 # usage errors (exit 2).
+SPANNER_OK = awk '/stretch=/ { n++; \
+  split(substr($$0, index($$0, "stretch=") + 8), f, /[ ()]+/); \
+  if (f[1] !~ /^[0-9.]+$$/ || f[1] + 0 > f[3] + 0 || $$0 !~ /agree=true/) bad++ } \
+  END { exit bad || !n }'
+
 smoke: build
 	$(CLI) dist --algo bfs --vertices 24 --drop-prob 0.2 --crash 23@30 \
 	  --fault-seed 7 | grep -q 'matches lossless run: true'
@@ -68,6 +77,8 @@ smoke: build
 	  | grep -q 'matches lossless run: true'
 	! $(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 8 \
 	  --byz-prob 0.4 --reliability byzantine | grep -q 'quorum-failures=0'
+	$(CLI) spanner --vertices 32 --edge-prob 0.5 | $(SPANNER_OK)
+	$(SPANNER_DEMO) | $(SPANNER_OK)
 	$(CLI) dist --algo bfs --source 999 >/dev/null 2>&1; test $$? -eq 2
 	f=$$(mktemp) && printf 'p mcmf 2 1 0 1\na 0 1 x 1\n' > $$f; \
 	  $(CLI) flow --input $$f >/dev/null 2>&1; s=$$?; rm -f $$f; test $$s -eq 2

@@ -90,14 +90,13 @@ let e1 () =
           let n = Graph.n g in
           let p = Array.make (Graph.m g) 1.0 in
           let r = Spanner.run ~prng:(Prng.create 7) ~graph:g ~p ~k () in
-          let h = Graph.sub_edges g r.Spanner.fplus in
-          let stretch = Paths.stretch g h in
+          let stretch = Spanner.stretch g r in
           let nf = float_of_int n in
           let size_bound =
             float_of_int k *. (nf ** (1.0 +. (1.0 /. float_of_int k)))
           in
           let deg_bound = float_of_int k *. (nf ** (1.0 /. float_of_int k)) in
-          let maxdeg = Array.fold_left Stdlib.max 0 (Spanner.out_degrees g r) in
+          let maxdeg = Array.fold_left Stdlib.max 0 (Spanner.out_degrees ~n r.Spanner.orientation) in
           stretch_ratio :=
             Float.max !stretch_ratio (stretch /. float_of_int ((2 * k) - 1));
           size_ratio :=

@@ -611,12 +611,11 @@ let spanner_cmd =
     Printf.printf "input: n=%d m=%d\n" (Graph.n g) (Graph.m g);
     let p = Array.make (Graph.m g) edge_prob in
     let r = Lbcc_spanner.Spanner.run ~prng:(Prng.create seed) ~graph:g ~p ~k () in
-    let h = Graph.sub_edges g r.Lbcc_spanner.Spanner.fplus in
     Printf.printf
       "spanner: |F+|=%d |F-|=%d  stretch=%.2f (bound %d)  rounds=%d  views agree=%b\n"
       (List.length r.Lbcc_spanner.Spanner.fplus)
       (List.length r.Lbcc_spanner.Spanner.fminus)
-      (Lbcc_graph.Paths.stretch g h)
+      (Lbcc_spanner.Spanner.stretch g r)
       ((2 * k) - 1)
       r.Lbcc_spanner.Spanner.rounds r.Lbcc_spanner.Spanner.views_agree
   in

@@ -10,33 +10,20 @@
 open Lbcc_util
 module Graph = Lbcc_graph.Graph
 module Gen = Lbcc_graph.Gen
-module Paths = Lbcc_graph.Paths
 module Spanner = Lbcc_spanner.Spanner
 
 let demo name g k p_value =
   let m = Graph.m g in
   let p = Array.make m p_value in
   let r = Spanner.run ~prng:(Prng.create 11) ~graph:g ~p ~k () in
-  let h = Graph.sub_edges g r.Spanner.fplus in
-  let stretch =
-    if p_value = 1.0 then Paths.stretch g h
-    else begin
-      (* Lemma 3.1 guarantee is w.r.t. the surviving graph F+ ∪ E''. *)
-      let dead = Hashtbl.create 16 in
-      List.iter (fun e -> Hashtbl.replace dead e ()) r.Spanner.fminus;
-      let surviving =
-        List.filter (fun e -> not (Hashtbl.mem dead e)) (List.init m Fun.id)
-      in
-      Paths.stretch (Graph.sub_edges g surviving) h
-    end
-  in
-  let out_deg = Spanner.out_degrees g r in
+  let out_deg = Spanner.out_degrees ~n:(Graph.n g) r.Spanner.orientation in
+  (* Lemma 3.1 bounds the stretch over the surviving graph F+ ∪ E''. *)
   Printf.printf
-    "%-22s n=%4d m=%5d k=%d p=%.2f | |F+|=%5d |F-|=%5d stretch=%5.2f (<=%2d) \
+    "%-22s n=%4d m=%5d k=%d p=%.2f | |F+|=%5d |F-|=%5d stretch=%.2f (bound %d) \
      rounds=%5d maxdeg+=%3d agree=%b\n"
     name (Graph.n g) m k p_value (List.length r.Spanner.fplus)
     (List.length r.Spanner.fminus)
-    stretch
+    (Spanner.stretch g r)
     ((2 * k) - 1)
     r.Spanner.rounds
     (Array.fold_left Stdlib.max 0 out_deg)

@@ -78,7 +78,9 @@ let sparsify ?ctx:(c = Ctx.default) ?(epsilon = 0.5) ?t g =
   let prng = Prng.create seed in
   let r = Lbcc_sparsifier.Sparsify.run ~accountant:acc ?t ~prng ~graph:g ~epsilon () in
   let cert = Lbcc_sparsifier.Certify.bound g r.Lbcc_sparsifier.Sparsify.sparsifier in
-  let out_deg = Lbcc_sparsifier.Sparsify.out_degrees r in
+  let out_deg =
+    Lbcc_spanner.Spanner.out_degrees ~n r.Lbcc_sparsifier.Sparsify.orientation
+  in
   let out_degree_max = Array.fold_left Stdlib.max 0 out_deg in
   reliability_surcharge acc c.Ctx.reliability;
   observe_run ?metrics ~op:"sparsify" acc;

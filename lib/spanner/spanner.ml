@@ -1,5 +1,6 @@
 open Lbcc_util
 module Graph = Lbcc_graph.Graph
+module Paths = Lbcc_graph.Paths
 module Rounds = Lbcc_net.Rounds
 module Payload = Lbcc_net.Payload
 module Model = Lbcc_net.Model
@@ -457,7 +458,15 @@ let run_on ?accountant ~prng ~k st =
 
 let run ~prng ~graph ~p ~k () = run_on ~prng ~k (state ~graph ~p)
 
-let out_degrees graph (result : result) =
-  let deg = Array.make (Graph.n graph) 0 in
-  Array.iter (fun (from_, _) -> deg.(from_) <- deg.(from_) + 1) result.orientation;
+let stretch graph r =
+  let rejected = Array.make (Graph.m graph) false in
+  List.iter (fun e -> rejected.(e) <- true) r.fminus;
+  let surviving =
+    List.filter (fun e -> not rejected.(e)) (List.init (Graph.m graph) Fun.id)
+  in
+  Paths.stretch (Graph.sub_edges graph surviving) (Graph.sub_edges graph r.fplus)
+
+let out_degrees ~n orientation =
+  let deg = Array.make n 0 in
+  Array.iter (fun (from_, _) -> deg.(from_) <- deg.(from_) + 1) orientation;
   deg

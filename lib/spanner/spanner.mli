@@ -79,5 +79,12 @@ val run :
     @raise Invalid_argument if [p] has the wrong length, a probability is
     outside [\[0,1\]] or NaN, [k < 1], or [graph] has parallel edges. *)
 
-val out_degrees : Graph.t -> result -> int array
-(** Out-degree per vertex under the result's orientation. *)
+val stretch : Graph.t -> result -> float
+(** [stretch graph r]: the stretch of [S = (V, F+)] over the edges of
+    [graph] that [r] did not reject, [F+ ∪ E''] with [E''] every untried
+    edge.  Lemma 3.1 bounds it by [2k - 1]; with [p ≡ 1] it is the stretch
+    over all of [graph].  [r] must come from {!run} on [graph]. *)
+
+val out_degrees : n:int -> (int * int) array -> int array
+(** Out-degree per vertex of [n] under an orientation given as
+    [(from, to_)] pairs, such as a result's or a sparsifier's. *)

@@ -121,11 +121,6 @@ let run ?accountant ?k ?t ~prng ~graph ~epsilon () =
     final_sampled = !final_sampled;
   }
 
-let out_degrees result =
-  let deg = Array.make (Graph.n result.sparsifier) 0 in
-  Array.iter (fun (from_, _) -> deg.(from_) <- deg.(from_) + 1) result.orientation;
-  deg
-
 (* Incremental sketches ------------------------------------------------- *)
 
 type sketch = {

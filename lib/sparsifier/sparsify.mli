@@ -50,9 +50,6 @@ val run :
     @raise Invalid_argument on an [epsilon] that is not positive (NaN
     included) or an empty graph. *)
 
-val out_degrees : result -> int array
-(** Out-degree profile of the orientation, indexed by vertex. *)
-
 (** {2 Incremental sketches}
 
     A {!sketch} maintains a spectral sparsifier of a mutating graph.

@@ -221,7 +221,8 @@ let protocols =
                 ~graph:g ~epsilon:0.5 ()
             in
             Printf.sprintf "%s|%s|%d|%d" (edges_fp r.Sparsify.sparsifier)
-              (ints (Sparsify.out_degrees r))
+              (ints
+                 (Spanner.out_degrees ~n:(Graph.n g) r.Sparsify.orientation))
               r.Sparsify.rounds r.Sparsify.final_sampled) );
     ( "spanner",
       (* Lemma 3.1 with probabilistic edges at k = 3. *)

@@ -88,6 +88,48 @@ let test_coupling_with_deterministic_rerun () =
     Alcotest.(check (list int)) "same spanner" r.Spanner.fplus (List.sort compare fplus')
   done
 
+(* The edge of the weight range, on weighted cliques: Join and Connect_ok
+   messages carry an edge weight, so at U up to 2^60 the messages of one
+   stage differ in size.  Stretch and agreement still hold, and the rounds
+   stay within 2 k n^(1/k) (ln n + ln U), the Lemma 3.2 count with the
+   weight's bits made explicit (at most 0.76 of it, at U = 8). *)
+let test_wide_weight_range () =
+  let n = 40 in
+  List.iter
+    (fun log_u ->
+      List.iter
+        (fun k ->
+          for seed = 1 to 3 do
+            let g = Gen.complete (Prng.create seed) ~n ~w_max:(1 lsl log_u) in
+            let bound =
+              2.0 *. float_of_int k
+              *. (float_of_int n ** (1.0 /. float_of_int k))
+              *. (log (float_of_int n) +. (float_of_int log_u *. log 2.0))
+            in
+            List.iter
+              (fun pe ->
+                let p = Array.make (Graph.m g) pe in
+                let r = run_spanner ~seed ~graph:g ~p ~k () in
+                let what =
+                  Printf.sprintf "U=2^%d k=%d seed=%d p=%.1f" log_u k seed pe
+                in
+                Alcotest.(check bool) (what ^ ": views agree") true
+                  r.Spanner.views_agree;
+                let s = Spanner.stretch g r in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: stretch %.2f <= %d" what s ((2 * k) - 1))
+                  true
+                  (s <= float_of_int ((2 * k) - 1) +. 1e-9);
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: rounds %d <= %.0f" what r.Spanner.rounds
+                     bound)
+                  true
+                  (float_of_int r.Spanner.rounds <= bound))
+              [ 1.0; 0.5 ]
+          done)
+        [ 2; 3 ])
+    [ 3; 20; 40; 60 ]
+
 let test_p_zero_rejects_everything_tried () =
   let prng = Prng.create 99 in
   let g = Gen.erdos_renyi_connected prng ~n:24 ~p:0.4 ~w_max:3 in
@@ -144,7 +186,7 @@ let test_out_degree_bounded () =
   let g = Gen.erdos_renyi_connected prng ~n ~p:0.6 ~w_max:1 in
   let k = 3 in
   let r = run_spanner ~seed:6 ~graph:g ~p:(ones_p g) ~k () in
-  let deg = Spanner.out_degrees g r in
+  let deg = Spanner.out_degrees ~n r.Spanner.orientation in
   let max_deg = Array.fold_left Stdlib.max 0 deg in
   (* O(k n^{1/k}) with a generous constant (expectation bound). *)
   let bound = 10.0 *. float_of_int k *. (float_of_int n ** (1.0 /. float_of_int k)) in
@@ -345,6 +387,7 @@ let suites =
         Alcotest.test_case "coupling with p=1 rerun" `Slow
           test_coupling_with_deterministic_rerun;
         Alcotest.test_case "p=0 rejects" `Quick test_p_zero_rejects_everything_tried;
+        Alcotest.test_case "weights up to 2^60" `Quick test_wide_weight_range;
         Alcotest.test_case "acceptance tracks p" `Slow test_acceptance_rate_tracks_p;
       ] );
     ( "spanner.bundle",

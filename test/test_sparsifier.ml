@@ -143,7 +143,9 @@ let test_out_degree_bound () =
   let prng = Prng.create 22 in
   let g = Gen.erdos_renyi_connected prng ~n:48 ~p:0.6 ~w_max:1 in
   let r = Sparsify.run ~prng:(Prng.create 23) ~graph:g ~epsilon:0.5 ~t:3 ~k:3 () in
-  let deg = Sparsify.out_degrees r in
+  let deg =
+    Lbcc_spanner.Spanner.out_degrees ~n:(Graph.n g) r.Sparsify.orientation
+  in
   let total = Array.fold_left ( + ) 0 deg in
   Alcotest.(check int) "orientations cover all sparsifier edges"
     (Graph.m r.Sparsify.sparsifier) total;
