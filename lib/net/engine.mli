@@ -16,8 +16,9 @@
 
     Every dist protocol (BFS, SSSP, leader election) runs on this engine
     through {!Tier.run}, under each delivery tier.  The spanner, and the
-    sparsifier built from it, still keep their own superstep driver that
-    charges the accountant directly; ROADMAP item 8 ports them here.
+    sparsifier built from it, keep their own stage driver, which charges
+    the accountant directly and charges nothing for a stage in which no
+    vertex sends; DESIGN.md §10 says why they do not run here.
 
     {2 Message path}
 
