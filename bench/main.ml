@@ -96,7 +96,10 @@ let e1 () =
             float_of_int k *. (nf ** (1.0 +. (1.0 /. float_of_int k)))
           in
           let deg_bound = float_of_int k *. (nf ** (1.0 /. float_of_int k)) in
-          let maxdeg = Array.fold_left Stdlib.max 0 (Spanner.out_degrees ~n r.Spanner.orientation) in
+          let maxdeg =
+            Array.fold_left Stdlib.max 0
+              (Spanner.out_degrees ~n r.Spanner.orientation)
+          in
           stretch_ratio :=
             Float.max !stretch_ratio (stretch /. float_of_int ((2 * k) - 1));
           size_ratio :=

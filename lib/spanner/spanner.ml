@@ -159,6 +159,7 @@ let connect sim vx candidates =
 (* ------------------------------------------------------------------ *)
 (* The stage driver                                                    *)
 
+(* [List.iter] here would build a closure per live edge per stage. *)
 let rec deliver receive ~receiver ~sender ~slot = function
   | [] -> ()
   | m :: rest ->
