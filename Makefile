@@ -49,7 +49,9 @@ lint-typed: build
 # stretch within the 2k-1 bound, with both endpoints' views agreeing.
 # Last, an out-of-range --source, a malformed --input network, NaN or
 # out-of-range numeric options and a size the generator rejects must be
-# usage errors (exit 2).
+# usage errors (exit 2), in lbcc and in lbcc-serve; an uncaught OCaml
+# exception also exits 2, so the lbcc-serve lines also require that no
+# "Fatal error" reaches stderr.
 SPANNER_OK = awk '/stretch=/ { n++; \
   split(substr($$0, index($$0, "stretch=") + 8), f, /[ ()]+/); \
   if (f[1] !~ /^[0-9.]+$$/ || f[1] + 0 > f[3] + 0 || $$0 !~ /agree=true/) bad++ } \
@@ -86,6 +88,14 @@ smoke: build
 	$(CLI) sparsify --epsilon nan >/dev/null 2>&1; test $$? -eq 2
 	$(CLI) solve --eps nan >/dev/null 2>&1; test $$? -eq 2
 	$(CLI) sparsify --vertices 2 >/dev/null 2>&1; test $$? -eq 2
+	@for a in 'serve --graphs 0' 'serve --vertices 1' 'serve --max-batch 0' \
+	  'serve --max-queue 0' 'serve --window=-1' 'serve --networks=-1' \
+	  'serve --cache-capacity=-1' 'bench --inflight 0'; do \
+	  e=$$(timeout 60 $(SERVE) $$a --socket /tmp/lbcc-smoke-bad.sock \
+	    2>&1 >/dev/null); s=$$?; \
+	  if [ $$s -ne 2 ] || echo "$$e" | grep -q 'Fatal error'; then \
+	    echo "smoke: lbcc-serve $$a exited $$s: $$e" >&2; exit 1; fi; \
+	done
 	@echo "smoke: OK"
 
 # Benchmark smoke: the whole unit suite re-run on a 2-domain worker pool

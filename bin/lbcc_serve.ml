@@ -18,7 +18,6 @@
 
 open Cmdliner
 module Graph = Lbcc_graph.Graph
-module Vec = Lbcc_linalg.Vec
 module Json = Lbcc_obs.Json
 module Report = Lbcc_obs.Report
 module Clock = Lbcc_obs.Clock
@@ -32,6 +31,7 @@ module Fleet = Lbcc_serve.Fleet
 module Workload = Lbcc_serve.Workload
 module Daemon = Lbcc_serve.Daemon
 module Server = Lbcc_serve.Server
+open Cli_args
 
 let solve_eps = 1e-8
 let resist_eps = 1e-10
@@ -103,10 +103,10 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Fleet and solver seed.")
 
 let graphs_arg =
-  Arg.(value & opt int 4 & info [ "graphs" ] ~docv:"G" ~doc:"Fleet size (graphs g0..).")
+  Arg.(value & opt positive_int 4 & info [ "graphs" ] ~docv:"G" ~doc:"Fleet size (graphs g0..).")
 
 let vertices_arg =
-  Arg.(value & opt int 48 & info [ "vertices" ] ~docv:"N" ~doc:"Vertices per fleet graph.")
+  Arg.(value & opt positive_int 48 & info [ "vertices" ] ~docv:"N" ~doc:"Vertices per fleet graph.")
 
 let family_arg =
   let family_conv =
@@ -123,11 +123,11 @@ let family_arg =
 
 let networks_arg =
   Arg.(
-    value & opt int 0
+    value & opt non_negative_int 0
     & info [ "networks" ] ~docv:"F" ~doc:"Flow networks in the fleet (f0..).")
 
 let net_vertices_arg =
-  Arg.(value & opt int 8 & info [ "net-vertices" ] ~docv:"N" ~doc:"Vertices per flow network.")
+  Arg.(value & opt positive_int 8 & info [ "net-vertices" ] ~docv:"N" ~doc:"Vertices per flow network.")
 
 let fleet_term =
   let make seed graphs vertices family networks net_vertices =
@@ -146,49 +146,53 @@ let fleet_term =
     $ networks_arg $ net_vertices_arg)
 
 let max_queue_arg =
-  Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"Q" ~doc:"Admission bound.")
+  Arg.(value & opt positive_int 256 & info [ "max-queue" ] ~docv:"Q" ~doc:"Admission bound.")
 
 let max_batch_arg =
   Arg.(
-    value & opt int 16
+    value & opt positive_int 16
     & info [ "max-batch" ] ~docv:"B"
         ~doc:"Coalescing cap per batch (1: serial dispatch, the baseline mode).")
 
 let window_arg =
   Arg.(
-    value & opt int 4
+    value & opt non_negative_int 4
     & info [ "window" ] ~docv:"W"
         ~doc:"Batching window in completed batches (0 dispatches immediately).")
 
 let cache_arg =
   Arg.(
-    value & opt int 8
+    value & opt non_negative_int 8
     & info [ "cache-capacity" ] ~docv:"C"
-        ~doc:"Prepared-handle cache capacity (0: re-prepare on every batch).")
-
-let no_warm_arg =
-  Arg.(
-    value & flag
-    & info [ "no-warm" ] ~doc:"Skip preparing the fleet at startup.")
+        ~doc:
+          "Prepared-handle cache capacity (above 0: the fleet is prepared at \
+           startup; 0: every batch and update re-prepares its graph).")
 
 let daemon_cfg_term =
-  let make fleet_seed max_queue max_batch window cache_capacity no_warm =
+  let make fleet_seed max_queue max_batch window cache_capacity =
     {
       Daemon.sched = { Sched.max_queue; max_batch; window };
       seed = fleet_seed;
       cache_capacity;
-      prepare_on_load = not no_warm;
     }
   in
   Term.(
     const make $ seed_arg $ max_queue_arg $ max_batch_arg $ window_arg
-    $ cache_arg $ no_warm_arg)
+    $ cache_arg)
+
+(* A fleet size the graph or network generator rejects is bad input, not a
+   crash. *)
+let build_fleet cfg =
+  try Fleet.build cfg
+  with Invalid_argument msg ->
+    Printf.eprintf "lbcc-serve: %s\n" msg;
+    Stdlib.exit 2
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
 let run_serve endpoint fleet_cfg daemon_cfg stats_out =
-  let fleet = Fleet.build fleet_cfg in
+  let fleet = build_fleet fleet_cfg in
   let daemon = Daemon.create daemon_cfg fleet in
   let listen_fd = Server.bind_listen endpoint in
   Printf.printf "lbcc-serve: listening on %s (%d graphs, %d networks, %s)\n%!"
@@ -614,16 +618,11 @@ let direct_responses fleet seed ops =
           let e = List.nth fleet.Fleet.entries graph in
           let n = Graph.n e.Fleet.graph in
           let s, t = Workload.st_pair ~n ~op_seed in
-          let b = Vec.zeros n in
-          b.(s) <- b.(s) +. 1.0;
-          b.(t) <- b.(t) -. 1.0;
-          let q = Prepared.solve ~eps:resist_eps (handle e.Fleet.name) ~b in
+          let resistance, q =
+            Prepared.effective_resistance (handle e.Fleet.name) ~s ~t
+          in
           Proto.Resistance_r
-            {
-              resistance = q.Prepared.solution.(s) -. q.Prepared.solution.(t);
-              rounds = q.Prepared.rounds;
-              bits = q.Prepared.bits;
-            }
+            { resistance; rounds = q.Prepared.rounds; bits = q.Prepared.bits }
       | Workload.Flow_op { net } ->
           let ne = List.nth fleet.Fleet.nets net in
           let r = Lbcc.min_cost_max_flow ~ctx ne.Fleet.net in
@@ -643,7 +642,7 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
     { wl_cfg with Workload.graphs = fleet_cfg.Fleet.graphs;
       networks = fleet_cfg.Fleet.networks }
   in
-  let fleet = Fleet.build fleet_cfg in
+  let fleet = build_fleet fleet_cfg in
   let trace = Workload.trace wl_cfg in
   let flat_ops = Array.concat (Array.to_list trace) in
   let total = Array.length flat_ops in
@@ -674,20 +673,20 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
   let pid_a =
     fork_daemon
       { Daemon.sched = sched_coalesced; seed = fleet_cfg.Fleet.seed;
-        cache_capacity = 8; prepare_on_load = true }
+        cache_capacity = 8 }
       fleet_cfg (ep "a")
   in
   let pid_b =
     fork_daemon
       { Daemon.sched =
           { sched_coalesced with Sched.max_batch = 1; window = 0 };
-        seed = fleet_cfg.Fleet.seed; cache_capacity = 0; prepare_on_load = false }
+        seed = fleet_cfg.Fleet.seed; cache_capacity = 0 }
       fleet_cfg (ep "b")
   in
   let pid_c =
     fork_daemon
       { Daemon.sched = { Sched.default_config with Sched.max_queue = overload_queue };
-        seed = fleet_cfg.Fleet.seed; cache_capacity = 8; prepare_on_load = true }
+        seed = fleet_cfg.Fleet.seed; cache_capacity = 8 }
       fleet_cfg (ep "c")
   in
   let reap pid = ignore (Unix.waitpid [] pid : int * Unix.process_status) in
@@ -702,13 +701,12 @@ let run_bench out endpoint_base fleet_cfg wl_cfg inflight min_amort min_speedup
   let rounds_a = int_field a.stats "rounds" in
   let served_a = int_field a.stats "served" in
   let batches_a = int_field a.stats "batches" in
-  (* The cache counters are null on a daemon without a cache. *)
-  let cache_counter key =
-    match Option.bind (Json.member "cache" a.stats) (Json.member key) with
-    | Some (Json.Int v) -> v
-    | _ -> 0
+  let cache_a =
+    match Json.member "cache" a.stats with
+    | Some c -> c
+    | None -> failwith "lbcc-serve: no \"cache\" field in reply"
   in
-  let hits_a = cache_counter "hits" and misses_a = cache_counter "misses" in
+  let hits_a = int_field cache_a "hits" and misses_a = int_field cache_a "misses" in
   Printf.printf
     "  coalesced: %.3fs wall, %d rounds, %d batches (%.1f req/batch), cache \
      %d/%d hits\n%!"
@@ -860,25 +858,25 @@ let bench_cmd =
       & info [ "out" ] ~docv:"DIR" ~doc:"Report directory.")
   in
   let clients =
-    Arg.(value & opt int 16 & info [ "clients" ] ~docv:"K" ~doc:"Concurrent clients.")
+    Arg.(value & opt positive_int 16 & info [ "clients" ] ~docv:"K" ~doc:"Concurrent clients.")
   in
   let per_client =
-    Arg.(value & opt int 4 & info [ "per-client" ] ~docv:"R" ~doc:"Requests per client.")
+    Arg.(value & opt positive_int 4 & info [ "per-client" ] ~docv:"R" ~doc:"Requests per client.")
   in
   let zipf =
     Arg.(value & opt float 1.0 & info [ "zipf" ] ~docv:"S" ~doc:"Zipf exponent.")
   in
   let resistance_frac =
     Arg.(
-      value & opt float 0.25
+      value & opt probability 0.25
       & info [ "resistance-frac" ] ~docv:"P" ~doc:"Fraction of resistance queries.")
   in
   let flows =
-    Arg.(value & opt int 2 & info [ "flows" ] ~docv:"F" ~doc:"Total flow requests.")
+    Arg.(value & opt non_negative_int 2 & info [ "flows" ] ~docv:"F" ~doc:"Total flow requests.")
   in
   let inflight =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "inflight" ] ~docv:"I" ~doc:"Outstanding requests per client.")
   in
   let min_amort =
@@ -951,6 +949,9 @@ let () =
         125
     | Unix.Unix_error (e, fn, arg) ->
         Printf.eprintf "lbcc-serve: %s(%s): %s\n" fn arg (Unix.error_message e);
+        125
+    | e ->
+        Printf.eprintf "lbcc-serve: internal error: %s\n" (Printexc.to_string e);
         125
   in
   match code with

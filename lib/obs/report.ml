@@ -159,7 +159,16 @@ let validate json =
 
 let filename t = Printf.sprintf "BENCH_%s.json" t.experiment
 
+(* [mkdir -p]: a report directory that does not exist yet must not throw
+   away a finished run. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
 let write ~dir t =
+  mkdir_p dir;
   let path = Filename.concat dir (filename t) in
   let oc = open_out path in
   Fun.protect

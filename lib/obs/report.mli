@@ -62,4 +62,5 @@ val filename : t -> string
 (** ["BENCH_<experiment>.json"]. *)
 
 val write : dir:string -> t -> string
-(** Write the pretty-printed report to [dir/filename]; returns the path. *)
+(** Write the pretty-printed report to [dir/filename], creating [dir] and
+    its parents when missing; returns the path. *)

@@ -22,7 +22,6 @@ module Json = Lbcc_obs.Json
 module Ctx = Lbcc_service.Ctx
 module Cache = Lbcc_service.Cache
 module Prepared = Lbcc_service.Prepared
-module Fingerprint = Lbcc_service.Fingerprint
 module Lbcc = Lbcc_core.Lbcc
 
 type config = {
@@ -31,16 +30,10 @@ type config = {
   cache_capacity : int;
       (* 0 = no handle reuse: every batch pays preprocessing afresh (the
          SERVE bench's serial-uncached baseline) *)
-  prepare_on_load : bool;
 }
 
 let default_config =
-  {
-    sched = Sched.default_config;
-    seed = 1;
-    cache_capacity = 8;
-    prepare_on_load = true;
-  }
+  { sched = Sched.default_config; seed = 1; cache_capacity = 8 }
 
 type work =
   | W_solve of { entry : Fleet.entry; eps : float; b : Vec.t }
@@ -56,7 +49,7 @@ type t = {
   ctx : Ctx.t;
   metrics : Metrics.t;
   acc : Rounds.t;
-  cache : Prepared.t Cache.t option;
+  cache : Prepared.t Cache.t;
   sched : pending_req Sched.t;
   out : (int * Bytes.t) Queue.t;
   mutable served : int;
@@ -79,29 +72,17 @@ let mirror_prepare t h =
   Rounds.with_phase t.acc "serve" (fun () ->
       Prepared.replay t.acc (Prepared.prepare_breakdown h))
 
+(* A capacity-0 cache retains nothing: every lookup misses and pays. *)
 let handle_for t (entry : Fleet.entry) =
-  match t.cache with
-  | Some cache ->
-      let h, hit =
-        Prepared.create_cached ~cache ~ctx:t.ctx entry.Fleet.graph
-      in
-      if not hit then mirror_prepare t h;
-      h
-  | None ->
-      let h = Prepared.create ~ctx:t.ctx entry.Fleet.graph in
-      mirror_prepare t h;
-      h
+  let h, hit =
+    Prepared.create_cached ~cache:t.cache ~ctx:t.ctx entry.Fleet.graph
+  in
+  if not hit then mirror_prepare t h;
+  h
 
 let create cfg fleet =
   let metrics = Metrics.create () in
   let ctx = Ctx.make ~seed:cfg.seed ~metrics () in
-  let cache =
-    if cfg.cache_capacity > 0 then
-      Some
-        (Cache.create ~capacity:cfg.cache_capacity ~metrics
-           ~metrics_prefix:"serve.cache" ())
-    else None
-  in
   let t =
     {
       cfg;
@@ -109,14 +90,18 @@ let create cfg fleet =
       ctx;
       metrics;
       acc = Rounds.create ~bandwidth:(fleet_bandwidth fleet);
-      cache;
+      cache =
+        Cache.create ~capacity:cfg.cache_capacity ~metrics
+          ~metrics_prefix:"serve.cache" ();
       sched = Sched.create ~metrics cfg.sched;
       out = Queue.create ();
       served = 0;
       shutting_down = false;
     }
   in
-  if cfg.prepare_on_load && cfg.cache_capacity > 0 then
+  (* Warm start: prepare the fleet before the first request, where a
+     cache can keep the handles. *)
+  if cfg.cache_capacity > 0 then
     List.iter
       (fun e -> ignore (handle_for t e : Prepared.t))
       fleet.Fleet.entries;
@@ -158,21 +143,17 @@ let quantiles_json t name =
         ]
 
 let stats_json t =
+  (* The canonical counters are the ones the cache mirrors into the
+     registry (Cache.create contract) — read them back from there rather
+     than from the snapshot ints. *)
   let cache_json =
-    match t.cache with
-    | None -> Json.Null
-    | Some _ ->
-        (* The canonical counters are the ones the cache mirrors into the
-           registry (Cache.set_metrics contract) — read them back from
-           there rather than from the snapshot ints. *)
-        Json.Obj
-          [
-            ("hits", Json.Int (Metrics.counter t.metrics "serve.cache.hits"));
-            ( "misses",
-              Json.Int (Metrics.counter t.metrics "serve.cache.misses") );
-            ( "evictions",
-              Json.Int (Metrics.counter t.metrics "serve.cache.evictions") );
-          ]
+    Json.Obj
+      [
+        ("hits", Json.Int (Metrics.counter t.metrics "serve.cache.hits"));
+        ("misses", Json.Int (Metrics.counter t.metrics "serve.cache.misses"));
+        ( "evictions",
+          Json.Int (Metrics.counter t.metrics "serve.cache.evictions") );
+      ]
   in
   Json.Obj
     [
@@ -362,44 +343,26 @@ let execute_update t (req : pending_req) =
   match req.work with
   | W_update { entry; delta } -> (
       try
-        let response =
-          match t.cache with
-          | Some cache ->
-              (* Patch the hot handle in place: fetch (or build) the handle
-                 for the current graph version, update it incrementally, and
-                 re-key the cache where the next prepare will look. *)
-              let h = handle_for t entry in
-              let h' =
-                Rounds.with_phase t.acc "serve" (fun () ->
-                    Prepared.update_cached ~cache ~accountant:t.acc h delta)
-              in
-              let g' = Prepared.graph h' in
-              Fleet.set_graph entry g'
-                ~fingerprint_hex:(Prepared.fingerprint_hex h');
-              Proto.Update_r
-                {
-                  n = Graph.n g';
-                  m = Graph.m g';
-                  fingerprint = Prepared.fingerprint_hex h';
-                  rounds = Prepared.preprocessing_rounds h';
-                  bits = Prepared.preprocessing_bits h';
-                }
-          | None ->
-              (* Uncached mode keeps no handle to patch: apply the delta now
-                 and let the next batch pay preprocessing afresh, exactly
-                 like every other request in this mode (rounds = 0 here;
-                 the rebuild cost lands on the batch that triggers it). *)
-              let g' = Graph.apply entry.Fleet.graph delta in
-              if not (Graph.is_connected g') then
-                invalid_arg "Daemon: update would disconnect the graph";
-              let fp_hex = Fingerprint.to_hex (Fingerprint.graph g') in
-              Fleet.set_graph entry g' ~fingerprint_hex:fp_hex;
-              Proto.Update_r
-                { n = Graph.n g'; m = Graph.m g'; fingerprint = fp_hex;
-                  rounds = 0; bits = 0 }
+        (* Patch the handle in place: fetch (or build) the handle for the
+           current graph version, update it incrementally, and re-key the
+           cache where the next prepare will look. *)
+        let h = handle_for t entry in
+        let h' =
+          Rounds.with_phase t.acc "serve" (fun () ->
+              Prepared.update_cached ~cache:t.cache ~accountant:t.acc h delta)
         in
+        let g' = Prepared.graph h' and fingerprint = Prepared.fingerprint_hex h' in
+        Fleet.set_graph entry g' ~fingerprint_hex:fingerprint;
         Metrics.inc (Some t.metrics) "serve.updates";
-        finish t req response
+        finish t req
+          (Proto.Update_r
+             {
+               n = Graph.n g';
+               m = Graph.m g';
+               fingerprint;
+               rounds = Prepared.preprocessing_rounds h';
+               bits = Prepared.preprocessing_bits h';
+             })
       with
       | Invalid_argument msg -> finish t req (err Proto.Bad_request msg)
       | e -> finish t req (err Proto.Internal (Printexc.to_string e)))

@@ -18,16 +18,16 @@ type config = {
   sched : Sched.config;
   seed : int;  (** solver seed ({!Lbcc_service.Ctx}); pins responses *)
   cache_capacity : int;
-      (** [Prepared] handle cache size; [0] disables reuse entirely, so
-          every batch pays preprocessing afresh — the SERVE bench's serial
-          baseline *)
-  prepare_on_load : bool;
-      (** prepare every fleet graph at startup (warm cache), charging the
-          one-time costs before the first request arrives *)
+      (** [Prepared] handle cache size.  Above [0], the daemon prepares
+          every fleet graph at startup (warm start), charging the one-time
+          costs before the first request arrives.  [0] retains no handle:
+          every batch pays preprocessing afresh, and an update pays it plus
+          the incremental update — the SERVE bench's serial baseline.  The
+          capacity changes what the daemon pays, never what it answers. *)
 }
 
 val default_config : config
-(** Default scheduler, seed 1, cache capacity 8, warm start. *)
+(** Default scheduler, seed 1, cache capacity 8 (so a warm start). *)
 
 type t
 

@@ -262,18 +262,22 @@ let test_report_validate () =
   | Ok () -> Alcotest.fail "missing keys accepted"
   | Error _ -> ()
 
+(* Neither [parent] nor [dir] exists yet: [Report.write] creates both. *)
 let test_report_write_real_file () =
-  let dir =
+  let parent =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "lbcc_obs_test_%d" (Unix.getpid ()))
   in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let dir = Filename.concat parent "reports" in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
+      List.iter
+        (fun d ->
+          if Sys.file_exists d then begin
+            Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+            Sys.rmdir d
+          end)
+        [ dir; parent ])
     (fun () ->
       let r = sample_report () in
       Alcotest.(check string) "filename" "BENCH_E1.json" (Report.filename r);

@@ -541,6 +541,47 @@ let test_daemon_update_bad () =
   Alcotest.(check int) "nothing admitted" 0 (Daemon.pending d);
   Alcotest.(check int) "fleet untouched" m (Graph.m e.Fleet.graph)
 
+(* Cache capacity changes what the daemon pays, never what it answers: a
+   capacity-0 daemon, which re-prepares on every batch, answers a
+   solve -> resistance -> update -> solve trace byte for byte like the
+   default cached one, and charges strictly more rounds for it. *)
+let test_daemon_uncached_answers_like_cached () =
+  let run cfg =
+    let fleet = update_fleet () in
+    let d = Daemon.create cfg fleet in
+    let g = (List.hd fleet.Fleet.entries).Fleet.graph in
+    let delta =
+      Graph.Delta.of_ops
+        [
+          Graph.Delta.Insert { Graph.u = 0; v = Graph.n g - 1; w = 3.0 };
+          Graph.Delta.Reweight (0, 2.5);
+        ]
+    in
+    List.iteri
+      (fun id req ->
+        Daemon.handle d ~client:0 ~id req;
+        Daemon.drain d)
+      [
+        solve_req fleet ~graph:0 ~op_seed:5;
+        Proto.Resistance { name = "g0"; eps = 1e-10; s = 0; t = 1 };
+        Proto.Update { name = "g0"; delta };
+        solve_req fleet ~graph:0 ~op_seed:6;
+      ];
+    let frames = List.map snd (Daemon.take_output d) in
+    (List.map Bytes.to_string frames, Lbcc_net.Rounds.rounds (Daemon.accountant d))
+  in
+  let cached, cached_rounds = run Daemon.default_config in
+  let uncached, uncached_rounds =
+    run { Daemon.default_config with Daemon.cache_capacity = 0 }
+  in
+  Alcotest.(check int) "four answers" 4 (List.length uncached);
+  Alcotest.(check (list string)) "responses byte-identical" cached uncached;
+  Alcotest.(check bool)
+    (Printf.sprintf "uncached pays more rounds (%d > %d)" uncached_rounds
+       cached_rounds)
+    true
+    (uncached_rounds > cached_rounds)
+
 (* The scheduler trace fully determines batch composition, responses and
    accounting — at every worker-pool size.  This is the daemon-level
    replayability contract: run the same request trace at 1/2/4 domains and
@@ -752,6 +793,8 @@ let suites =
         Alcotest.test_case "applies updates deterministically" `Quick
           test_daemon_update;
         Alcotest.test_case "rejects bad updates" `Quick test_daemon_update_bad;
+        Alcotest.test_case "uncached answers like cached" `Quick
+          test_daemon_uncached_answers_like_cached;
         Alcotest.test_case "deterministic across domains" `Slow
           test_daemon_deterministic_across_domains;
         Alcotest.test_case "matches direct solves" `Slow test_daemon_matches_direct;
