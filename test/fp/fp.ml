@@ -28,6 +28,9 @@ module Bundle = Lbcc_sparsifier.Bundle
 module Sparsify = Lbcc_sparsifier.Sparsify
 module Apriori = Lbcc_sparsifier.Apriori
 module Solver = Lbcc_laplacian.Solver
+module Prepared = Lbcc_service.Prepared
+module Ctx = Lbcc_service.Ctx
+module Cache = Lbcc_service.Cache
 module Network = Lbcc_flow.Network
 module Mcmf_lp = Lbcc_flow.Mcmf_lp
 module Vec = Lbcc_linalg.Vec
@@ -301,6 +304,56 @@ let protocols =
               (Int64.bits_of_float (Solver.kappa s))
               r.Solver.iterations r.Solver.rounds r.Solver.bits
               (floats r.Solver.solution)) );
+    ( "laplacian solve t=2",
+      (* The laplacian solve row at bundle size 2, where H drops edges of G
+         (the leading m(H)/m(G) field), so the certified kappa is that of a
+         pencil with H <> G. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let g =
+              Gen.erdos_renyi_connected (Prng.create seed) ~n:24 ~p:0.3
+                ~w_max:8
+            in
+            let s =
+              Solver.preprocess ~accountant:acc ~t:2
+                ~prng:(Prng.create (seed + 100)) ~graph:g ()
+            in
+            let b =
+              let prng = Prng.create (seed + 200) in
+              Vec.mean_center (Vec.init (Graph.n g) (fun _ -> Prng.gaussian prng))
+            in
+            let r = Solver.solve ~accountant:acc s ~b ~eps:1e-8 in
+            Printf.sprintf "%d/%d|%Lx|%d|%d|%d"
+              (Graph.m (Solver.sparsifier s)) (Graph.m g)
+              (Int64.bits_of_float (Solver.kappa s))
+              r.Solver.iterations r.Solver.rounds r.Solver.bits) );
+    ( "prepared update",
+      (* The service layer's incremental path: a prepared handle patched by
+         one reweight and one insert through update_cached, which
+         re-sparsifies, re-factors and re-certifies the patched H. *)
+      fun seed ->
+        with_acct (fun acc ->
+            let g =
+              Gen.erdos_renyi_connected (Prng.create seed) ~n:24 ~p:0.3
+                ~w_max:8
+            in
+            let p = Prepared.create ~ctx:(Ctx.make ~seed:(seed + 100) ()) ~t:2 g in
+            let delta =
+              Graph.Delta.of_ops
+                [
+                  Graph.Delta.Reweight (0, 3.0);
+                  Graph.Delta.Insert { Graph.u = 0; v = Graph.n g - 1; w = 2.0 };
+                ]
+            in
+            let q =
+              Prepared.update_cached ~cache:(Cache.create ()) ~accountant:acc p
+                delta
+            in
+            let s = Prepared.solver q in
+            Printf.sprintf "%d|%d|%Lx|%s" (Prepared.preprocessing_rounds q)
+              (Prepared.preprocessing_bits q)
+              (Int64.bits_of_float (Solver.kappa s))
+              (edges_fp (Solver.sparsifier s))) );
     ( "mcmf",
       (* Theorem 1.1 end to end: LP build, the IPM with the Laplacian-backed
          normal solver, rounding and the comparison with the baseline. *)
