@@ -144,11 +144,16 @@ scale-smoke: build
 # baseline and an overloaded small-queue daemon; replay the seeded zipf trace
 # over 16 concurrent clients; check every response bit-for-bit against direct
 # in-process solves; validate the BENCH_SERVE.json claims (the bench itself
-# exits 1 on an SLO violation).
+# exits 1 on an SLO violation).  Every daemon must remove its socket file
+# once drained, so none of the .a/.b/.c files may remain.
+SERVE_SMOKE_SOCK := /tmp/lbcc-serve-smoke.sock
 serve-smoke: build
 	mkdir -p _bench_reports
-	$(SERVE) bench --out _bench_reports --socket /tmp/lbcc-serve-smoke.sock
+	rm -f $(SERVE_SMOKE_SOCK) $(SERVE_SMOKE_SOCK).*
+	$(SERVE) bench --out _bench_reports --socket $(SERVE_SMOKE_SOCK)
 	$(CLI) report --validate _bench_reports/BENCH_SERVE.json
+	@left=$$(ls -d $(SERVE_SMOKE_SOCK)* 2>/dev/null); if [ -n "$$left" ]; then \
+	  echo "serve-smoke: socket files left behind:" $$left >&2; exit 1; fi
 	@echo "serve-smoke: OK"
 
 # Dynamic-graph smoke: the UPDATE experiment (incremental update rounds vs

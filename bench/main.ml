@@ -25,7 +25,8 @@ module Chebyshev = Lbcc_linalg.Chebyshev
 module Spanner = Lbcc_spanner.Spanner
 module Sparsify = Lbcc_sparsifier.Sparsify
 module Apriori = Lbcc_sparsifier.Apriori
-module Certify = Lbcc_sparsifier.Certify
+module Certify = Lbcc_laplacian.Certify
+module Exact = Lbcc_laplacian.Exact
 module Solver = Lbcc_laplacian.Solver
 module Leverage = Lbcc_lp.Leverage
 module Lewis = Lbcc_lp.Lewis
@@ -171,7 +172,7 @@ let e3 () =
   List.iter
     (fun t ->
       let r = Sparsify.run ~prng:(Prng.create 17) ~graph:g48 ~epsilon:0.5 ~t ~k:3 () in
-      let c = Certify.bound g48 r.Sparsify.sparsifier in
+      let c = Certify.bound (Exact.factor g48) (Exact.factor r.Sparsify.sparsifier) in
       if t = 8 then begin
         eps_t8 := c.Certify.epsilon_achieved;
         rounds_t8 := r.Sparsify.rounds
@@ -188,7 +189,7 @@ let e3 () =
       (fun n ->
         let g = Gen.complete (Prng.create n) ~n ~w_max:4 in
         let r = Sparsify.run ~prng:(Prng.create 19) ~graph:g ~epsilon:0.5 ~t:4 ~k:4 () in
-        let c = Certify.bound g r.Sparsify.sparsifier in
+        let c = Certify.bound (Exact.factor g) (Exact.factor r.Sparsify.sparsifier) in
         let lg = log (float_of_int n) /. log 2.0 in
         Printf.printf "%4d %6d | %6d %9.3f %8d %9.0f\n" n (Graph.m g)
           (Graph.m r.Sparsify.sparsifier)
@@ -580,7 +581,7 @@ let e12 () =
     Sparsify.run ~accountant:acc ~prng:(Prng.create 1) ~graph:g ~epsilon:0.5 ~t:6
       ~k:3 ()
   in
-  let cert = Certify.bound g sp.Sparsify.sparsifier in
+  let cert = Certify.bound (Exact.factor g) (Exact.factor sp.Sparsify.sparsifier) in
   Printf.printf "1. sparsifier (Thm 1.2): m %d -> %d, eps=%.3f, rounds=%d\n"
     (Graph.m g)
     (Graph.m sp.Sparsify.sparsifier)
@@ -752,7 +753,7 @@ let e15 () =
   List.iter
     (fun k ->
       let r = Sparsify.run ~prng:(Prng.create 16) ~graph:g ~epsilon:0.5 ~t:4 ~k () in
-      let c = Certify.bound g r.Sparsify.sparsifier in
+      let c = Certify.bound (Exact.factor g) (Exact.factor r.Sparsify.sparsifier) in
       Hashtbl.replace sizes k (Graph.m r.Sparsify.sparsifier);
       if k = 2 then eps_k2 := c.Certify.epsilon_achieved;
       Printf.printf "%2d | %6d %9.3f %8d\n" k
@@ -1377,7 +1378,8 @@ let update_exp () =
               ~epsilon ()
           in
           let cert =
-            Certify.bound !sk.Sparsify.base !sk.Sparsify.sparsifier
+            Certify.bound (Exact.factor !sk.Sparsify.base)
+              (Exact.factor !sk.Sparsify.sparsifier)
           in
           (r.Sparsify.rounds, cert.Certify.epsilon_achieved)
         end

@@ -496,7 +496,8 @@ let update_cmd =
   in
   let run seed n family w_max steps ops epsilon json =
     let module Sparsify = Lbcc_sparsifier.Sparsify in
-    let module Certify = Lbcc_sparsifier.Certify in
+    let module Certify = Lbcc_laplacian.Certify in
+    let module Exact = Lbcc_laplacian.Exact in
     let g = make_graph family seed n w_max in
     Printf.printf "input: n=%d m=%d\n" (Graph.n g) (Graph.m g);
     let prng = Prng.create seed in
@@ -524,7 +525,10 @@ let update_cmd =
         Sparsify.run ~prng:(Prng.create seed) ~graph:!sk.Sparsify.base
           ~epsilon ()
       in
-      let cert = Certify.bound !sk.Sparsify.base !sk.Sparsify.sparsifier in
+      let cert =
+        Certify.bound (Exact.factor !sk.Sparsify.base)
+          (Exact.factor !sk.Sparsify.sparsifier)
+      in
       (* KPPS composition: each re-sampling generation may multiply the
          error, so judge against the composed budget, not the per-step
          epsilon. *)

@@ -201,7 +201,7 @@ let run_serve endpoint fleet_cfg daemon_cfg stats_out =
     (List.length fleet.Fleet.nets)
     (if daemon_cfg.Daemon.sched.Sched.max_batch > 1 then "coalescing"
      else "serial");
-  Server.run daemon listen_fd;
+  Server.run daemon endpoint listen_fd;
   let stats = Json.to_string ~pretty:true (Daemon.stats_json daemon) in
   (match stats_out with
   | Some path ->
@@ -463,7 +463,7 @@ let fork_daemon daemon_cfg fleet_cfg endpoint =
         try
           let fleet = Fleet.build fleet_cfg in
           let daemon = Daemon.create daemon_cfg fleet in
-          Server.run daemon listen_fd;
+          Server.run daemon endpoint listen_fd;
           0
         with e ->
           Printf.eprintf "lbcc-serve[daemon]: %s\n%!" (Printexc.to_string e);

@@ -24,7 +24,8 @@ module Graph = Lbcc_graph.Graph
 module Gen = Lbcc_graph.Gen
 module Vec = Lbcc_linalg.Vec
 module Sparsify = Lbcc_sparsifier.Sparsify
-module Certify = Lbcc_sparsifier.Certify
+module Certify = Lbcc_laplacian.Certify
+module Exact = Lbcc_laplacian.Exact
 module Cache = Lbcc_service.Cache
 module Prepared = Lbcc_service.Prepared
 module Ctx = Lbcc_service.Ctx
@@ -72,7 +73,8 @@ let () =
     h := Prepared.update_cached ~cache !h d;
     let sk = Prepared.sketch !h in
     let eps =
-      (Certify.bound sk.Sparsify.base sk.Sparsify.sparsifier)
+      (Certify.bound (Exact.factor sk.Sparsify.base)
+         (Exact.factor sk.Sparsify.sparsifier))
         .Certify.epsilon_achieved
     in
     let qs = Prepared.solve_many !h query_rhs in

@@ -77,7 +77,8 @@ let sparsify ?ctx:(c = Ctx.default) ?(epsilon = 0.5) ?t g =
   let acc = fresh_accountant ?tracer ~n () in
   let prng = Prng.create seed in
   let r = Lbcc_sparsifier.Sparsify.run ~accountant:acc ?t ~prng ~graph:g ~epsilon () in
-  let cert = Lbcc_sparsifier.Certify.bound g r.Lbcc_sparsifier.Sparsify.sparsifier in
+  let h = r.Lbcc_sparsifier.Sparsify.sparsifier in
+  let cert = Lbcc_laplacian.(Certify.bound (Exact.factor g) (Exact.factor h)) in
   let out_deg =
     Lbcc_spanner.Spanner.out_degrees ~n r.Lbcc_sparsifier.Sparsify.orientation
   in
@@ -85,11 +86,11 @@ let sparsify ?ctx:(c = Ctx.default) ?(epsilon = 0.5) ?t g =
   reliability_surcharge acc c.Ctx.reliability;
   observe_run ?metrics ~op:"sparsify" acc;
   Metrics.set_gauge metrics "sparsify.epsilon_achieved"
-    cert.Lbcc_sparsifier.Certify.epsilon_achieved;
+    cert.Lbcc_laplacian.Certify.epsilon_achieved;
   Metrics.set_gauge metrics "sparsify.out_degree_max" (float_of_int out_degree_max);
   {
-    sparsifier = r.Lbcc_sparsifier.Sparsify.sparsifier;
-    epsilon_achieved = cert.Lbcc_sparsifier.Certify.epsilon_achieved;
+    sparsifier = h;
+    epsilon_achieved = cert.Lbcc_laplacian.Certify.epsilon_achieved;
     out_degree_max;
     rounds = report_of acc;
   }

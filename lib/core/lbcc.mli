@@ -61,7 +61,7 @@ type rounds_report = {
 type sparsifier_result = {
   sparsifier : Graph.t;
   epsilon_achieved : float;
-      (** {!Lbcc_sparsifier.Certify.bound}: a power-iteration estimate
+      (** {!Lbcc_laplacian.Certify.bound}: a power-iteration estimate
           proven by a Cholesky test, one rule at every [n]; with [H = G]
           it reports about [1e-6] *)
   out_degree_max : int;

@@ -68,7 +68,7 @@ val sparsify :
   Graph.t ->
   Lbcc.sparsifier_result outcome
 (** Certifies [epsilon_achieved <= epsilon] (via the
-    {!Lbcc_sparsifier.Certify} certificate already computed by
+    {!Lbcc_laplacian.Certify} certificate already computed by
     {!Lbcc.sparsify}); retries double the bundle size [t].  [?accept]
     overrides the certification predicate (used by tests to inject
     failures). *)

@@ -31,19 +31,13 @@ let bisections = 4
    on all of R^n exactly when its grounded matrix is (both kill 1). *)
 let grounded l n = Dense.init (n - 1) (n - 1) (fun i j -> Dense.get l (i + 1) (j + 1))
 
-let pinned_solve f n b =
-  let sol = Dense.solve_factored f (Array.sub b 1 (n - 1)) in
-  let x = Array.make n 0.0 in
-  Array.blit sol 0 x 1 (n - 1);
-  Vec.mean_center x
-
 (* Rayleigh quotients of the power iterates of L_H^+ L_G (towards
-   lambda_max) and L_G^+ L_H (towards lambda_min).  Each quotient lies in
-   [lambda_min, lambda_max], so the first is a lower estimate of
-   lambda_max and the second an upper estimate of lambda_min. *)
-let estimate g h ~lg ~lh =
+   lambda_max) and L_G^+ L_H (towards lambda_min), solving through the
+   caller's factors.  Each quotient lies in [lambda_min, lambda_max], so
+   the first is a lower estimate of lambda_max and the second an upper
+   estimate of lambda_min. *)
+let estimate g h fg fh =
   let n = Graph.n g in
-  let fg = Dense.factorize lg and fh = Dense.factorize lh in
   let prng = Prng.create power_seed in
   let iterate apply =
     let y = ref (Vec.mean_center (Vec.init n (fun _ -> Prng.gaussian prng))) in
@@ -55,8 +49,8 @@ let estimate g h ~lg ~lh =
     Vec.dot y (Graph.apply_laplacian g y)
     /. Float.max (Vec.dot y (Graph.apply_laplacian h y)) 1e-300
   in
-  let lambda_max = iterate (fun y -> pinned_solve fh n (Graph.apply_laplacian g y)) in
-  let lambda_min = iterate (fun y -> pinned_solve fg n (Graph.apply_laplacian h y)) in
+  let lambda_max = iterate (fun y -> Exact.solve fh (Graph.apply_laplacian g y)) in
+  let lambda_min = iterate (fun y -> Exact.solve fg (Graph.apply_laplacian h y)) in
   (lambda_min, lambda_max)
 
 (* [proves ~lg ~lh ~dg ~dh ~terms buf side c] decides [c L_H - L_G >= 0]
@@ -100,7 +94,8 @@ let confirm ~test ~side ~estimate ~at =
   in
   at (if hi > first_gap then bisect (0.5 *. hi) hi bisections else hi)
 
-let bound g h =
+let bound fg fh =
+  let g = Exact.graph fg and h = Exact.graph fh in
   let n = Graph.n g in
   if Graph.n h <> n then invalid_arg "Certify.bound: vertex count mismatch";
   if not (Graph.is_connected g && Graph.is_connected h) then
@@ -111,7 +106,7 @@ let bound g h =
   else
     let full_g = Graph.laplacian_dense g and full_h = Graph.laplacian_dense h in
     let lg = grounded full_g n and lh = grounded full_h n in
-    let lmin_hat, lmax_hat = estimate g h ~lg ~lh in
+    let lmin_hat, lmax_hat = estimate g h fg fh in
     let degrees l = Array.init n (fun i -> Dense.get l i i) in
     let test =
       proves ~lg ~lh ~dg:(degrees full_g) ~dh:(degrees full_h)

@@ -15,7 +15,7 @@ type block = {
   sol_buf : float array; (* scratch, length k-1: reduced solution *)
 }
 
-type t = { n : int; blocks : block list }
+type t = { graph : Graph.t; blocks : block list }
 
 let factor g =
   let n = Graph.n g in
@@ -47,13 +47,16 @@ let factor g =
              }
            end)
   in
-  { n; blocks }
+  { graph = g; blocks }
+
+let graph t = t.graph
 
 let solve_into t b x =
-  if Vec.dim b <> t.n then invalid_arg "Exact.solve: dimension mismatch";
-  if Vec.dim x <> t.n then invalid_arg "Exact.solve: solution dimension mismatch";
+  let n = Graph.n t.graph in
+  if Vec.dim b <> n then invalid_arg "Exact.solve: dimension mismatch";
+  if Vec.dim x <> n then invalid_arg "Exact.solve: solution dimension mismatch";
   let scale = Float.max 1.0 (Vec.norm_inf b) in
-  Array.fill x 0 t.n 0.0;
+  Array.fill x 0 n 0.0;
   List.iter
     (fun block ->
       let k = Array.length block.vertices in
@@ -98,7 +101,7 @@ let clone_scratch t =
   }
 
 let solve t b =
-  let x = Array.make t.n 0.0 in
+  let x = Array.make (Graph.n t.graph) 0.0 in
   solve_into t b x;
   x
 

@@ -1,10 +1,10 @@
-(** Exact (direct) Laplacian solving by pinning and dense Cholesky.
+(** Exact (direct) Laplacian solving by pinning and dense pivoted LU.
 
     [L] of a connected graph has nullspace [span(1)]; pinning vertex 0
     (deleting its row and column) leaves an SPD system.  Used for the
     vertex-internal solves of the distributed algorithms (simulated vertices
-    have unlimited local computation and know the whole sparsifier) and as
-    the reference in tests.
+    have unlimited local computation and know the whole sparsifier), for
+    {!Certify.bound}'s power iteration and as the reference in tests.
 
     All solves require a right-hand side with (numerically) zero sum —
     otherwise [L x = b] has no solution — and return the solution with zero
@@ -17,6 +17,9 @@ type t
 (** A factored Laplacian. *)
 
 val factor : Graph.t -> t
+
+val graph : t -> Graph.t
+(** The graph whose Laplacian [t] factors. *)
 
 val solve : t -> Vec.t -> Vec.t
 (** [solve t b] returns the per-component-zero-mean [x] with [L x = b].

@@ -5,7 +5,6 @@ module Graph = Lbcc_graph.Graph
 module Rounds = Lbcc_net.Rounds
 module Model = Lbcc_net.Model
 module Sparsify = Lbcc_sparsifier.Sparsify
-module Certify = Lbcc_sparsifier.Certify
 
 (* The vertex-internal preconditioner solve in B = lambda_max * L_H is a
    dense LU factorization of L_H: exact, O(n^3) to build and O(n^2)
@@ -13,8 +12,7 @@ module Certify = Lbcc_sparsifier.Certify
    kernel is span(1)). *)
 type t = {
   graph : Graph.t;
-  sparsifier : Graph.t;
-  factor : Exact.t;
+  factor : Exact.t; (* of L_H: [Exact.graph factor] is H *)
   kappa : float;
   lambda_max : float; (* of the pencil (L_G, L_H): scale for the preconditioner *)
   preprocessing_rounds : int;
@@ -66,11 +64,12 @@ let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?k
           .Sparsify.sparsifier
   in
   (* The sparsifier preserves connectivity of the input (each bundle begins
-     with a spanner of the surviving edges), so factoring cannot fail.
-     Both steps are vertex-internal: their phases charge no rounds and
-     show up only as trace spans. *)
+     with a spanner of the surviving edges), so factoring cannot fail.  The
+     one factor of L_H serves the preconditioner and the certificate.  Both
+     steps are vertex-internal: they charge no rounds, only trace spans. *)
   let factor = Rounds.with_phase acc "factor" (fun () -> Exact.factor h) in
-  let cert = Rounds.with_phase acc "certify" (fun () -> Certify.bound graph h) in
+  let certify () = Certify.bound (Exact.factor graph) factor in
+  let cert = Rounds.with_phase acc "certify" certify in
   (* Rescale the preconditioner so the pencil (L_G, B) has top eigenvalue
      exactly 1: B := lambda_max * L_H, kappa := lambda_max / lambda_min.
      (With the paper's eps_H = 1/2 this is the kappa = 3 of Cor. 2.4.)
@@ -79,7 +78,6 @@ let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?k
   let kappa = lambda_max /. cert.Certify.lambda_min *. 1.05 in
   {
     graph;
-    sparsifier = h;
     factor;
     kappa;
     lambda_max;
@@ -87,7 +85,7 @@ let preprocess ?accountant ?(phases = [ "solve"; "preprocess" ]) ?t ?k
     bandwidth;
   }
 
-let sparsifier t = t.sparsifier
+let sparsifier t = Exact.graph t.factor
 let kappa t = t.kappa
 let preprocessing_rounds t = t.preprocessing_rounds
 

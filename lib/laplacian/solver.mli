@@ -11,7 +11,7 @@
     The paper fixes the sparsifier quality at [eps_H = 1/2] so
     [kappa = 3]; with calibrated bundle sizes (DESIGN.md, substitution 3)
     the achieved [eps_H] is measured and [kappa] set from the certificate
-    {!Lbcc_sparsifier.Certify.bound}.  The certificate is proven in
+    {!Certify.bound}.  The certificate is proven in
     floating point at every [n] (a Cholesky test confirms each side), so
     the Chebyshev error guarantee holds whenever [preprocess] returns. *)
 
@@ -51,8 +51,8 @@ val preprocess :
   t
 (** Sparsify, factor [L_H] densely ([O(n^3)] setup, [O(n^2)] memory; the
     vertex-internal preconditioner solve is free in the model), and
-    certify [kappa] with {!Lbcc_sparsifier.Certify.bound}.  Both steps are
-    vertex-internal: they run under zero-round [factor] and [certify]
+    certify [kappa] with {!Certify.bound} on that same factor.  Both steps
+    are vertex-internal: they run under zero-round [factor] and [certify]
     phases, which show up as trace spans and never as breakdown rows.
     When [sparsifier] is given it is used as [H] directly and the
     internal sparsification is skipped — the door the incremental-update
@@ -64,8 +64,8 @@ val preprocess :
     relabels the accountant phase nesting for the charges (default
     [["solve"; "preprocess"]]; the service layer passes [["prepare"]]).
     @raise Invalid_argument if [graph] is not connected.
-    @raise Lbcc_sparsifier.Certify.Not_certified if the pencil's bounds
-    cannot be confirmed in floating point. *)
+    @raise Certify.Not_certified if the pencil's bounds cannot be
+    confirmed in floating point. *)
 
 val sparsifier : t -> Graph.t
 val kappa : t -> float

@@ -19,26 +19,26 @@ let addr_of = function
   | Unix_sock path -> Unix.ADDR_UNIX path
   | Tcp (host, port) -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
 
+let socket endpoint =
+  let domain = match endpoint with Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET in
+  Unix.socket domain Unix.SOCK_STREAM 0
+
+(* A Unix socket's file outlives the socket: [bind_listen] clears one left
+   by a crashed run (bind would fail on it), and [run] removes its own. *)
+let unlink_socket_file = function
+  | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
 let bind_listen endpoint =
-  let domain, addr =
-    match endpoint with
-    | Unix_sock path ->
-        (* A stale socket file from a crashed run would make bind fail. *)
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        (Unix.PF_UNIX, addr_of endpoint)
-    | Tcp _ -> (Unix.PF_INET, addr_of endpoint)
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  unlink_socket_file endpoint;
+  let fd = socket endpoint in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
+  Unix.bind fd (addr_of endpoint);
   Unix.listen fd 64;
   fd
 
 let connect endpoint =
-  let domain =
-    match endpoint with Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  let fd = socket endpoint in
   Unix.connect fd (addr_of endpoint);
   fd
 
@@ -60,7 +60,7 @@ let install_drain_signals daemon =
   (* A client that disconnects mid-response must not kill the daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let run daemon listen_fd =
+let run daemon endpoint listen_fd =
   install_drain_signals daemon;
   let conns = ref [] in
   let next_cid = ref 0 in
@@ -156,4 +156,5 @@ let run daemon listen_fd =
     end
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-  try Unix.close listen_fd with Unix.Unix_error _ -> ()
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  unlink_socket_file endpoint

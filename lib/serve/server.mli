@@ -17,10 +17,11 @@ val bind_listen : endpoint -> Unix.file_descr
 val connect : endpoint -> Unix.file_descr
 (** Client side: a connected stream socket. *)
 
-val run : Daemon.t -> Unix.file_descr -> unit
-(** Serve until shutdown: accept, decode, {!Daemon.handle}, tick, flush.
+val run : Daemon.t -> endpoint -> Unix.file_descr -> unit
+(** [run daemon endpoint listen_fd] serves [bind_listen endpoint]'s socket
+    until shutdown: accept, decode, {!Daemon.handle}, tick, flush.
     Malformed payloads answer [Bad_request] (id 0) and drop the
     connection.  SIGTERM and SIGINT request a graceful drain and SIGPIPE
-    is ignored.  Once draining, the
-    loop stops accepting, answers every admitted request, flushes, closes
-    all sockets (including [listen_fd]) and returns. *)
+    is ignored.  Once draining, the loop stops accepting, answers every
+    admitted request, flushes, closes all sockets (including [listen_fd]),
+    unlinks a [Unix_sock] endpoint's socket file and returns. *)

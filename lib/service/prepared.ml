@@ -243,8 +243,8 @@ let update_cached ?cache ?accountant t delta =
   let patched = update ?accountant t delta in
   (* Patch-in-place: the old key can never serve the mutated graph again,
      and the patched handle lands exactly where [create_cached] would look
-     for the new graph — a subsequent prepare of the same (graph, seed,
-     t, k) is a hit instead of a cold rebuild. *)
+     for the new graph — a later prepare of the same (graph, seed, t) is a
+     hit instead of a cold rebuild. *)
   Cache.remove cache old_key;
   Cache.add cache (own_key patched) patched;
   Metrics.inc t.ctx.Ctx.metrics "prepared.cache_patch";

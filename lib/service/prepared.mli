@@ -83,7 +83,7 @@ val shared_cache : unit -> t Cache.t
 val update_cached :
   ?cache:t Cache.t -> ?accountant:Rounds.t -> t -> Graph.Delta.t -> t
 (** {!update}, then re-key the cache in place: the entry under the old
-    (fingerprint, seed, t, k) key is removed and the patched handle is
+    (fingerprint, seed, t) key is removed and the patched handle is
     inserted under the new graph's key — exactly where {!create_cached}
     would look — so a hot handle survives the mutation instead of being
     invalidated and rebuilt cold. *)

@@ -11,8 +11,8 @@
     [t = ceil(0.05 * ceil(log2 n)^2 / eps^2)]: the paper's constant 400 in
     place of [0.05] certifies the w.h.p. guarantee but produces sparsifiers
     denser than any feasible input; experiments certify quality a posteriori
-    with {!Certify} instead (see DESIGN.md, substitution 3).  Callers that
-    need another bundle size pass [t] itself. *)
+    with [Lbcc_laplacian.Certify] (DESIGN.md, substitution 3).  Callers
+    that need another bundle size pass [t] itself. *)
 
 open Lbcc_util
 module Graph = Lbcc_graph.Graph
@@ -61,8 +61,8 @@ val run :
     fewer broadcast rounds than re-running {!run} on the whole graph.
     Pass-through errors compose multiplicatively across generations (the
     Kyng–Pachocki–Peng–Sachdeva resparsification regime behind Thm 3.4);
-    callers certify quality a posteriori with {!Certify} against
-    [sketch.base], exactly as the static pipeline does. *)
+    callers certify quality a posteriori with [Lbcc_laplacian.Certify]
+    against [sketch.base], exactly as the static pipeline does. *)
 
 type sketch = {
   base : Graph.t;  (** the accumulated (post-delta) graph *)

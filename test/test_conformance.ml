@@ -17,7 +17,8 @@ module Paths = Lbcc_graph.Paths
 module Vec = Lbcc_linalg.Vec
 module Spanner = Lbcc_spanner.Spanner
 module Sparsify = Lbcc_sparsifier.Sparsify
-module Certify = Lbcc_sparsifier.Certify
+module Certify = Lbcc_laplacian.Certify
+module Exact = Lbcc_laplacian.Exact
 module Solver = Lbcc_laplacian.Solver
 
 let seeds = 20
@@ -71,7 +72,7 @@ let test_sparsifier_theorem_1_2 () =
           ~prng:(Prng.create (2000 + seed))
           ~graph:g ~epsilon ~t:8 ~k:3 ()
       in
-      let c = Certify.bound g r.Sparsify.sparsifier in
+      let c = Certify.bound (Exact.factor g) (Exact.factor r.Sparsify.sparsifier) in
       Alcotest.(check bool)
         (Printf.sprintf "%s seed=%d: certified (1 +- %.1f)" family seed epsilon)
         true

@@ -3,10 +3,13 @@ module Graph = Lbcc_graph.Graph
 module Gen = Lbcc_graph.Gen
 module Sparsify = Lbcc_sparsifier.Sparsify
 module Apriori = Lbcc_sparsifier.Apriori
-module Certify = Lbcc_sparsifier.Certify
+module Certify = Lbcc_laplacian.Certify
 module Vec = Lbcc_linalg.Vec
 module Dense = Lbcc_linalg.Dense
 module Exact = Lbcc_laplacian.Exact
+
+(* The certificate of the pencil (L_G, L_H), on fresh factors of both. *)
+let certify g h = Certify.bound (Exact.factor g) (Exact.factor h)
 
 let test_defaults () =
   Alcotest.(check int) "k default" 6 (Sparsify.default_k ~n:64);
@@ -58,7 +61,7 @@ let test_quality_improves_with_t () =
           let r =
             Sparsify.run ~prng:(Prng.create (100 + s)) ~graph:g ~epsilon:0.5 ~t ~k:3 ()
           in
-          (Certify.bound g r.Sparsify.sparsifier).Certify.epsilon_achieved)
+          (certify g r.Sparsify.sparsifier).Certify.epsilon_achieved)
     in
     List.fold_left ( +. ) 0.0 runs /. 3.0
   in
@@ -71,7 +74,7 @@ let test_large_t_gives_good_sparsifier () =
   let prng = Prng.create 11 in
   let g = Gen.erdos_renyi_connected prng ~n:40 ~p:0.5 ~w_max:2 in
   let r = Sparsify.run ~prng:(Prng.create 12) ~graph:g ~epsilon:0.5 ~t:12 ~k:3 () in
-  let c = Certify.bound g r.Sparsify.sparsifier in
+  let c = certify g r.Sparsify.sparsifier in
   Alcotest.(check bool)
     (Printf.sprintf "achieved eps %.3f < 0.75" c.Certify.epsilon_achieved)
     true
@@ -80,7 +83,7 @@ let test_large_t_gives_good_sparsifier () =
 let test_certify_identity () =
   let prng = Prng.create 13 in
   let g = Gen.erdos_renyi_connected prng ~n:24 ~p:0.3 ~w_max:5 in
-  let c = Certify.bound g g in
+  let c = certify g g in
   Alcotest.(check (float 1e-5)) "lambda_min" 1.0 c.Certify.lambda_min;
   Alcotest.(check (float 1e-5)) "lambda_max" 1.0 c.Certify.lambda_max;
   Alcotest.(check (float 1e-5)) "graph certifies itself at eps 0" 0.0
@@ -90,7 +93,7 @@ let test_certify_scaled () =
   let prng = Prng.create 14 in
   let g = Gen.erdos_renyi_connected prng ~n:24 ~p:0.3 ~w_max:5 in
   let h = Graph.map_weights (fun _ e -> 2.0 *. e.Graph.w) g in
-  let c = Certify.bound g h in
+  let c = certify g h in
   (* L_G = (1/2) L_H: lambda in [0.5, 0.5], eps achieved = 0.5. *)
   Alcotest.(check (float 1e-5)) "lambda_min" 0.5 c.Certify.lambda_min;
   Alcotest.(check (float 1e-5)) "lambda_max" 0.5 c.Certify.lambda_max;
@@ -99,7 +102,7 @@ let test_certify_scaled () =
 let test_is_sparsifier_predicate () =
   let prng = Prng.create 18 in
   let g = Gen.erdos_renyi_connected prng ~n:20 ~p:0.4 ~w_max:2 in
-  let within h epsilon = (Certify.bound g h).Certify.epsilon_achieved <= epsilon in
+  let within h epsilon = (certify g h).Certify.epsilon_achieved <= epsilon in
   Alcotest.(check bool) "self" true (within g 0.01);
   let h = Graph.map_weights (fun _ e -> 3.0 *. e.Graph.w) g in
   Alcotest.(check bool) "tripled fails at eps=0.5" false (within h 0.5)
@@ -135,7 +138,7 @@ let test_apriori_quality_similar () =
   let prng = Prng.create 20 in
   let g = Gen.erdos_renyi_connected prng ~n:32 ~p:0.5 ~w_max:1 in
   let r = Apriori.run ~prng:(Prng.create 21) ~graph:g ~epsilon:0.5 ~t:8 ~k:3 () in
-  let c = Certify.bound g r.Apriori.sparsifier in
+  let c = certify g r.Apriori.sparsifier in
   Alcotest.(check bool) "apriori quality reasonable" true
     (c.Certify.epsilon_achieved < 1.0)
 
@@ -205,7 +208,7 @@ let prop_bound_tight =
     QCheck.(triple (int_range 1 10_000) (int_range 8 64) (int_range 1 2))
     (fun (seed, n, t) ->
       let g, h = er_pencil ~seed ~n ~t in
-      let c = Certify.bound g h in
+      let c = certify g h in
       let rq_min, rq_max = witnesses (Prng.create seed) g h in
       c.Certify.lambda_max >= rq_max
       && c.Certify.lambda_max <= 1.01 *. rq_max
@@ -225,7 +228,7 @@ let test_cholesky_rejects_inside () =
   List.iter
     (fun (seed, t) ->
       let g, h = er_pencil ~seed ~n:48 ~t in
-      let c = Certify.bound g h in
+      let c = certify g h in
       let rq_min, rq_max = witnesses (Prng.create seed) g h in
       let proves ~a ~b =
         Dense.proves_positive_definite ~slack:0.0 (grounded_combination g h ~a ~b)
@@ -245,12 +248,12 @@ let test_cholesky_rejects_inside () =
    n = 420 alike. *)
 let test_bound_rule () =
   let g = Gen.erdos_renyi_connected (Prng.create 30) ~n:40 ~p:0.3 ~w_max:4 in
-  let c = Certify.bound g g in
+  let c = certify g g in
   Alcotest.(check bool) "n = 40: eps <= 1e-5" true (c.Certify.epsilon_achieved <= 1e-5);
   let g =
     Gen.erdos_renyi_connected (Prng.create 41) ~n:420 ~p:(24.0 /. 420.0) ~w_max:8
   in
-  let c = Certify.bound g g in
+  let c = certify g g in
   Alcotest.(check bool)
     (Printf.sprintf "n = 420: eps %g <= 1e-5" c.Certify.epsilon_achieved)
     true
@@ -267,11 +270,37 @@ let test_bound_refuses_weight_spread () =
       (List.init n (fun i ->
            { Graph.u = i; v = (i + 1) mod n; w = (if i mod 2 = 0 then 1.0 else 1e16) }))
   in
-  match Certify.bound g g with
+  match certify g g with
   | c ->
       Alcotest.failf "certified lambda in [%g, %g] on a 1e16 weight spread"
         c.Certify.lambda_min c.Certify.lambda_max
   | exception Certify.Not_certified _ -> ()
+
+(* [bound]'s argument checks, made on the graphs its factors carry. *)
+let test_bound_rejects_vertex_mismatch () =
+  let g = Gen.erdos_renyi_connected (Prng.create 31) ~n:12 ~p:0.5 ~w_max:2 in
+  let h = Gen.erdos_renyi_connected (Prng.create 32) ~n:13 ~p:0.5 ~w_max:2 in
+  Alcotest.check_raises "n(G) = 12, n(H) = 13"
+    (Invalid_argument "Certify.bound: vertex count mismatch") (fun () ->
+      ignore (certify g h))
+
+let test_bound_rejects_disconnected () =
+  let edge u v = { Graph.u; v; w = 1.0 } in
+  let path = Graph.create ~n:4 [ edge 0 1; edge 1 2; edge 2 3 ] in
+  let split = Graph.create ~n:4 [ edge 0 1; edge 2 3 ] in
+  List.iter
+    (fun (label, g, h) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Certify.bound: graphs must be connected") (fun () ->
+          ignore (certify g h)))
+    [ ("G disconnected", split, path); ("H disconnected", path, split) ]
+
+let test_bound_single_vertex () =
+  let g = Graph.create ~n:1 [] in
+  let c = certify g g in
+  Alcotest.(check (float 0.0)) "lambda_min" 1.0 c.Certify.lambda_min;
+  Alcotest.(check (float 0.0)) "lambda_max" 1.0 c.Certify.lambda_max;
+  Alcotest.(check (float 0.0)) "eps" 0.0 c.Certify.epsilon_achieved
 
 let test_rejects_nan_epsilon () =
   let g = Gen.erdos_renyi_connected (Prng.create 24) ~n:12 ~p:0.5 ~w_max:2 in
@@ -306,6 +335,11 @@ let suites =
         Alcotest.test_case "bound rule" `Quick test_bound_rule;
         Alcotest.test_case "bound refuses 1e16 spread" `Quick
           test_bound_refuses_weight_spread;
+        Alcotest.test_case "bound rejects vertex mismatch" `Quick
+          test_bound_rejects_vertex_mismatch;
+        Alcotest.test_case "bound rejects disconnected" `Quick
+          test_bound_rejects_disconnected;
+        Alcotest.test_case "bound single vertex" `Quick test_bound_single_vertex;
       ] );
     ( "sparsifier.lemma33",
       [

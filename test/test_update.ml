@@ -7,7 +7,8 @@ module Graph = Lbcc_graph.Graph
 module Gen = Lbcc_graph.Gen
 module Vec = Lbcc_linalg.Vec
 module Sparsify = Lbcc_sparsifier.Sparsify
-module Certify = Lbcc_sparsifier.Certify
+module Certify = Lbcc_laplacian.Certify
+module Exact = Lbcc_laplacian.Exact
 module Fingerprint = Lbcc_service.Fingerprint
 module Prepared = Lbcc_service.Prepared
 module Ctx = Lbcc_service.Ctx
@@ -232,7 +233,10 @@ let test_sketch_update_deterministic_across_domains () =
 let test_sketch_update_certifies () =
   let sk = run_sketch_stream () in
   Alcotest.(check int) "three generations" 3 sk.Sparsify.generation;
-  let cert = Certify.bound sk.Sparsify.base sk.Sparsify.sparsifier in
+  let cert =
+    Certify.bound (Exact.factor sk.Sparsify.base)
+      (Exact.factor sk.Sparsify.sparsifier)
+  in
   (* KPPS composition: each generation may compound the per-step 0.5. *)
   let budget = (1.5 ** 4.0) -. 1.0 in
   Alcotest.(check bool)
